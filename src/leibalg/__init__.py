@@ -5,7 +5,6 @@ relative (Lie-) invariants, Lie-central extensions and the Lie-isoclinism
 search/decision machinery, all in exact arithmetic.
 """
 
-from ._backend import BACKEND
 from .fields import Field, FieldError
 from .linalg import (
     LinearMap,
@@ -23,7 +22,6 @@ from .linalg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Field",
     "FieldError",
     "LinearMap",

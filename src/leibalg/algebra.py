@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .fields import Field
 from .linalg import (
     Matrix,
     QuotientStructure,

@@ -30,7 +30,6 @@ import sys
 
 from . import __version__
 from .algebra import (
-    annihilator_ideal,
     is_abelian,
     lie_center,
     lie_commutator_of,
@@ -228,16 +227,18 @@ def stem_payload(rep):
 
 
 def invariants_payload(alg: LeibnizAlgebra):
-    ann = annihilator_ideal(alg)
+    # Squares and symmetric brackets span the same ideal when 2 is invertible,
+    # and Field rejects characteristic 2: the annihilator is the Lie-commutator.
+    com = lie_commutator_of(alg)
     e = canonical_extension(alg)
     return {
         "field": str(alg.field),
         "dim": alg.dim,
         "lie_center_dim": lie_center(alg).dim,
-        "lie_commutator_dim": lie_commutator_of(alg).dim,
-        "annihilator_dim": ann.dim,
-        "liezation_dim": alg.dim - ann.dim,
-        "is_lie": ann.dim == 0,
+        "lie_commutator_dim": com.dim,
+        "annihilator_dim": com.dim,
+        "liezation_dim": alg.dim - com.dim,
+        "is_lie": com.dim == 0,
         "is_abelian": is_abelian(alg),
         "canonical_extension": {
             "n_dim": e.n.dim,

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Largest prime modulus accepted.  Keeps every product of two canonical
-# residues (and any pivot arithmetic at ambient dimension <= 16) inside
-# int64 for the compiled kernels.
+# Largest prime modulus accepted.  Moduli come from outside input, and the
+# bound keeps _is_prime's trial division (at most 2**10 steps) and the
+# pow(a, p - 2, p) inverses cheap.
 MAX_PRIME = 1 << 20
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
-    annihilator_ideal,
     full_space,
     lie_center,
     lie_commutator_of,
@@ -201,18 +200,22 @@ class IsoclinismInvariants:
 
     @classmethod
     def from_extension(cls, e: CentralExtension) -> "IsoclinismInvariants":
+        # Squares and symmetric brackets span the same ideal when 2 is
+        # invertible, and Field rejects characteristic 2: each Lie-commutator
+        # is also the annihilator ideal.
         com = lie_commutator_of(e.g)
         q = e.q
+        q_com = lie_commutator_of(q)
         return cls(
             q_dim=q.dim,
             commutator_dim=com.dim,
             c_radical_dim=commutator_map(e).radical().dim,
             q_center_dim=lie_center(q).dim,
-            q_commutator_dim=lie_commutator_of(q).dim,
-            q_annihilator_dim=annihilator_ideal(q).dim,
+            q_commutator_dim=q_com.dim,
+            q_annihilator_dim=q_com.dim,
             g_dim=e.g.dim,
             g_center_dim=lie_center(e.g).dim,
-            g_annihilator_dim=annihilator_ideal(e.g).dim,
+            g_annihilator_dim=com.dim,
         )
 
     @classmethod

@@ -11,43 +11,13 @@ Dense and small on purpose; ambient dimensions stay <= 16 in this library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from operator import mul
 
-from . import _backend
 from .fields import Field
 
 
 class LinalgError(ValueError):
     pass
-
-
-def _rref_fraction(nrows, ncols, rows):
-    """Fraction RREF, same contract as the mod-p kernels but over Q."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        if piv != 1:
-            m[r] = [v / piv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
 
 
 @dataclass(frozen=True)
@@ -118,20 +88,11 @@ class Matrix:
             return NotImplemented
         if self.field != other.field or self.ncols != other.nrows:
             raise LinalgError("matmul shape/field mismatch")
-        f = self.field
-        if f.is_finite:
-            flat = _backend.kernels.matmul_mod(
-                self.nrows, self.ncols, other.ncols,
-                [v for r in self.entries for v in r],
-                [v for r in other.entries for v in r], f.p)
-            n = other.ncols
-            return Matrix(f, self.nrows, n,
-                          tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(self.nrows)))
-        rows = []
-        bt = other.transpose().entries
-        for arow in self.entries:
-            rows.append(tuple(sum((a * b for a, b in zip(arow, bcol)), Fraction(0)) for bcol in bt))
-        return Matrix(f, self.nrows, other.ncols, tuple(rows))
+        of = self.field.of
+        cols = other.transpose().entries
+        return Matrix(self.field, self.nrows, other.ncols,
+                      tuple(tuple(of(sum(map(mul, row, col))) for col in cols)
+                            for row in self.entries))
 
     def __add__(self, other):
         if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -177,14 +138,35 @@ class Matrix:
 
 
 def rref(m: Matrix):
-    """(reduced matrix, pivot columns); zero rows sink to the bottom."""
-    if m.field.is_finite:
-        flat, pivots = _backend.kernels.rref_mod(
-            m.nrows, m.ncols, [v for r in m.entries for v in r], m.field.p)
-        ent = tuple(tuple(flat[i * m.ncols:(i + 1) * m.ncols]) for i in range(m.nrows))
-        return Matrix(m.field, m.nrows, m.ncols, ent), pivots
-    rows, pivots = _rref_fraction(m.nrows, m.ncols, m.entries)
-    return Matrix(m.field, m.nrows, m.ncols, tuple(tuple(r) for r in rows)), pivots
+    """(reduced matrix, pivot columns); zero rows sink to the bottom.
+
+    Pivot rows are scaled to a leading one and every other row is cleared in
+    the pivot column, so equal row spaces give equal matrices.
+    """
+    field, p = m.field, m.field.p
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    for c in range(m.ncols):
+        r = len(pivots)
+        if r == m.nrows:
+            break
+        pr = next((i for i in range(r, m.nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        if rows[r][c] != 1:
+            inv = field.inv(rows[r][c])
+            rows[r] = [field.mul(v, inv) for v in rows[r]]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p is None:
+                    rows[i] = [a - f * b for a, b in zip(row, prow)]
+                else:
+                    rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+        pivots.append(c)
+    return Matrix(field, m.nrows, m.ncols, tuple(map(tuple, rows))), pivots
 
 
 def vec_zero(field, n):

@@ -1,4 +1,5 @@
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,7 @@ def test_from_structure_sparse_and_nested_agree():
                 ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))))
     assert sparse.structure == nested.structure
     assert sparse.basis_names == ("e1", "e2")
+    assert typing.get_type_hints(LeibnizAlgebra)["field"] is Field
 
 
 def test_structure_shape_errors():

@@ -4,9 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibalg import _backend
-from leibalg._kernels_py import matmul_mod as py_matmul, rref_mod as py_rref
-from leibalg.fields import Field
+from leibalg.fields import MAX_PRIME, Field, _is_prime
 from leibalg.linalg import (
     INCONSISTENT,
     LinalgError,
@@ -32,6 +30,8 @@ from leibalg.linalg import (
 
 from conftest import F3, FQ, all_vectors, brute_force_members, random_vector
 
+LARGEST_PRIME = next(p for p in range(MAX_PRIME, 2, -1) if _is_prime(p))
+
 
 def random_matrix(rng, field, nrows, ncols):
     return Matrix.from_rows(field, [
@@ -44,7 +44,7 @@ def random_matrix(rng, field, nrows, ncols):
 
 def test_rref_canonical_properties_random():
     rng = random.Random(101)
-    for field in (F3, FQ):
+    for field in (F3, FQ, Field.prime(101), Field.prime(LARGEST_PRIME)):
         for _ in range(60):
             m = random_matrix(rng, field, rng.randint(1, 5), rng.randint(1, 5))
             r, pivots = rref(m)
@@ -54,6 +54,8 @@ def test_rref_canonical_properties_random():
                 expected = [field.one if i == k else field.zero
                             for i in range(r.nrows)]
                 assert col == expected
+            assert not any(v for row in r.entries[len(pivots):] for v in row)
+            assert all(v == field.of(v) for row in r.entries for v in row)
             again, again_pivots = rref(r)
             assert again == r and again_pivots == pivots
 
@@ -68,33 +70,13 @@ def test_rref_preserves_row_space():
         assert original == reduced
 
 
-def test_backend_kernels_agree():
-    rng = random.Random(103)
-    kernels = _backend.available_backends()
-    names = sorted(kernels)
-    for _ in range(60):
-        p = rng.choice((3, 5, 101))
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        data = [rng.randrange(p) for _ in range(nrows * ncols)]
-        results = {name: kernels[name].rref_mod(nrows, ncols, list(data), p)
-                   for name in names}
-        first = results[names[0]]
-        for name in names[1:]:
-            assert results[name][0] == list(first[0])
-            assert list(results[name][1]) == list(first[1])
-        k = rng.randint(1, 4)
-        b = [rng.randrange(p) for _ in range(ncols * k)]
-        prods = {name: kernels[name].matmul_mod(nrows, ncols, k, list(data), list(b), p)
-                 for name in names}
-        for name in names[1:]:
-            assert list(prods[name]) == list(prods[names[0]])
-
-
-def test_pure_python_kernel_matches_known_rref():
-    data, pivots = py_rref(2, 3, [1, 2, 0, 2, 4, 1], 5)
+def test_rref_and_matmul_known_values_mod_5():
+    f5 = Field.prime(5)
+    r, pivots = rref(Matrix.from_rows(f5, [[1, 2, 0], [2, 4, 1]]))
     assert pivots == [0, 2]
-    assert data == [1, 2, 0, 0, 0, 1]
-    assert py_matmul(2, 2, 1, [1, 2, 3, 4], [1, 2], 5) == [0, 1]
+    assert r.entries == ((1, 2, 0), (0, 0, 1))
+    product = Matrix.from_rows(f5, [[1, 2], [3, 4]]) @ Matrix.from_rows(f5, [[1], [2]])
+    assert product.entries == ((0,), (1,))
 
 
 # -- matrices ----------------------------------------------------------------
@@ -111,6 +93,23 @@ def test_matrix_algebra_round_trips():
             assert (a @ b).apply(v) == a.apply(b.apply(v))
             assert a.transpose().transpose() == a
             assert (a + a) - a == a
+
+
+def _int_matrix(field, rows, ncols):
+    return Matrix(field, len(rows), ncols, tuple(tuple(map(field.of, r)) for r in rows))
+
+
+def test_matmul_commutes_with_reduction_mod_p():
+    rng = random.Random(113)
+    for p in (3, 101, LARGEST_PRIME):
+        fp = Field.prime(p)
+        for _ in range(20):
+            n, k, m = rng.randint(1, 4), rng.randint(0, 4), rng.randint(1, 4)
+            a = [[rng.randint(-2 * p, 2 * p) for _ in range(k)] for _ in range(n)]
+            b = [[rng.randint(-2 * p, 2 * p) for _ in range(m)] for _ in range(k)]
+            over_q = _int_matrix(FQ, a, k) @ _int_matrix(FQ, b, m)
+            over_p = _int_matrix(fp, a, k) @ _int_matrix(fp, b, m)
+            assert over_p == Matrix.from_rows(fp, over_q.entries, ncols=m)
 
 
 def test_matmul_mismatch_raises():
