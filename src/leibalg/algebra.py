@@ -182,8 +182,10 @@ def lie_commutator(alg: LeibnizAlgebra, m: Subspace, n: Subspace) -> Subspace:
 
 
 def lie_commutator_of(alg: LeibnizAlgebra) -> Subspace:
-    full = span(alg.field, alg.dim, [alg.basis_vector(i) for i in range(alg.dim)])
-    return lie_commutator(alg, full, full)
+    """[g, g]_Lie; the symmetric bracket is symmetric, so basis pairs i <= j suffice."""
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    gens = [alg.symmetric_bracket(u, v) for i, u in enumerate(basis) for v in basis[i:]]
+    return ideal_closure(alg, gens)
 
 
 def lie_center(alg: LeibnizAlgebra) -> Subspace:

@@ -8,12 +8,19 @@ totals that intertwines the commutator maps,
 
 Since the commutator-map values span the Lie-commutator, eta determines xi
 uniquely whenever a compatible xi exists: derive_xi solves for it by exact
-linear algebra, so search only ever enumerates eta.  The search is a
-backtracking enumeration of basis images in lexicographic coordinate order,
-pruned by rank, by partial bracket preservation, and by incremental
-consistency of the forced xi; the first witness found is therefore the
-lexicographically first one, and any concurrent evaluation of branches must
-preserve that (the implementation here is sequential).
+linear algebra, so search only ever enumerates eta.
+
+The search fixes the columns of eta one at a time, in lexicographic
+coordinate order.  Every bracket condition that becomes checkable at column
+d, except the one on the pair (d, d), is affine in column d because the
+bracket is bilinear, and so is every condition that keeps the forced xi
+consistent; column d is drawn from the solutions of that linear system,
+found with one RREF.  Each solution is then filtered by the full checks:
+rank, every bracket pair of the depth (the quadratic (d, d) pair included)
+and incremental consistency of the forced xi.  The solutions are walked in
+lexicographic order, so the first witness found is the lexicographically
+first one, and any concurrent evaluation of branches must preserve that
+(the implementation here is sequential).
 
 Two algebras are isoclinic when their canonical extensions by the Lie-center
 are; classify() partitions a list of algebras by that relation.
@@ -24,6 +31,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .algebra import (
     AlgebraMorphism,
@@ -46,6 +54,7 @@ from .linalg import (
     Subspace,
     intersect,
     kernel,
+    rref,
     solve_linear_map,
     span,
     subspace_sum,
@@ -106,6 +115,32 @@ class WitnessReport:
         return self.ok
 
 
+class _ExtensionData:
+    """What witness checks, the invariants and the search read of one extension."""
+
+    def __init__(self, e: CentralExtension):
+        self.e = e
+        self.com = lie_commutator_of(e.g)  # [g, g]_Lie
+        self.cmap = commutator_map(e)
+
+    @classmethod
+    def of(cls, e: CentralExtension) -> "_ExtensionData":
+        """Computed on first use and kept on e, which is frozen and so cannot
+        make it stale."""
+        data = vars(e).get("_isoclinism_data")
+        if data is None:
+            data = cls(e)
+            object.__setattr__(e, "_isoclinism_data", data)
+        return data
+
+    @cached_property
+    def table(self):
+        """table[i][j] = coordinates of C(b_i, b_j) in com."""
+        m = self.e.q.dim
+        return tuple(tuple(self.com.coords_of(self.cmap.value_on_basis(i, j)) for j in range(m))
+                     for i in range(m))
+
+
 def derive_xi(e1: CentralExtension, e2: CentralExtension, eta: AlgebraMorphism):
     """The unique xi compatible with eta, or None if the system is inconsistent.
 
@@ -116,16 +151,14 @@ def derive_xi(e1: CentralExtension, e2: CentralExtension, eta: AlgebraMorphism):
         raise IsoclinismError("eta endpoints do not match the extensions")
     if not eta.is_bijective:
         raise IsoclinismError("eta is not an isomorphism")
-    com1 = lie_commutator_of(e1.g)
-    com2 = lie_commutator_of(e2.g)
-    c1 = commutator_map(e1)
-    c2 = commutator_map(e2)
+    x1, x2 = _ExtensionData.of(e1), _ExtensionData.of(e2)
+    c1, c2 = x1.cmap, x2.cmap
     pairs = []
     for i in range(e1.q.dim):
         for j in range(i, e1.q.dim):
             pairs.append((c1.value_on_basis(i, j),
                           c2.value(eta.matrix.column(i), eta.matrix.column(j))))
-    res = solve_linear_map(pairs, com1, com2)
+    res = solve_linear_map(pairs, x1.com, x2.com)
     if res.status == INCONSISTENT:
         return None
     if res.status != TOTAL:
@@ -147,9 +180,8 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     if eta.source != e1.q or eta.target != e2.q:
         failures.append("eta endpoints do not match the quotient algebras")
         return WitnessReport(False, tuple(failures), False)
-    com1 = lie_commutator_of(e1.g)
-    com2 = lie_commutator_of(e2.g)
-    if xi.domain != com1 or xi.codomain != com2:
+    x1, x2 = _ExtensionData.of(e1), _ExtensionData.of(e2)
+    if xi.domain != x1.com or xi.codomain != x2.com:
         failures.append("xi endpoints do not match the Lie-commutators")
         return WitnessReport(False, tuple(failures), False)
     eta_bij = eta.is_bijective
@@ -158,8 +190,7 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     xi_inj = xi.is_injective
     if not xi_inj:
         failures.append("xi is not injective")
-    c1 = commutator_map(e1)
-    c2 = commutator_map(e2)
+    c1, c2 = x1.cmap, x2.cmap
     compat = True
     for i in range(e1.q.dim):
         for j in range(i, e1.q.dim):
@@ -203,13 +234,14 @@ class IsoclinismInvariants:
         # Squares and symmetric brackets span the same ideal when 2 is
         # invertible, and Field rejects characteristic 2: each Lie-commutator
         # is also the annihilator ideal.
-        com = lie_commutator_of(e.g)
+        data = _ExtensionData.of(e)
+        com = data.com
         q = e.q
         q_com = lie_commutator_of(q)
         return cls(
             q_dim=q.dim,
             commutator_dim=com.dim,
-            c_radical_dim=commutator_map(e).radical().dim,
+            c_radical_dim=data.cmap.radical().dim,
             q_center_dim=lie_center(q).dim,
             q_commutator_dim=q_com.dim,
             q_annihilator_dim=q_com.dim,
@@ -228,26 +260,29 @@ class IsoclinismInvariants:
 
 
 class _SearchEngine:
-    """Backtracking enumeration of eta column images over F_p."""
+    """Depth-first enumeration of eta column images over F_p.
+
+    Column d is drawn from the solutions of the constraints that are affine
+    in it (see _solutions) and then filtered by the full checks of depth d:
+    rank, every bracket pair that becomes checkable at d (the quadratic pair
+    (d, d) included) and the forward echelon of the xi system.
+    """
 
     def __init__(self, e1, e2):
         self.e1, self.e2 = e1, e2
-        p = e1.g.field.p
-        self.p = p
+        self.field = e1.g.field
+        self.p = self.field.p
         self.m = e1.q.dim
+        self._examined = 0  # candidate columns that reached the filter
         self.feasible = e1.q.dim == e2.q.dim
         if not self.feasible:
             return
         self.c1_struct = e1.q.structure
         self.c2_struct = e2.q.structure
-        com1 = lie_commutator_of(e1.g)
-        com2 = lie_commutator_of(e2.g)
-        self.d = com1.dim
-        cm1, cm2 = commutator_map(e1), commutator_map(e2)
-        self.c1_table = tuple(tuple(com1.coords_of(cm1.value_on_basis(i, j))
-                                    for j in range(self.m)) for i in range(self.m))
-        self.c2_table = tuple(tuple(com2.coords_of(cm2.value_on_basis(i, j))
-                                    for j in range(self.m)) for i in range(self.m))
+        x1, x2 = _ExtensionData.of(e1), _ExtensionData.of(e2)
+        self.d = x1.com.dim
+        self.c1_table = x1.table
+        self.c2_table = x2.table
         # bracket pairs become checkable once every coordinate they touch is set
         self.bracket_pairs_at = [[] for _ in range(self.m)]
         for i in range(self.m):
@@ -257,7 +292,35 @@ class _SearchEngine:
                 depth = max([i, j] + support)
                 self.bracket_pairs_at[depth].append((i, j))
         self.xi_pairs_at = [[(i, k) for i in range(k + 1)] for k in range(self.m)]
-        self.candidates = list(itertools.product(range(p), repeat=self.m))
+        self.xi_relations_at = [self._xi_relations(k) for k in range(self.m)]
+        self._unit = [tuple(int(a == b) for b in range(self.m)) for a in range(self.m)]
+
+    def _xi_relations(self, depth):
+        """Relations among the C1 values that column `depth` must respect.
+
+        Each is a left null vector lambda of the C1 rows of the pairs
+        (i, j), i <= j <= depth, other than (depth, depth): xi exists only
+        if lambda also kills the C2 rows, which is affine in column `depth`.
+        Returned as (head, tail): head lists (i, lambda) for the pairs
+        (i, depth), tail lists (i, j, lambda) for the earlier pairs.
+        Relations among the earlier pairs alone held at the previous depth
+        and are dropped.
+        """
+        if not self.d or not depth:
+            return []
+        new = [(i, depth) for i in range(depth)]
+        pairs = new + [(i, j) for j in range(depth) for i in range(j + 1)]
+        rows = tuple(tuple(self.c1_table[i][j][t] for (i, j) in pairs)
+                     for t in range(self.d))
+        out = []
+        # the new pairs come first, so a basis vector of the RREF null space
+        # that vanishes on them is a relation among the earlier pairs alone
+        for lam in kernel(Matrix(self.field, self.d, len(pairs), rows)).basis:
+            head = [(i, c) for (i, _), c in zip(new, lam) if c]
+            if head:
+                tail = [(i, j, c) for (i, j), c in zip(pairs[depth:], lam[depth:]) if c]
+                out.append((head, tail))
+        return out
 
     def q2_bracket(self, u, v):
         p, m = self.p, self.m
@@ -316,6 +379,70 @@ class _SearchEngine:
         xirows.append((piv, row))
         return True
 
+    def _solutions(self, cols):
+        """Candidates for the next column, in lexicographic order.
+
+        With x the unknown column at depth d = len(cols), every bracket pair
+        checked at d other than (d, d) reads A x = b, since the bracket is
+        bilinear, and so does every xi relation of depth d.  The rows are
+        [A | b] with the columns of A in reversed coordinate order, so the
+        RREF writes each pivot coordinate in terms of earlier free ones and
+        a product over the free coordinates walks the solutions in
+        lexicographic order.
+        """
+        p, m, depth = self.p, self.m, len(cols)
+        rows = []
+        for (i, j) in self.bracket_pairs_at[depth]:
+            if i == j == depth:
+                continue
+            # eta[b_i, b_j] = val[depth] x + fixed part; [eta b_i, eta b_j] = lin x + rhs
+            val = self.c1_struct[i][j]
+            fixed = [sum(val[t] * cols[t][r] for t in range(depth) if val[t]) for r in range(m)]
+            if i == depth:
+                lin = [self.q2_bracket(e, cols[j]) for e in self._unit]
+                rhs = [0] * m
+            elif j == depth:
+                lin = [self.q2_bracket(cols[i], e) for e in self._unit]
+                rhs = [0] * m
+            else:
+                lin = [(0,) * m] * m
+                rhs = self.q2_bracket(cols[i], cols[j])
+            for r in range(m):
+                coeffs = [((val[depth] if a == r else 0) - lin[a][r]) % p
+                          for a in reversed(range(m))]
+                rows.append(coeffs + [(rhs[r] - fixed[r]) % p])
+        for head, tail in self.xi_relations_at[depth]:
+            # sum over head of lam C2(col_i, x) = -(sum over tail of lam C2(col_i, col_j))
+            lin = [[0] * self.d for _ in range(m)]
+            for i, c in head:
+                for a, e in enumerate(self._unit):
+                    for t, v in enumerate(self.c2_value(cols[i], e)):
+                        lin[a][t] += c * v
+            rhs = [0] * self.d
+            for i, j, c in tail:
+                for t, v in enumerate(self.c2_value(cols[i], cols[j])):
+                    rhs[t] -= c * v
+            for t in range(self.d):
+                rows.append([lin[a][t] % p for a in reversed(range(m))] + [rhs[t] % p])
+        free = list(range(m))
+        exprs = []
+        if rows:
+            red, pivots = rref(Matrix(self.field, len(rows), m + 1, tuple(map(tuple, rows))))
+            if pivots and pivots[-1] == m:
+                return
+            for row, c in zip(red.entries, pivots):
+                k = m - 1 - c
+                free.remove(k)
+                exprs.append((k, row[m], [(m - 1 - c2, row[c2]) for c2 in range(c + 1, m)
+                                          if row[c2]]))
+        for values in itertools.product(range(p), repeat=len(free)):
+            x = [0] * m
+            for k, v in zip(free, values):
+                x[k] = v
+            for k, b, terms in exprs:
+                x[k] = (b - sum(a * x[t] for t, a in terms)) % p
+            yield tuple(x)
+
     def run(self):
         """Yield full eta column assignments in lexicographic order.
 
@@ -331,7 +458,8 @@ class _SearchEngine:
             if depth == self.m:
                 yield tuple(cols)
                 return
-            for v in self.candidates:
+            for v in self._solutions(cols):
+                self._examined += 1
                 red = self._reduce(v, rank_rows, self.p, self.m)
                 piv = next((t for t in range(self.m) if red[t]), None)
                 if piv is None:
@@ -362,16 +490,18 @@ class _SearchEngine:
 
         yield from descend(0, [], [])
 
-
-def _witness_from_columns(e1, e2, columns) -> IsoclinismWitness | None:
-    f = e1.g.field
-    mat = (Matrix.from_columns(f, columns, nrows=e2.q.dim)
-           if columns else Matrix.zeros(f, e2.q.dim, 0))
-    eta = AlgebraMorphism(e1.q, e2.q, mat)
-    xi = derive_xi(e1, e2, eta)
-    if xi is None or not xi.is_injective:
-        return None
-    return IsoclinismWitness(eta, xi)
+    def witnesses(self):
+        """Witnesses in lexicographic eta order: run() with xi derived and
+        non-injective ones dropped."""
+        e1, e2 = self.e1, self.e2
+        f = self.field
+        for columns in self.run():
+            mat = (Matrix.from_columns(f, columns, nrows=e2.q.dim)
+                   if columns else Matrix.zeros(f, e2.q.dim, 0))
+            eta = AlgebraMorphism(e1.q, e2.q, mat)
+            xi = derive_xi(e1, e2, eta)
+            if xi is not None and xi.is_injective:
+                yield IsoclinismWitness(eta, xi)
 
 
 def _check_search_preconditions(e1, e2, max_gl):
@@ -396,12 +526,12 @@ def search_isoclinism(e1: CentralExtension, e2: CentralExtension,
     k2 = IsoclinismInvariants.from_extension(e2)
     if k1.search_key() != k2.search_key():
         return None
-    engine = _SearchEngine(e1, e2)
-    for columns in engine.run():
-        w = _witness_from_columns(e1, e2, columns)
-        if w is not None:
-            return w
-    return None
+    return _first_witness(e1, e2)
+
+
+def _first_witness(e1, e2) -> IsoclinismWitness | None:
+    """search_isoclinism after its precondition and invariant-key checks."""
+    return next(_SearchEngine(e1, e2).witnesses(), None)
 
 
 def enumerate_autoclinisms(e: CentralExtension, max_gl=None, verify=True):
@@ -412,12 +542,7 @@ def enumerate_autoclinisms(e: CentralExtension, max_gl=None, verify=True):
     on a deterministic sample beyond that).
     """
     _check_search_preconditions(e, e, max_gl)
-    engine = _SearchEngine(e, e)
-    out = []
-    for columns in engine.run():
-        w = _witness_from_columns(e, e, columns)
-        if w is not None:
-            out.append(w)
+    out = list(_SearchEngine(e, e).witnesses())
     if verify and out:
         _verify_group_axioms(e, out)
     return out
@@ -570,9 +695,11 @@ def classify(algebras, max_gl=None) -> Classification:
     for idx, e in enumerate(exts):
         placed = False
         for cls in classes:
-            if keys[cls.representative] != keys[idx]:
+            rep = cls.representative
+            if keys[rep] != keys[idx]:
                 continue
-            w = search_isoclinism(exts[cls.representative], e, max_gl)
+            _check_search_preconditions(exts[rep], e, max_gl)
+            w = _first_witness(exts[rep], e)
             if w is not None:
                 cls.members.append(idx)
                 cls.witnesses[idx] = w

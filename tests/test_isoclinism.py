@@ -24,7 +24,6 @@ from leibalg.isoclinism import (
     IsoclinismWitness,
     SearchBoundError,
     _SearchEngine,
-    _witness_from_columns,
     algebras_isoclinic,
     check_witness,
     classify,
@@ -50,20 +49,15 @@ def paper_pair(field=F3):
     return canonical_extension(paper_g1(field)), canonical_extension(paper_g2(field))
 
 
-def quadratic_form_algebra(d1, d2):
-    """[e1,e1] = d1*e3, [e2,e2] = d2*e3 over F_3."""
+def quadratic_form_algebra(d1, d2, field=F3):
+    """[e1,e1] = d1*e3, [e2,e2] = d2*e3."""
     return LeibnizAlgebra.from_structure(
-        F3, 3, {(0, 0): (0, 0, d1), (1, 1): (0, 0, d2)})
+        field, 3, {(0, 0): (0, 0, d1), (1, 1): (0, 0, d2)})
 
 
 def engine_witnesses(e1, e2):
     """Every witness the backtracking engine can produce, in search order."""
-    out = []
-    for columns in _SearchEngine(e1, e2).run():
-        w = _witness_from_columns(e1, e2, columns)
-        if w is not None:
-            out.append(w)
-    return out
+    return list(_SearchEngine(e1, e2).witnesses())
 
 
 # -- brute-force oracle ---------------------------------------------------------
@@ -133,6 +127,44 @@ def test_engine_matches_brute_force_on_random_pairs(suite):
         oracle = sorted(brute_force_witness_columns(e1, e2))
         engine = sorted(eta_columns(w) for w in engine_witnesses(e1, e2))
         assert engine == oracle
+
+
+def random_gl(rng, field, n):
+    while True:
+        m = Matrix(field, n, n, tuple(tuple(rng.randrange(field.p) for _ in range(n))
+                                      for _ in range(n)))
+        if m.inverse() is not None:
+            return m
+
+
+def change_basis(alg, p_mat):
+    """P.g: the algebra for which x -> P x is an isomorphism from g."""
+    p_inv = p_mat.inverse()
+    cols = p_inv.columns()
+    h = LeibnizAlgebra.from_structure(
+        alg.field, alg.dim,
+        [[p_mat.apply(alg.bracket(cols[i], cols[j])) for j in range(alg.dim)]
+         for i in range(alg.dim)])
+    AlgebraMorphism(alg, h, p_mat)  # construction checks that P preserves brackets
+    return h
+
+
+def test_engine_matches_brute_force_at_q_dim_3(suite):
+    # the suite's algebras with a 3-dimensional quotient all share one search
+    # key; brute force runs over all 3^9 matrices, |GL(3, F_3)| = 11,232
+    q3 = [a for a in suite if canonical_extension(a).q.dim == 3]
+    assert len(q3) >= 3
+    g = q3[2]
+    h = change_basis(g, random_gl(random.Random(76), F3, 3))
+    found = 0
+    for a, b in [(q3[0], q3[1]), (q3[0], q3[2]), (g, h)]:
+        e1, e2 = canonical_extension(a), canonical_extension(b)
+        assert e1.q.dim == e2.q.dim == 3
+        oracle = brute_force_witness_columns(e1, e2)
+        engine = [eta_columns(w) for w in engine_witnesses(e1, e2)]
+        assert engine == sorted(oracle)  # same set, in lexicographic order
+        found += bool(engine)
+    assert found == 2  # g is isoclinic to P.g, and the first pair is isoclinic
 
 
 def test_every_engine_witness_verifies(suite):
@@ -270,6 +302,73 @@ def test_autoclinism_group_and_torsor_count():
     for w in autos:
         assert check_witness(e1, e1, w).ok
     assert len(engine_witnesses(e1, e2)) == len(autos)
+
+
+def g1_squared_automorphisms(field):
+    """Aut(paper_g1 x paper_g1) in closed form, as eta column tuples.
+
+    Aut(g1) is e1 -> e1 + b e2, e2 -> (1 + b) e2 with 1 + b != 0; the
+    automorphisms of the square are the block-diagonal pairs, with or without
+    the factor swap.
+    """
+    p = field.p
+    aut = [((1, b), (0, (1 + b) % p)) for b in range(p) if (1 + b) % p]
+    out = []
+    for a0, a1 in aut:
+        for b0, b1 in aut:
+            out.append((a0 + (0, 0), a1 + (0, 0), (0, 0) + b0, (0, 0) + b1))
+            out.append(((0, 0) + a0, (0, 0) + a1, b0 + (0, 0), b1 + (0, 0)))
+    return sorted(out)
+
+
+def test_autoclinisms_of_g1_squared_over_f5_in_closed_form():
+    # g1 x g1 has trivial Lie-center, so every autoclinism is an automorphism
+    e = canonical_extension(direct_product(paper_g1(F5), paper_g1(F5)))
+    autos = enumerate_autoclinisms(e)
+    assert [eta_columns(w) for w in autos] == g1_squared_automorphisms(F5)
+    assert len(autos) == 32
+    for w in autos:
+        assert check_witness(e, e, w).ok
+
+
+def test_search_commutes_with_change_of_basis_over_f5():
+    # the witnesses from g to P.g are P composed with the autoclinisms of g,
+    # so the search returns the least of those
+    g = direct_product(paper_g1(F5), paper_g1(F5))
+    e = canonical_extension(g)
+    autos = [Matrix.from_columns(F5, cols) for cols in g1_squared_automorphisms(F5)]
+    rng = random.Random(77)
+    for _ in range(3):
+        p_mat = random_gl(rng, F5, 4)
+        eh = canonical_extension(change_basis(g, p_mat))
+        w = search_isoclinism(e, eh)
+        assert w is not None and check_witness(e, eh, w).ok
+        assert eta_columns(w) == min(tuple((p_mat @ a).columns()) for a in autos)
+
+
+def test_engine_work_over_f5():
+    # Deterministic guard on pruning: each column is drawn from the solutions
+    # of its linear constraints.  Enumerating all p^m candidates per depth
+    # examined 725,625 columns here; solving for them examines 1,681.
+    e = canonical_extension(direct_product(paper_g1(F5), paper_g1(F5)))
+    engine = _SearchEngine(e, e)
+    assert sum(1 for _ in engine.run()) == 32
+    assert engine._examined <= 2000
+    # x^2 + y^2 and x^2 + 2 y^2 are inequivalent over F_5 too.  The bracket
+    # rows alone leave 625 columns; the xi relations cut that to 145.
+    ea = canonical_extension(quadratic_form_algebra(1, 1, F5))
+    eb = canonical_extension(quadratic_form_algebra(1, 2, F5))
+    engine = _SearchEngine(ea, eb)
+    assert list(engine.run()) == []
+    assert engine._examined <= 200
+    # [b2, b1] = b2, [b3, b1] = 2 b3: the rows of the pairs (d, j), j < d,
+    # carry the pruning.  Trying all of F_5^3 per depth examined 4,625
+    # columns; without those rows the solver leaves 1,425, with them 185.
+    e = canonical_extension(LeibnizAlgebra.from_structure(
+        F5, 3, {(1, 0): (0, 1, 0), (2, 0): (0, 0, 2)}))
+    engine = _SearchEngine(e, e)
+    assert sum(1 for _ in engine.run()) == 16
+    assert engine._examined <= 250
 
 
 def test_autoclinisms_of_abelian_algebra_form_gl():
