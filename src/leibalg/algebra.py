@@ -25,13 +25,13 @@ from .linalg import (
     Matrix,
     QuotientStructure,
     Subspace,
+    bilinear,
     image,
     kernel,
     quotient,
     span,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     vec_zero,
     zero_subspace,
@@ -96,16 +96,7 @@ class LeibnizAlgebra:
 
     def bracket(self, x, y):
         """[x, y] for coordinate tuples x, y (bilinear tensor contraction)."""
-        f = self.field
-        out = vec_zero(f, self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    out = vec_add(f, out, vec_scale(f, f.mul(xi, yj), row[j]))
-        return out
+        return bilinear(self.field, self.structure, x, y)
 
     def symmetric_bracket(self, x, y):
         return vec_add(self.field, self.bracket(x, y), self.bracket(y, x))

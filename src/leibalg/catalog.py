@@ -11,6 +11,7 @@ works.
 from __future__ import annotations
 
 from .algebra import LeibnizAlgebra
+from .documents import check_dim
 from .fields import Field
 
 
@@ -68,5 +69,6 @@ def catalog_entry(name: str, field: Field | None = None) -> LeibnizAlgebra:
                 "abelian_n is parametric: pick a dimension, e.g. abelian_2")
         if not suffix.isdigit():
             raise CatalogError(f"unknown catalog entry {name!r}")
+        check_dim(int(suffix))
         return LeibnizAlgebra.abelian(field, int(suffix))
     raise CatalogError(f"unknown catalog entry {name!r}")

@@ -41,10 +41,9 @@ from .documents import (
     DocumentError,
     algebra_hash,
     canonical_json,
-    content_hash,
+    check_dim,
     convert_field,
     matrix_from_json,
-    matrix_to_json,
     parse_algebra_json,
     serialize_algebra,
     serialize_witness,
@@ -451,6 +450,7 @@ def cmd_extension_product(args):
     alg = load_algebra(args.algebra, _target_field(args))
     if args.abelian_dim < 0:
         raise UsageError("--abelian-dim must be non-negative")
+    check_dim(alg.dim + args.abelian_dim)
     e = canonical_extension(alg)
     abelian = LeibnizAlgebra.abelian(alg.field, args.abelian_dim)
     pr = product_with_abelian(e, abelian)

@@ -5,12 +5,13 @@ An algebra document is:
     {
       "schema_version": "1",
       "field": "Q" | {"p": <odd prime>},
-      "dim": <int>,
-      "basis": [<name>, ...],
+      "dim": <int from 0 to MAX_DIM>,
+      "basis": [<distinct name>, ...],
       "brackets": [{"left": i, "right": j, "value": [<scalar>, ...]}, ...]
     }
 
-Scalars are integers for a prime field and canonical fraction strings for Q.
+Scalars are integers for a prime field and canonical fraction strings for Q;
+JSON booleans are rejected wherever an integer is expected.
 Bracket entries with an all-zero value are omitted, entries are sorted by
 (left, right), and canonical_json renders with sorted keys and no spaces, so
 serialization is a bijection on canonical documents: parse then serialize is
@@ -28,9 +29,32 @@ from .linalg import Matrix
 
 SCHEMA_VERSION = "1"
 
+# Largest algebra dimension accepted from outside input.  Validation checks
+# dim^3 basis triples, so a 60-byte document of dim 120 used to run for
+# minutes; every algebra in the tests and the benchmark has dim <= 24.
+MAX_DIM = 64
+
 
 class DocumentError(ValueError):
     """Malformed or semantically invalid interchange document."""
+
+
+def _is_int(value):
+    """JSON integers only: bool is an int subclass, but true is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _scalar(f: Field, value):
+    """f.of(value) for a JSON scalar, refusing true and false."""
+    if isinstance(value, bool):
+        raise TypeError(f"{json.dumps(value)} is not a number")
+    return f.of(value)
+
+
+def check_dim(dim):
+    """Refuse a dimension beyond MAX_DIM before anything of that size is built."""
+    if dim > MAX_DIM:
+        raise DocumentError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
 
 
 def field_to_json(f: Field):
@@ -40,7 +64,7 @@ def field_to_json(f: Field):
 def field_from_json(value) -> Field:
     if value == "Q":
         return Field.rationals()
-    if isinstance(value, dict) and set(value) == {"p"} and isinstance(value["p"], int):
+    if isinstance(value, dict) and set(value) == {"p"} and _is_int(value["p"]):
         try:
             return Field.prime(value["p"])
         except FieldError as exc:
@@ -85,11 +109,14 @@ def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
         raise DocumentError(f"unknown document keys {sorted(unknown)}")
     f = field_from_json(doc.get("field"))
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise DocumentError(f"dim must be a non-negative integer, got {dim!r}")
+    check_dim(dim)
     basis = doc.get("basis", [])
-    if basis and (len(basis) != dim or not all(isinstance(b, str) for b in basis)):
-        raise DocumentError("basis must list one name per dimension")
+    if not isinstance(basis, list) or (basis and (
+            len(basis) != dim or not all(isinstance(b, str) for b in basis)
+            or len(set(basis)) != dim)):
+        raise DocumentError("basis must list one distinct name per dimension")
     table = {}
     entries = doc.get("brackets", [])
     if not isinstance(entries, list):
@@ -98,15 +125,14 @@ def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
         if not isinstance(entry, dict) or set(entry) != {"left", "right", "value"}:
             raise DocumentError(f"malformed bracket entry {entry!r}")
         i, j, value = entry["left"], entry["right"], entry["value"]
-        if not (isinstance(i, int) and isinstance(j, int)
-                and 0 <= i < dim and 0 <= j < dim):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
             raise DocumentError(f"bracket indices ({i!r}, {j!r}) out of range")
         if (i, j) in table:
             raise DocumentError(f"duplicate bracket entry for ({i}, {j})")
         if not isinstance(value, list) or len(value) != dim:
             raise DocumentError(f"bracket value for ({i}, {j}) must have {dim} coefficients")
         try:
-            table[(i, j)] = tuple(f.of(c) for c in value)
+            table[(i, j)] = tuple(_scalar(f, c) for c in value)
         except (FieldError, ValueError, TypeError) as exc:
             raise DocumentError(f"bad coefficient in bracket ({i}, {j}): {exc}") from exc
     alg = LeibnizAlgebra.from_structure(f, dim, table, basis_names=tuple(basis))
@@ -174,7 +200,7 @@ def matrix_from_json(field: Field, rows, nrows, ncols) -> Matrix:
     if nrows == 0 or ncols == 0:
         return Matrix.zeros(field, nrows, ncols)
     try:
-        return Matrix.from_rows(field, [[field.of(c) for c in r] for r in rows])
+        return Matrix.from_rows(field, [[_scalar(field, c) for c in r] for r in rows])
     except (FieldError, ValueError, TypeError) as exc:
         raise DocumentError(f"bad matrix coefficient: {exc}") from exc
 

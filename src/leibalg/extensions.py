@@ -31,10 +31,10 @@ from .algebra import (
 from .linalg import (
     Matrix,
     Subspace,
+    bilinear,
     kernel,
     solve,
     span,
-    vec_add,
     vec_zero,
 )
 
@@ -142,15 +142,10 @@ class CommutatorMap:
 
     def value(self, x_q, y_q):
         """Bilinear evaluation on arbitrary quotient coordinate vectors."""
-        f = self.extension.g.field
-        out = vec_zero(f, self.extension.g.dim)
-        for i, xi in enumerate(x_q):
-            if not xi:
-                continue
-            for j, yj in enumerate(y_q):
-                if yj:
-                    out = vec_add(f, out, tuple(f.mul(f.mul(xi, yj), t) for t in self.table[i][j]))
-        return out
+        g = self.extension.g
+        if not self.table:
+            return vec_zero(g.field, g.dim)
+        return bilinear(g.field, self.table, x_q, y_q)
 
     def value_span(self) -> Subspace:
         vals = [self.table[i][j] for i in range(len(self.table)) for j in range(len(self.table))]

@@ -14,10 +14,10 @@ The search fixes the columns of eta one at a time, in lexicographic
 coordinate order.  Every bracket condition that becomes checkable at column
 d, except the one on the pair (d, d), is affine in column d because the
 bracket is bilinear, and so is every condition that keeps the forced xi
-consistent; column d is drawn from the solutions of that linear system,
-found with one RREF.  Each solution is then filtered by the full checks:
-rank, every bracket pair of the depth (the quadratic (d, d) pair included)
-and incremental consistency of the forced xi.  The solutions are walked in
+consistent, except at most one relation through C1(d, d); column d is drawn
+from the solutions of that linear system, found with one RREF.  Each
+solution is then checked only for rank and for the two conditions that are
+quadratic in it, both on the pair (d, d).  The solutions are walked in
 lexicographic order, so the first witness found is the lexicographically
 first one, and any concurrent evaluation of branches must preserve that
 (the implementation here is sequential).
@@ -30,19 +30,17 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
-    full_space,
     lie_center,
     lie_commutator_of,
 )
 from .extensions import (
     CentralExtension,
-    CommutatorMap,
     ExtensionMorphism,
     canonical_extension,
     commutator_map,
@@ -51,12 +49,11 @@ from .fields import FieldError
 from .linalg import (
     LinearMap,
     Matrix,
-    Subspace,
+    bilinear,
     intersect,
     kernel,
     rref,
     solve_linear_map,
-    span,
     subspace_sum,
     TOTAL,
     INCONSISTENT,
@@ -262,10 +259,11 @@ class IsoclinismInvariants:
 class _SearchEngine:
     """Depth-first enumeration of eta column images over F_p.
 
-    Column d is drawn from the solutions of the constraints that are affine
-    in it (see _solutions) and then filtered by the full checks of depth d:
-    rank, every bracket pair that becomes checkable at d (the quadratic pair
-    (d, d) included) and the forward echelon of the xi system.
+    Each condition on eta is a constraint whose residual vanishes exactly
+    when it holds (see _residual), checked at the first depth d where every
+    column it reads is set.  The constraints affine in col_d are solved for
+    together (see _solutions); only the ones quadratic in col_d, both on the
+    pair (d, d), and rank are checked per candidate.
     """
 
     def __init__(self, e1, e2):
@@ -277,82 +275,80 @@ class _SearchEngine:
         self.feasible = e1.q.dim == e2.q.dim
         if not self.feasible:
             return
-        self.c1_struct = e1.q.structure
-        self.c2_struct = e2.q.structure
         x1, x2 = _ExtensionData.of(e1), _ExtensionData.of(e2)
         self.d = x1.com.dim
         self.c1_table = x1.table
-        self.c2_table = x2.table
-        # bracket pairs become checkable once every coordinate they touch is set
-        self.bracket_pairs_at = [[] for _ in range(self.m)]
+        self._unit = [tuple(int(a == b) for b in range(self.m)) for a in range(self.m)]
+        self.affine_at = [[] for _ in range(self.m)]
+        self.square_at = [[] for _ in range(self.m)]
+        # eta [b_i, b_j] = [eta b_i, eta b_j]
         for i in range(self.m):
             for j in range(self.m):
-                val = self.c1_struct[i][j]
+                val = e1.q.structure[i][j]
                 support = [t for t in range(self.m) if val[t]]
-                depth = max([i, j] + support)
-                self.bracket_pairs_at[depth].append((i, j))
-        self.xi_pairs_at = [[(i, k) for i in range(k + 1)] for k in range(self.m)]
-        self.xi_relations_at = [self._xi_relations(k) for k in range(self.m)]
-        self._unit = [tuple(int(a == b) for b in range(self.m)) for a in range(self.m)]
+                self._add(max([i, j] + support),
+                          (e2.q.structure, [(val[t], t) for t in support], [(-1, i, j)]))
+        # sum of lambda C2(eta b_i, eta b_j) = 0 for each relation lambda among the C1 values
+        for depth in range(self.m):
+            for terms in self._xi_relations(depth):
+                self._add(depth, (x2.table, [], terms))
+
+    def _add(self, depth, constraint):
+        """File a constraint under the depth where its last column is set.
+
+        A term (c, t) or (c, i, j) reads the columns it names.  Only a term on
+        the pair (depth, depth) is quadratic in col_depth: a constraint with
+        one goes to square_at.  Any other goes to affine_at, split into its
+        terms that read col_depth and the rest, which _solutions evaluates
+        separately.
+        """
+        table, linear, quadratic = constraint
+        if any(i == j == depth for _, i, j in quadratic):
+            self.square_at[depth].append(constraint)
+            return
+
+        def part(reads):
+            return (table, [u for u in linear if (depth in u[1:]) == reads],
+                    [u for u in quadratic if (depth in u[1:]) == reads])
+        self.affine_at[depth].append((part(True), part(False)))
 
     def _xi_relations(self, depth):
         """Relations among the C1 values that column `depth` must respect.
 
         Each is a left null vector lambda of the C1 rows of the pairs
-        (i, j), i <= j <= depth, other than (depth, depth): xi exists only
-        if lambda also kills the C2 rows, which is affine in column `depth`.
-        Returned as (head, tail): head lists (i, lambda) for the pairs
-        (i, depth), tail lists (i, j, lambda) for the earlier pairs.
-        Relations among the earlier pairs alone held at the previous depth
-        and are dropped.
+        (i, j), i <= j <= depth: xi exists only if lambda also kills the C2
+        rows.  Yields each as its terms (lambda, i, j), lambda nonzero.  At
+        most one relation involves the pair (depth, depth), which makes it
+        quadratic in column `depth`; any such relation will do, since two
+        differ by one without that pair.  Relations among the earlier pairs
+        alone held at the previous depth and are dropped.
         """
-        if not self.d or not depth:
-            return []
-        new = [(i, depth) for i in range(depth)]
-        pairs = new + [(i, j) for j in range(depth) for i in range(j + 1)]
+        if not self.d:
+            return
+        pairs = ([(depth, depth)] + [(i, depth) for i in range(depth)]
+                 + [(i, j) for j in range(depth) for i in range(j + 1)])
         rows = tuple(tuple(self.c1_table[i][j][t] for (i, j) in pairs)
                      for t in range(self.d))
-        out = []
-        # the new pairs come first, so a basis vector of the RREF null space
-        # that vanishes on them is a relation among the earlier pairs alone
+        # the pairs through column `depth` come first, so only the first
+        # vector of the RREF null space basis can involve (depth, depth), and
+        # one that vanishes on all of them is a relation among earlier pairs
         for lam in kernel(Matrix(self.field, self.d, len(pairs), rows)).basis:
-            head = [(i, c) for (i, _), c in zip(new, lam) if c]
-            if head:
-                tail = [(i, j, c) for (i, j), c in zip(pairs[depth:], lam[depth:]) if c]
-                out.append((head, tail))
-        return out
+            if any(lam[:depth + 1]):
+                yield [(c, i, j) for (i, j), c in zip(pairs, lam) if c]
 
-    def q2_bracket(self, u, v):
-        p, m = self.p, self.m
-        out = [0] * m
-        for a in range(m):
-            ua = u[a]
-            if ua:
-                row = self.c2_struct[a]
-                for b in range(m):
-                    vb = v[b]
-                    if vb:
-                        w = row[b]
-                        for t in range(m):
-                            if w[t]:
-                                out[t] = (out[t] + ua * vb * w[t]) % p
-        return tuple(out)
-
-    def c2_value(self, u, v):
-        p, m, d = self.p, self.m, self.d
-        out = [0] * d
-        for a in range(m):
-            ua = u[a]
-            if ua:
-                row = self.c2_table[a]
-                for b in range(m):
-                    vb = v[b]
-                    if vb:
-                        w = row[b]
-                        for t in range(d):
-                            if w[t]:
-                                out[t] = (out[t] + ua * vb * w[t]) % p
-        return tuple(out)
+    def _residual(self, cols, constraint):
+        """sum of c col_t over linear plus sum of c table(col_i, col_j) over
+        quadratic, reduced mod p: zero exactly when the constraint holds."""
+        table, linear, quadratic = constraint
+        out = [0] * len(table[0][0])
+        vecs = [(c, cols[t]) for c, t in linear]
+        vecs += [(c, bilinear(self.field, table, cols[i], cols[j])) for c, i, j in quadratic]
+        for c, vec in vecs:
+            for t, v in enumerate(vec):
+                if v:
+                    out[t] += c * v
+        p = self.p
+        return tuple([v % p for v in out])
 
     @staticmethod
     def _reduce(row, echelon, p, width):
@@ -364,66 +360,23 @@ class _SearchEngine:
                     row[t] = (row[t] - c * r[t]) % p
         return row
 
-    def _add_xi_row(self, row, xirows):
-        """Append to the forward echelon; False on inconsistency."""
-        p = self.p
-        width = 2 * self.d
-        row = self._reduce(row, xirows, p, width)
-        piv = next((t for t in range(width) if row[t]), None)
-        if piv is None:
-            return True
-        if piv >= self.d:
-            return False
-        inv = pow(row[piv], p - 2, p)
-        row = [v * inv % p for v in row]
-        xirows.append((piv, row))
-        return True
-
     def _solutions(self, cols):
         """Candidates for the next column, in lexicographic order.
 
-        With x the unknown column at depth d = len(cols), every bracket pair
-        checked at d other than (d, d) reads A x = b, since the bracket is
-        bilinear, and so does every xi relation of depth d.  The rows are
-        [A | b] with the columns of A in reversed coordinate order, so the
-        RREF writes each pivot coordinate in terms of earlier free ones and
-        a product over the free coordinates walks the solutions in
-        lexicographic order.
+        With x the unknown column at depth d = len(cols), the residual of
+        every constraint in affine_at[d] is A x + b: the terms that read x
+        are linear in it, so A has the columns they give at x = e_a, and the
+        other terms give b.  The rows are [A | -b] with the columns of A in
+        reversed coordinate order, so the RREF writes each pivot coordinate
+        in terms of earlier free ones and a product over the free
+        coordinates walks the solutions in lexicographic order.
         """
-        p, m, depth = self.p, self.m, len(cols)
+        p, m = self.p, self.m
         rows = []
-        for (i, j) in self.bracket_pairs_at[depth]:
-            if i == j == depth:
-                continue
-            # eta[b_i, b_j] = val[depth] x + fixed part; [eta b_i, eta b_j] = lin x + rhs
-            val = self.c1_struct[i][j]
-            fixed = [sum(val[t] * cols[t][r] for t in range(depth) if val[t]) for r in range(m)]
-            if i == depth:
-                lin = [self.q2_bracket(e, cols[j]) for e in self._unit]
-                rhs = [0] * m
-            elif j == depth:
-                lin = [self.q2_bracket(cols[i], e) for e in self._unit]
-                rhs = [0] * m
-            else:
-                lin = [(0,) * m] * m
-                rhs = self.q2_bracket(cols[i], cols[j])
-            for r in range(m):
-                coeffs = [((val[depth] if a == r else 0) - lin[a][r]) % p
-                          for a in reversed(range(m))]
-                rows.append(coeffs + [(rhs[r] - fixed[r]) % p])
-        for head, tail in self.xi_relations_at[depth]:
-            # sum over head of lam C2(col_i, x) = -(sum over tail of lam C2(col_i, col_j))
-            lin = [[0] * self.d for _ in range(m)]
-            for i, c in head:
-                for a, e in enumerate(self._unit):
-                    for t, v in enumerate(self.c2_value(cols[i], e)):
-                        lin[a][t] += c * v
-            rhs = [0] * self.d
-            for i, j, c in tail:
-                for t, v in enumerate(self.c2_value(cols[i], cols[j])):
-                    rhs[t] -= c * v
-            for t in range(self.d):
-                rows.append([lin[a][t] % p for a in reversed(range(m))] + [rhs[t] % p])
+        for reads_x, fixed in self.affine_at[len(cols)]:
+            a_cols = [self._residual(cols + [e], reads_x) for e in reversed(self._unit)]
+            for t, v in enumerate(self._residual(cols, fixed)):
+                rows.append([a[t] for a in a_cols] + [-v % p])
         free = list(range(m))
         exprs = []
         if rows:
@@ -446,15 +399,17 @@ class _SearchEngine:
     def run(self):
         """Yield full eta column assignments in lexicographic order.
 
-        Every yielded assignment is an invertible bracket-preserving matrix
-        whose xi constraint system is consistent; injectivity of the derived
-        xi is left to the caller.
+        Each column is one of _solutions, kept if it raises the rank and
+        every constraint in square_at of its depth holds.  Every yielded
+        assignment is an invertible bracket-preserving matrix whose xi
+        constraint system is consistent; injectivity of the derived xi is
+        left to the caller.
         """
         if not self.feasible:
             return
         cols = []
 
-        def descend(depth, rank_rows, xirows):
+        def descend(depth, rank_rows):
             if depth == self.m:
                 yield tuple(cols)
                 return
@@ -465,30 +420,13 @@ class _SearchEngine:
                 if piv is None:
                     continue
                 cols.append(v)
-                ok = True
-                for (i, j) in self.bracket_pairs_at[depth]:
-                    val = self.c1_struct[i][j]
-                    lhs = tuple(
-                        sum(val[t] * cols[t][r] for t in range(depth + 1) if val[t]) % self.p
-                        for r in range(self.m))
-                    if lhs != self.q2_bracket(cols[i], cols[j]):
-                        ok = False
-                        break
-                new_xirows = xirows
-                if ok and self.d:
-                    new_xirows = list(xirows)
-                    for (i, j) in self.xi_pairs_at[depth]:
-                        row = list(self.c1_table[i][j]) + list(self.c2_value(cols[i], cols[j]))
-                        if not self._add_xi_row(row, new_xirows):
-                            ok = False
-                            break
-                if ok:
+                if not any(any(self._residual(cols, c)) for c in self.square_at[depth]):
                     inv = pow(red[piv], self.p - 2, self.p)
                     norm = [x * inv % self.p for x in red]
-                    yield from descend(depth + 1, rank_rows + [(piv, norm)], new_xirows)
+                    yield from descend(depth + 1, rank_rows + [(piv, norm)])
                 cols.pop()
 
-        yield from descend(0, [], [])
+        yield from descend(0, [])
 
     def witnesses(self):
         """Witnesses in lexicographic eta order: run() with xi derived and

@@ -5,7 +5,8 @@ leans on one fact: a subspace is stored as the reduced row echelon basis of
 its span, so equality of subspaces is equality of tuples.  Matrices act on
 column vectors: y = M @ x with M of shape (codomain dim, domain dim).
 
-Dense and small on purpose; ambient dimensions stay <= 16 in this library.
+Dense and small on purpose: input algebras are capped at documents.MAX_DIM
+dimensions, and the default GL bound keeps searched quotients at dim <= 4.
 """
 
 from __future__ import annotations
@@ -167,6 +168,28 @@ def rref(m: Matrix):
                     rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
         pivots.append(c)
     return Matrix(field, m.nrows, m.ncols, tuple(map(tuple, rows))), pivots
+
+
+def bilinear(field, table, x, y):
+    """sum of x_i y_j table[i][j]: a structure tensor (table[i][j] a coordinate
+    tuple) contracted with two coordinate vectors.
+
+    Accumulates in plain ints or Fractions and canonicalizes each entry once.
+    """
+    out = [0] * len(table[0][0]) if table else []
+    for xi, row in zip(x, table):
+        if xi:
+            for yj, w in zip(y, row):
+                if yj:
+                    c = xi * yj
+                    for t, wt in enumerate(w):
+                        if wt:
+                            out[t] += c * wt
+    p = field.p
+    if p is None:
+        zero = field.zero
+        return tuple([v or zero for v in out])
+    return tuple([v % p for v in out])
 
 
 def vec_zero(field, n):

@@ -12,7 +12,7 @@ from leibalg.cli import (
     EXIT_WITNESS_REJECTED,
     main,
 )
-from leibalg.documents import canonical_json, serialize_algebra, serialize_witness
+from leibalg.documents import MAX_DIM, canonical_json, serialize_algebra, serialize_witness
 from leibalg.extensions import canonical_extension
 from leibalg.isoclinism import MAX_GL_ENV, search_isoclinism
 
@@ -315,6 +315,27 @@ def test_malformed_json_is_data_error(capsys, tmp_path):
     path.write_text("{oops", encoding="utf-8")
     rc, out, err = run(capsys, "validate", str(path))
     assert rc == EXIT_DATA
+
+
+def test_wrongly_typed_and_oversized_documents_are_data_errors(capsys, tmp_path):
+    docs = {
+        "bool_dim": {"schema_version": "1", "field": {"p": 3}, "dim": True, "brackets": []},
+        "huge_dim": {"schema_version": "1", "field": {"p": 3}, "dim": MAX_DIM + 1,
+                     "brackets": []},
+        "dup_basis": {"schema_version": "1", "field": {"p": 3}, "dim": 2,
+                      "basis": ["a", "a"], "brackets": []},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run(capsys, "validate", str(path))
+        assert rc == EXIT_DATA and out == ""
+        assert err.startswith("data error: ") and err.count("\n") == 1
+    rc, out, err = run(capsys, "extension", "product", "catalog:paper_g1",
+                       "--abelian-dim", str(MAX_DIM - 1))
+    assert rc == EXIT_DATA and "bound" in err and err.count("\n") == 1
+    rc, out, err = run(capsys, "invariants", f"catalog:abelian_{MAX_DIM + 1}")
+    assert rc == EXIT_DATA and "bound" in err
 
 
 def test_characteristic_two_is_data_error(capsys):

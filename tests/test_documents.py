@@ -12,6 +12,7 @@ from leibalg.catalog import (
     describe,
 )
 from leibalg.documents import (
+    MAX_DIM,
     SCHEMA_VERSION,
     DocumentError,
     algebra_from_document,
@@ -136,6 +137,46 @@ def test_document_rejections():
     for doc, needle in cases:
         with pytest.raises(DocumentError, match=needle):
             algebra_from_document(doc)
+
+
+def test_document_rejects_booleans_and_malformed_basis():
+    # bool is an int subclass, so these used to read as 1 or 0
+    d = good_doc()
+    d["dim"] = True
+    cases = [(d, "dim")]
+    for key in ("left", "right"):
+        d = good_doc()
+        d["brackets"][0][key] = True
+        cases.append((d, "indices"))
+    d = good_doc()
+    d["field"] = {"p": True}
+    cases.append((d, "field"))
+    d = good_doc()
+    d["brackets"][0]["value"] = [True, 0]
+    cases.append((d, "coefficient"))
+    d = serialize_algebra(paper_g1(FQ))
+    d["brackets"][0]["value"] = ["0", False]
+    cases.append((d, "coefficient"))
+    for basis in (["a", "a"], "ab", ["e1", 2]):
+        d = good_doc()
+        d["basis"] = basis
+        cases.append((d, "basis"))
+    for doc, needle in cases:
+        with pytest.raises(DocumentError, match=needle):
+            algebra_from_document(doc)
+    with pytest.raises(DocumentError, match="coefficient"):
+        matrix_from_json(F3, [[True]], 1, 1)
+
+
+def test_dimension_cap_is_checked_before_allocation():
+    doc = {"schema_version": SCHEMA_VERSION, "field": {"p": 3}, "dim": MAX_DIM + 1, "brackets": []}
+    for check in (True, False):
+        with pytest.raises(DocumentError, match=f"bound {MAX_DIM}"):
+            algebra_from_document(doc, check=check)
+    doc["dim"] = MAX_DIM
+    assert algebra_from_document(doc, check=False).dim == MAX_DIM
+    with pytest.raises(DocumentError, match=f"bound {MAX_DIM}"):
+        catalog_entry(ABELIAN_PREFIX + str(MAX_DIM + 1))
 
 
 def test_malformed_json_text():

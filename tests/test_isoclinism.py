@@ -14,7 +14,7 @@ from leibalg.algebra import (
     subalgebra,
     subalgebra_closure,
 )
-from leibalg.extensions import backward_extension, canonical_extension, commutator_map, diagonal_pullback
+from leibalg.extensions import backward_extension, canonical_extension, diagonal_pullback
 from leibalg.fields import Field, FieldError
 from leibalg.isoclinism import (
     DEFAULT_MAX_GL,
@@ -70,35 +70,51 @@ def all_matrices(field, nrows, ncols):
                            for r in range(nrows)))
 
 
-def brute_force_witness_columns(e1, e2):
+def contract(p, table, x, y):
+    """sum of x_i y_j table[i][j] mod p, written out apart from the library."""
+    return tuple(sum(x[i] * y[j] * table[i][j][t] for i in range(len(x)) for j in range(len(y))) % p
+                 for t in range(len(table[0][0])))
+
+
+def brute_force_witness_columns(e1, e2, xi_injective=True):
     """Enumerate GL(q1.dim, p) directly and test each candidate from scratch.
 
-    Shares no code with the search engine: bracket preservation is checked
-    against the structure tensors and xi is found by enumerating every linear
-    map between the Lie-commutators.
+    Shares no code with the search engine: brackets and commutator values are
+    contracted from the structure tensors here, and xi is found by
+    enumerating every linear map between the Lie-commutators (every injective
+    one, or with xi_injective=False every one at all).
     """
     q1, q2 = e1.q, e2.q
     f = q1.field
-    com1 = lie_commutator_of(e1.g)
-    com2 = lie_commutator_of(e2.g)
-    c1 = commutator_map(e1)
-    c2 = commutator_map(e2)
+    p = f.p
+    if q1.dim != q2.dim:
+        return []
+
+    def commutator_table(e):
+        lifts = e.section.columns()
+        return [[tuple((a + b) % p for a, b in zip(contract(p, e.g.structure, u, v),
+                                                    contract(p, e.g.structure, v, u)))
+                 for v in lifts] for u in lifts]
+
+    c1, c2 = commutator_table(e1), commutator_table(e2)
+    pairs = [(i, j) for i in range(q1.dim) for j in range(q1.dim)]
+    com1 = span(f, e1.g.dim, [c1[i][j] for i, j in pairs])
+    com2 = span(f, e2.g.dim, [c2[i][j] for i, j in pairs])
     found = []
     for m in all_matrices(f, q2.dim, q1.dim):
-        if m.rank() != q1.dim or q1.dim != q2.dim:
+        if m.rank() != q1.dim:
             continue
-        if any(m.apply(q1.bracket(q1.basis_vector(i), q1.basis_vector(j)))
-               != q2.bracket(m.column(i), m.column(j))
-               for i in range(q1.dim) for j in range(q1.dim)):
+        cols = m.columns()
+        if any(m.apply(q1.structure[i][j]) != contract(p, q2.structure, cols[i], cols[j])
+               for i, j in pairs):
             continue
+        images = {(i, j): contract(p, c2, cols[i], cols[j]) for i, j in pairs}
         for xi_mat in all_matrices(f, com2.dim, com1.dim):
-            if xi_mat.rank() != com1.dim:
+            if xi_injective and xi_mat.rank() != com1.dim:
                 continue
             xi = LinearMap(com1, com2, xi_mat)
-            if all(xi.apply_ambient(c1.value_on_basis(i, j))
-                   == c2.value(m.column(i), m.column(j))
-                   for i in range(q1.dim) for j in range(q1.dim)):
-                found.append(tuple(m.column(k) for k in range(q1.dim)))
+            if all(xi.apply_ambient(c1[i][j]) == images[i, j] for i, j in pairs):
+                found.append(tuple(cols))
                 break
     return found
 
@@ -165,6 +181,27 @@ def test_engine_matches_brute_force_at_q_dim_3(suite):
         assert engine == sorted(oracle)  # same set, in lexicographic order
         found += bool(engine)
     assert found == 2  # g is isoclinic to P.g, and the first pair is isoclinic
+
+
+def test_engine_run_matches_brute_force_on_square_conditions():
+    # run() yields every invertible bracket-preserving eta whose xi system is
+    # consistent, injective or not: this pins the xi relation quadratic in
+    # each column, which witnesses() alone does not see.  [e1,e1] = e2,
+    # [e2,e1] = e3 with its basis reversed has the quotient [b1,b1] = b0,
+    # whose quadratic bracket condition on the pair (1, 1) no xi relation
+    # implies: C1(1, 1) is not in the span of the other commutator values.
+    ea = canonical_extension(quadratic_form_algebra(1, 1))
+    eb = canonical_extension(quadratic_form_algebra(1, 2))
+    en = canonical_extension(LeibnizAlgebra.from_structure(
+        F3, 3, {(0, 0): (0, 1, 0), (1, 0): (0, 0, 1)}))
+    er = canonical_extension(LeibnizAlgebra.from_structure(
+        F3, 3, {(2, 2): (0, 1, 0), (1, 2): (1, 0, 0)}))
+    yielded = 0
+    for e1, e2 in [(ea, eb), (ea, ea), (eb, eb), (eb, ea), (er, er), (er, en)]:
+        oracle = brute_force_witness_columns(e1, e2, xi_injective=False)
+        assert list(_SearchEngine(e1, e2).run()) == sorted(oracle)
+        yielded += len(oracle)
+    assert yielded
 
 
 def test_every_engine_witness_verifies(suite):

@@ -13,6 +13,7 @@ from leibalg.linalg import (
     Subspace,
     TOTAL,
     UNDERDETERMINED,
+    bilinear,
     full_subspace,
     image,
     intersect,
@@ -110,6 +111,27 @@ def test_matmul_commutes_with_reduction_mod_p():
             over_q = _int_matrix(FQ, a, k) @ _int_matrix(FQ, b, m)
             over_p = _int_matrix(fp, a, k) @ _int_matrix(fp, b, m)
             assert over_p == Matrix.from_rows(fp, over_q.entries, ncols=m)
+
+
+def test_bilinear_matches_the_defining_sum():
+    # sum of x_i y_j T[i][j] against a term-by-term fold, entries canonical;
+    # entries no term reaches are the field zero, a Fraction over Q
+    rng = random.Random(117)
+    for f in (F3, Field.prime(LARGEST_PRIME), FQ):
+        for _ in range(20):
+            n, k = rng.randint(1, 4), rng.randint(0, 4)
+            table = [[random_vector(rng, f, k) for _ in range(n)] for _ in range(n)]
+            x, y = random_vector(rng, f, n), random_vector(rng, f, n)
+            expected = tuple(f.zero for _ in range(k))
+            for i in range(n):
+                for j in range(n):
+                    expected = vec_add(f, expected, vec_scale(f, f.mul(x[i], y[j]), table[i][j]))
+            out = bilinear(f, table, x, y)
+            assert out == expected
+            assert all(type(v) is type(f.zero) for v in out)
+            if f.is_finite:
+                assert all(0 <= v < f.p for v in out)
+    assert bilinear(F3, (), (), ()) == ()
 
 
 def test_matmul_mismatch_raises():
