@@ -13,12 +13,17 @@ The "Lie-" invariants measure the failure of antisymmetry:
   * the Lie-center collects z with [x, z] + [z, x] = 0 for every x;
   * the squares [x, x] span the annihilator ideal, and dividing by it gives
     the largest Lie quotient (the liezation).
+
+Each algebra computes its Lie-commutator and its Lie-center once, on first
+request, and keeps them: the structure tensor is an immutable tuple, so they
+cannot go stale.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field
 from .linalg import (
@@ -32,7 +37,6 @@ from .linalg import (
     span,
     vec_add,
     vec_is_zero,
-    vec_sub,
     vec_zero,
     zero_subspace,
 )
@@ -106,6 +110,26 @@ class LeibnizAlgebra:
         v[i] = self.field.one
         return tuple(v)
 
+    @cached_property
+    def _lie_commutator(self) -> Subspace:
+        # the symmetric bracket is symmetric, so basis pairs i <= j suffice
+        basis = [self.basis_vector(i) for i in range(self.dim)]
+        return ideal_closure(self, [self.symmetric_bracket(u, v)
+                                    for i, u in enumerate(basis) for v in basis[i:]])
+
+    @cached_property
+    def _lie_center(self) -> Subspace:
+        rows = []
+        for j in range(self.dim):
+            # row block: z |-> [b_j, z] + [z, b_j], column i = [b_j, b_i] + [b_i, b_j]
+            cols = [self.symmetric_bracket(self.basis_vector(j), self.basis_vector(i))
+                    for i in range(self.dim)]
+            for r in range(self.dim):
+                rows.append(tuple(c[r] for c in cols))
+        if not rows:
+            return zero_subspace(self.field, 0)
+        return kernel(Matrix(self.field, len(rows), self.dim, tuple(rows)))
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -123,18 +147,31 @@ class ValidationReport:
 
 
 def validate(alg: LeibnizAlgebra) -> ValidationReport:
-    """Check the Leibniz identity on all basis triples."""
-    f = alg.field
+    """Check the Leibniz identity on all basis triples.
+
+    With s the structure tensor, the residual of (i, j, k) is
+    sum_t s[j][k][t] s[i][t] - s[i][j][t] s[t][k] + s[i][k][t] s[t][j],
+    which vanishes when [b_j, b_k], [b_i, b_j] and [b_i, b_k] all do.
+    """
+    f, n = alg.field, alg.dim
+    s = [[[(t, c) for t, c in enumerate(v) if c] for v in row] for row in alg.structure]
     bad = []
-    for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        lhs = alg.bracket(alg.basis_vector(i), alg.bracket_basis(j, k))
-        rhs = vec_sub(
-            f,
-            alg.bracket(alg.bracket_basis(i, j), alg.basis_vector(k)),
-            alg.bracket(alg.bracket_basis(i, k), alg.basis_vector(j)),
-        )
-        res = vec_sub(f, lhs, rhs)
-        if not vec_is_zero(f, res):
+    for i, j, k in itertools.product(range(n), repeat=3):
+        jk, ij, ik = s[j][k], s[i][j], s[i][k]
+        if not (jk or ij or ik):
+            continue
+        out = [0] * n
+        for t, c in jk:  # [b_i, [b_j, b_k]]
+            for r, w in s[i][t]:
+                out[r] += c * w
+        for t, c in ij:  # [[b_i, b_j], b_k]
+            for r, w in s[t][k]:
+                out[r] -= c * w
+        for t, c in ik:  # [[b_i, b_k], b_j]
+            for r, w in s[t][j]:
+                out[r] += c * w
+        res = tuple(map(f.of, out))
+        if any(res):
             bad.append(Violation((i, j, k), res))
     return ValidationReport(not bad, tuple(bad))
 
@@ -173,38 +210,24 @@ def lie_commutator(alg: LeibnizAlgebra, m: Subspace, n: Subspace) -> Subspace:
 
 
 def lie_commutator_of(alg: LeibnizAlgebra) -> Subspace:
-    """[g, g]_Lie; the symmetric bracket is symmetric, so basis pairs i <= j suffice."""
-    basis = [alg.basis_vector(i) for i in range(alg.dim)]
-    gens = [alg.symmetric_bracket(u, v) for i, u in enumerate(basis) for v in basis[i:]]
-    return ideal_closure(alg, gens)
+    """[g, g]_Lie, computed once per algebra."""
+    return alg._lie_commutator
 
 
 def lie_center(alg: LeibnizAlgebra) -> Subspace:
-    """{z : [x, z] + [z, x] = 0 for all x}; a two-sided ideal."""
-    f = alg.field
-    rows = []
-    for j in range(alg.dim):
-        # row block: z |-> [b_j, z] + [z, b_j], column i = [b_j, b_i] + [b_i, b_j]
-        cols = [alg.symmetric_bracket(alg.basis_vector(j), alg.basis_vector(i))
-                for i in range(alg.dim)]
-        for r in range(alg.dim):
-            rows.append(tuple(c[r] for c in cols))
-    if not rows:
-        return zero_subspace(f, 0)
-    return kernel(Matrix(f, len(rows), alg.dim, tuple(rows)))
+    """{z : [x, z] + [z, x] = 0 for all x}; a two-sided ideal, computed once
+    per algebra."""
+    return alg._lie_center
 
 
 def annihilator_ideal(alg: LeibnizAlgebra) -> Subspace:
-    """Span of all squares [x, x], closed into an ideal.
+    """The ideal generated by the squares [x, x]: the Lie-commutator.
 
-    Polarized generators: [b_i, b_i] and [b_i + b_j, b_i + b_j] for i < j.
+    [x, y] + [y, x] = [x + y, x + y] - [x, x] - [y, y] and [x, x] is half of
+    [x, x] + [x, x], so the squares and the symmetric brackets span the same
+    space once 2 is invertible, and Field rejects characteristic 2.
     """
-    gens = [alg.bracket_basis(i, i) for i in range(alg.dim)]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            v = vec_add(alg.field, alg.basis_vector(i), alg.basis_vector(j))
-            gens.append(alg.bracket(v, v))
-    return ideal_closure(alg, gens)
+    return lie_commutator_of(alg)
 
 
 def is_abelian(alg: LeibnizAlgebra) -> bool:
@@ -214,7 +237,7 @@ def is_abelian(alg: LeibnizAlgebra) -> bool:
 
 def has_trivial_lie_commutator(alg: LeibnizAlgebra) -> bool:
     """True exactly when the algebra is a Lie algebra (no nonzero squares)."""
-    return annihilator_ideal(alg).dim == 0
+    return lie_commutator_of(alg).dim == 0
 
 
 @dataclass(frozen=True)
@@ -381,6 +404,3 @@ def subalgebra_closure(alg: LeibnizAlgebra, vectors) -> Subspace:
             return space
         space = bigger
 
-
-def full_space(alg: LeibnizAlgebra) -> Subspace:
-    return span(alg.field, alg.dim, [alg.basis_vector(i) for i in range(alg.dim)])

@@ -30,6 +30,8 @@ import sys
 
 from . import __version__
 from .algebra import (
+    annihilator_ideal,
+    has_trivial_lie_commutator,
     is_abelian,
     lie_center,
     lie_commutator_of,
@@ -225,19 +227,18 @@ def stem_payload(rep):
             "theta_dim": rep.theta_dim, "theta_surjective": rep.theta_surjective}
 
 
-def invariants_payload(alg: LeibnizAlgebra):
-    # Squares and symmetric brackets span the same ideal when 2 is invertible,
-    # and Field rejects characteristic 2: the annihilator is the Lie-commutator.
-    com = lie_commutator_of(alg)
-    e = canonical_extension(alg)
+def invariants_payload(e):
+    """Invariants of the algebra e.g, given its canonical extension e."""
+    alg = e.g
+    ann = annihilator_ideal(alg)
     return {
         "field": str(alg.field),
         "dim": alg.dim,
         "lie_center_dim": lie_center(alg).dim,
-        "lie_commutator_dim": com.dim,
-        "annihilator_dim": com.dim,
-        "liezation_dim": alg.dim - com.dim,
-        "is_lie": com.dim == 0,
+        "lie_commutator_dim": lie_commutator_of(alg).dim,
+        "annihilator_dim": ann.dim,
+        "liezation_dim": alg.dim - ann.dim,
+        "is_lie": has_trivial_lie_commutator(alg),
         "is_abelian": is_abelian(alg),
         "canonical_extension": {
             "n_dim": e.n.dim,
@@ -320,7 +321,7 @@ def cmd_validate(args):
 def cmd_invariants(args):
     alg = load_algebra(args.algebra, _target_field(args))
     emit(args, "invariants", {"algebra": algebra_hash(alg)}, "ok",
-         invariants_payload(alg))
+         invariants_payload(canonical_extension(alg)))
     return EXIT_OK
 
 
@@ -359,7 +360,7 @@ def cmd_isoclinic(args):
     witness = search_isoclinism(e1, e2, max_gl=args.max_gl)
     if witness is None:
         emit(args, "isoclinic", inputs, "no_witness",
-             {"first": invariants_payload(a), "second": invariants_payload(b)})
+             {"first": invariants_payload(e1), "second": invariants_payload(e2)})
         return EXIT_NO_WITNESS
     emit(args, "isoclinic", inputs, "ok", {"witness": witness_payload(witness)})
     return EXIT_OK

@@ -14,17 +14,18 @@ inside the kernel part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
     annihilator_ideal,
     direct_product,
-    full_space,
     has_trivial_lie_commutator,
     is_ideal,
     lie_center,
     lie_commutator,
+    lie_commutator_of,
     quotient_algebra,
     subalgebra,
 )
@@ -32,6 +33,7 @@ from .linalg import (
     Matrix,
     Subspace,
     bilinear,
+    full_subspace,
     kernel,
     solve,
     span,
@@ -49,6 +51,7 @@ class CentralExtension:
 
     Not validated at construction so that broken candidates can be fed to
     validate_extension; every constructor in this module produces valid ones.
+    The commutator map is computed once, on first request, and kept.
     """
 
     n: LeibnizAlgebra
@@ -63,6 +66,12 @@ class CentralExtension:
 
     def kernel_subspace(self) -> Subspace:
         return self.chi.image_space()
+
+    @cached_property
+    def _commutator_map(self) -> "CommutatorMap":
+        lifts = [self.section.column(j) for j in range(self.q.dim)]
+        return CommutatorMap(self, tuple(
+            tuple(self.g.symmetric_bracket(x, y) for y in lifts) for x in lifts))
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,7 @@ def compute_section(pi: AlgebraMorphism) -> Matrix:
         if x is None:
             raise ExtensionError("map is not surjective, no section exists")
         cols.append(x)
-    return (Matrix.from_columns(f, cols, nrows=pi.source.dim)
-            if cols else Matrix.zeros(f, pi.source.dim, 0))
+    return Matrix.from_columns(f, cols, nrows=pi.source.dim)
 
 
 def make_extension(n, g, q, chi, pi, section=None) -> CentralExtension:
@@ -108,7 +116,7 @@ def validate_extension(e: CentralExtension) -> ExtensionReport:
         failures.append("pi is not surjective")
     if e.chi.image_space() != e.pi.kernel_space():
         failures.append("image(chi) != kernel(pi)")
-    cm = lie_commutator(e.g, e.chi.image_space(), full_space(e.g))
+    cm = lie_commutator(e.g, e.chi.image_space(), full_subspace(e.g.field, e.g.dim))
     if cm.dim != 0:
         failures.append("[chi(n), g]_Lie != 0 (extension is not Lie-central)")
     prod = e.pi.matrix @ e.section
@@ -136,6 +144,12 @@ class CommutatorMap:
 
     extension: CentralExtension
     table: tuple  # table[i][j] = C(b_i, b_j) in g coordinates
+
+    @cached_property
+    def coord_table(self):
+        """coord_table[i][j] = coordinates of C(b_i, b_j) in [g, g]_Lie."""
+        com = lie_commutator_of(self.extension.g)
+        return tuple(tuple(com.coords_of(v) for v in row) for row in self.table)
 
     def value_on_basis(self, i, j):
         return self.table[i][j]
@@ -165,13 +179,8 @@ class CommutatorMap:
 
 
 def commutator_map(e: CentralExtension) -> CommutatorMap:
-    g, q = e.g, e.q
-    lifts = [e.section.column(j) for j in range(q.dim)]
-    table = tuple(
-        tuple(g.symmetric_bracket(lifts[i], lifts[j]) for j in range(q.dim))
-        for i in range(q.dim)
-    )
-    return CommutatorMap(e, table)
+    """The commutator map of e, computed once per extension."""
+    return e._commutator_map
 
 
 @dataclass(frozen=True)
@@ -248,24 +257,17 @@ def backward_extension(e2: CentralExtension, eta: AlgebraMorphism) -> BackwardEx
 
     chi_cols = [w.coords_of(_embed_left(f, e2.chi.matrix.column(j), q1.dim))
                 for j in range(e2.n.dim)]
-    chi = AlgebraMorphism(e2.n, total,
-                          Matrix.from_columns(f, chi_cols, nrows=total.dim)
-                          if chi_cols else Matrix.zeros(f, total.dim, 0))
+    chi = AlgebraMorphism(e2.n, total, Matrix.from_columns(f, chi_cols, nrows=total.dim))
     pi_rows_src = [sub.inclusion.matrix.column(j)[e2.g.dim:] for j in range(total.dim)]
-    pi = AlgebraMorphism(total, q1,
-                         Matrix.from_columns(f, pi_rows_src, nrows=q1.dim)
-                         if pi_rows_src else Matrix.zeros(f, q1.dim, 0))
+    pi = AlgebraMorphism(total, q1, Matrix.from_columns(f, pi_rows_src, nrows=q1.dim))
     # natural section: x |-> (s2(eta x), x)
     sec_cols = [w.coords_of(tuple(e2.section.apply(eta.matrix.column(j))) + q1.basis_vector(j))
                 for j in range(q1.dim)]
-    section = (Matrix.from_columns(f, sec_cols, nrows=total.dim)
-               if sec_cols else Matrix.zeros(f, total.dim, 0))
+    section = Matrix.from_columns(f, sec_cols, nrows=total.dim)
     ext = CentralExtension(e2.n, total, q1, chi, pi, section)
 
     beta_cols = [sub.inclusion.matrix.column(j)[:e2.g.dim] for j in range(total.dim)]
-    beta = AlgebraMorphism(total, e2.g,
-                           Matrix.from_columns(f, beta_cols, nrows=e2.g.dim)
-                           if beta_cols else Matrix.zeros(f, e2.g.dim, 0))
+    beta = AlgebraMorphism(total, e2.g, Matrix.from_columns(f, beta_cols, nrows=e2.g.dim))
     iso = ExtensionMorphism(ext, e2, AlgebraMorphism.identity(e2.n), beta, eta)
     return BackwardExtension(ext, iso)
 
@@ -305,25 +307,18 @@ def diagonal_pullback(e1: CentralExtension, e2: CentralExtension,
         chi_cols.append(w.coords_of(_embed_left(f, e1.chi.matrix.column(j), e2.g.dim)))
     for j in range(e2.n.dim):
         chi_cols.append(w.coords_of(_embed_right(f, e2.chi.matrix.column(j), e1.g.dim)))
-    chi = AlgebraMorphism(n_prod, total,
-                          Matrix.from_columns(f, chi_cols, nrows=total.dim)
-                          if chi_cols else Matrix.zeros(f, total.dim, 0))
+    chi = AlgebraMorphism(n_prod, total, Matrix.from_columns(f, chi_cols, nrows=total.dim))
 
     tau1_cols = [sub.inclusion.matrix.column(j)[:e1.g.dim] for j in range(total.dim)]
-    tau1 = AlgebraMorphism(total, e1.g,
-                           Matrix.from_columns(f, tau1_cols, nrows=e1.g.dim)
-                           if tau1_cols else Matrix.zeros(f, e1.g.dim, 0))
+    tau1 = AlgebraMorphism(total, e1.g, Matrix.from_columns(f, tau1_cols, nrows=e1.g.dim))
     tau2_cols = [sub.inclusion.matrix.column(j)[e1.g.dim:] for j in range(total.dim)]
-    tau2 = AlgebraMorphism(total, e2.g,
-                           Matrix.from_columns(f, tau2_cols, nrows=e2.g.dim)
-                           if tau2_cols else Matrix.zeros(f, e2.g.dim, 0))
+    tau2 = AlgebraMorphism(total, e2.g, Matrix.from_columns(f, tau2_cols, nrows=e2.g.dim))
     rho = AlgebraMorphism(total, e1.q, e1.pi.matrix @ tau1.matrix)
 
     # natural section: x |-> (s1 x, s2 eta x)
     sec_cols = [w.coords_of(tuple(e1.section.column(j)) + tuple(e2.section.apply(eta.matrix.column(j))))
                 for j in range(e1.q.dim)]
-    section = (Matrix.from_columns(f, sec_cols, nrows=total.dim)
-               if sec_cols else Matrix.zeros(f, total.dim, 0))
+    section = Matrix.from_columns(f, sec_cols, nrows=total.dim)
     ext = CentralExtension(n_prod, total, e1.q, chi, rho, section)
 
     sigma1 = AlgebraMorphism(n_prod, e1.n,
@@ -356,8 +351,7 @@ def product_with_abelian(e: CentralExtension, a: LeibnizAlgebra) -> ProductExten
             f,
             [_embed_left(f, e.chi.matrix.column(j), a.dim) for j in range(e.n.dim)]
             + [_embed_right(f, a.basis_vector(j), e.g.dim) for j in range(a.dim)],
-            nrows=total.dim)
-        if n_new.dim else Matrix.zeros(f, total.dim, 0))
+            nrows=total.dim))
     pi = AlgebraMorphism(total, e.q, e.pi.matrix.hstack(Matrix.zeros(f, e.q.dim, a.dim)))
     section = e.section.vstack(Matrix.zeros(f, a.dim, e.q.dim))
     ext = CentralExtension(n_new, total, e.q, chi, pi, section)

@@ -116,9 +116,7 @@ def pi_prime(e: CentralExtension) -> LinearMap:
     com_q = lie_commutator_of(e.q)
     cols = [com_q.coords_of(e.pi.apply(v)) for v in com_g.basis]
     f = e.g.field
-    mat = (Matrix.from_columns(f, cols, nrows=com_q.dim) if cols
-           else Matrix.zeros(f, com_q.dim, 0))
-    return LinearMap(com_g, com_q, mat)
+    return LinearMap(com_g, com_q, Matrix.from_columns(f, cols, nrows=com_q.dim))
 
 
 def check_sequence_nine(e: CentralExtension) -> SequenceReport:

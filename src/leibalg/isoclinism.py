@@ -31,11 +31,11 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
+    annihilator_ideal,
     lie_center,
     lie_commutator_of,
 )
@@ -112,32 +112,6 @@ class WitnessReport:
         return self.ok
 
 
-class _ExtensionData:
-    """What witness checks, the invariants and the search read of one extension."""
-
-    def __init__(self, e: CentralExtension):
-        self.e = e
-        self.com = lie_commutator_of(e.g)  # [g, g]_Lie
-        self.cmap = commutator_map(e)
-
-    @classmethod
-    def of(cls, e: CentralExtension) -> "_ExtensionData":
-        """Computed on first use and kept on e, which is frozen and so cannot
-        make it stale."""
-        data = vars(e).get("_isoclinism_data")
-        if data is None:
-            data = cls(e)
-            object.__setattr__(e, "_isoclinism_data", data)
-        return data
-
-    @cached_property
-    def table(self):
-        """table[i][j] = coordinates of C(b_i, b_j) in com."""
-        m = self.e.q.dim
-        return tuple(tuple(self.com.coords_of(self.cmap.value_on_basis(i, j)) for j in range(m))
-                     for i in range(m))
-
-
 def derive_xi(e1: CentralExtension, e2: CentralExtension, eta: AlgebraMorphism):
     """The unique xi compatible with eta, or None if the system is inconsistent.
 
@@ -148,14 +122,13 @@ def derive_xi(e1: CentralExtension, e2: CentralExtension, eta: AlgebraMorphism):
         raise IsoclinismError("eta endpoints do not match the extensions")
     if not eta.is_bijective:
         raise IsoclinismError("eta is not an isomorphism")
-    x1, x2 = _ExtensionData.of(e1), _ExtensionData.of(e2)
-    c1, c2 = x1.cmap, x2.cmap
+    c1, c2 = commutator_map(e1), commutator_map(e2)
     pairs = []
     for i in range(e1.q.dim):
         for j in range(i, e1.q.dim):
             pairs.append((c1.value_on_basis(i, j),
                           c2.value(eta.matrix.column(i), eta.matrix.column(j))))
-    res = solve_linear_map(pairs, x1.com, x2.com)
+    res = solve_linear_map(pairs, lie_commutator_of(e1.g), lie_commutator_of(e2.g))
     if res.status == INCONSISTENT:
         return None
     if res.status != TOTAL:
@@ -177,8 +150,7 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     if eta.source != e1.q or eta.target != e2.q:
         failures.append("eta endpoints do not match the quotient algebras")
         return WitnessReport(False, tuple(failures), False)
-    x1, x2 = _ExtensionData.of(e1), _ExtensionData.of(e2)
-    if xi.domain != x1.com or xi.codomain != x2.com:
+    if xi.domain != lie_commutator_of(e1.g) or xi.codomain != lie_commutator_of(e2.g):
         failures.append("xi endpoints do not match the Lie-commutators")
         return WitnessReport(False, tuple(failures), False)
     eta_bij = eta.is_bijective
@@ -187,7 +159,7 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     xi_inj = xi.is_injective
     if not xi_inj:
         failures.append("xi is not injective")
-    c1, c2 = x1.cmap, x2.cmap
+    c1, c2 = commutator_map(e1), commutator_map(e2)
     compat = True
     for i in range(e1.q.dim):
         for j in range(i, e1.q.dim):
@@ -228,23 +200,17 @@ class IsoclinismInvariants:
 
     @classmethod
     def from_extension(cls, e: CentralExtension) -> "IsoclinismInvariants":
-        # Squares and symmetric brackets span the same ideal when 2 is
-        # invertible, and Field rejects characteristic 2: each Lie-commutator
-        # is also the annihilator ideal.
-        data = _ExtensionData.of(e)
-        com = data.com
-        q = e.q
-        q_com = lie_commutator_of(q)
+        g, q = e.g, e.q
         return cls(
             q_dim=q.dim,
-            commutator_dim=com.dim,
-            c_radical_dim=data.cmap.radical().dim,
+            commutator_dim=lie_commutator_of(g).dim,
+            c_radical_dim=commutator_map(e).radical().dim,
             q_center_dim=lie_center(q).dim,
-            q_commutator_dim=q_com.dim,
-            q_annihilator_dim=q_com.dim,
-            g_dim=e.g.dim,
-            g_center_dim=lie_center(e.g).dim,
-            g_annihilator_dim=com.dim,
+            q_commutator_dim=lie_commutator_of(q).dim,
+            q_annihilator_dim=annihilator_ideal(q).dim,
+            g_dim=g.dim,
+            g_center_dim=lie_center(g).dim,
+            g_annihilator_dim=annihilator_ideal(g).dim,
         )
 
     @classmethod
@@ -275,9 +241,8 @@ class _SearchEngine:
         self.feasible = e1.q.dim == e2.q.dim
         if not self.feasible:
             return
-        x1, x2 = _ExtensionData.of(e1), _ExtensionData.of(e2)
-        self.d = x1.com.dim
-        self.c1_table = x1.table
+        self.d = lie_commutator_of(e1.g).dim
+        self.c1_table = commutator_map(e1).coord_table
         self._unit = [tuple(int(a == b) for b in range(self.m)) for a in range(self.m)]
         self.affine_at = [[] for _ in range(self.m)]
         self.square_at = [[] for _ in range(self.m)]
@@ -289,9 +254,10 @@ class _SearchEngine:
                 self._add(max([i, j] + support),
                           (e2.q.structure, [(val[t], t) for t in support], [(-1, i, j)]))
         # sum of lambda C2(eta b_i, eta b_j) = 0 for each relation lambda among the C1 values
+        c2_table = commutator_map(e2).coord_table
         for depth in range(self.m):
             for terms in self._xi_relations(depth):
-                self._add(depth, (x2.table, [], terms))
+                self._add(depth, (c2_table, [], terms))
 
     def _add(self, depth, constraint):
         """File a constraint under the depth where its last column is set.
@@ -434,9 +400,7 @@ class _SearchEngine:
         e1, e2 = self.e1, self.e2
         f = self.field
         for columns in self.run():
-            mat = (Matrix.from_columns(f, columns, nrows=e2.q.dim)
-                   if columns else Matrix.zeros(f, e2.q.dim, 0))
-            eta = AlgebraMorphism(e1.q, e2.q, mat)
+            eta = AlgebraMorphism(e1.q, e2.q, Matrix.from_columns(f, columns, nrows=e2.q.dim))
             xi = derive_xi(e1, e2, eta)
             if xi is not None and xi.is_injective:
                 yield IsoclinismWitness(eta, xi)
@@ -472,37 +436,35 @@ def _first_witness(e1, e2) -> IsoclinismWitness | None:
     return next(_SearchEngine(e1, e2).witnesses(), None)
 
 
-def enumerate_autoclinisms(e: CentralExtension, max_gl=None, verify=True):
+def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
     """All witnesses from e to itself, in lexicographic eta order.
 
-    With verify=True the group axioms are spot-checked: identity present,
-    closure under composition and inverse (exhaustively up to 256 witnesses,
-    on a deterministic sample beyond that).
+    The group axioms are spot-checked: identity present, closure under
+    composition and inverse (exhaustively up to 256 witnesses, on a
+    deterministic sample beyond that).
     """
     _check_search_preconditions(e, e, max_gl)
     out = list(_SearchEngine(e, e).witnesses())
-    if verify and out:
+    if out:
         _verify_group_axioms(e, out)
     return out
 
 
 def _verify_group_axioms(e, witnesses):
-    keys = {w.eta.matrix.entries for w in witnesses}
-    ident = Matrix.identity(e.g.field, e.q.dim)
-    if ident.entries not in keys:
+    """The identity, inverses and composites of the witnesses' eta are among
+    them.  Each witness was verified when found and eta determines xi, so
+    membership of eta is all that is left to check."""
+    etas = [w.eta.matrix for w in witnesses]
+    keys = {m.entries for m in etas}
+    if Matrix.identity(e.g.field, e.q.dim).entries not in keys:
         raise IsoclinismError("autoclinism set misses the identity")
-    idx = list(range(len(witnesses)))
-    if len(witnesses) > 256:
-        step = len(witnesses) // 16 or 1
-        idx = idx[::step]
-    for i in idx:
-        wi = witnesses[i]
-        inv = invert_witness(wi)
-        if inv.eta.matrix.entries not in keys:
+    if len(etas) > 256:
+        etas = etas[::len(etas) // 16]
+    for a in etas:
+        if a.inverse().entries not in keys:
             raise IsoclinismError("autoclinism set is not closed under inverse")
-        for j in idx:
-            comp = compose_witnesses(wi, witnesses[j])
-            if comp.eta.matrix.entries not in keys:
+        for b in etas:
+            if (b @ a).entries not in keys:
                 raise IsoclinismError("autoclinism set is not closed under composition")
 
 
@@ -560,8 +522,8 @@ def is_isoclinic_homomorphism(triple: ExtensionMorphism) -> IsoclinicHomReport:
         return IsoclinicHomReport(False, tuple(reasons), None)
     cols = [com2.coords_of(triple.beta.apply(b)) for b in com1.basis]
     f = triple.source.g.field
-    mat = Matrix.from_columns(f, cols, nrows=com2.dim) if cols else Matrix.zeros(f, com2.dim, 0)
-    return IsoclinicHomReport(True, (), LinearMap(com1, com2, mat))
+    return IsoclinicHomReport(True, (), LinearMap(com1, com2,
+                                                  Matrix.from_columns(f, cols, nrows=com2.dim)))
 
 
 def triple_to_witness(triple: ExtensionMorphism) -> IsoclinismWitness:

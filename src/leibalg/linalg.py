@@ -378,13 +378,13 @@ def quotient(ideal: Subspace) -> QuotientStructure:
         e[i] = f.one
         red = ideal.reduce(tuple(e))
         cols.append(tuple(red[c] for c in coset))
-    proj = Matrix.from_columns(f, cols, nrows=len(coset)) if cols else Matrix.zeros(f, len(coset), 0)
+    proj = Matrix.from_columns(f, cols, nrows=len(coset))
     sec_cols = []
     for c in coset:
         e = [f.zero] * n
         e[c] = f.one
         sec_cols.append(tuple(e))
-    sec = Matrix.from_columns(f, sec_cols, nrows=n) if sec_cols else Matrix.zeros(f, n, 0)
+    sec = Matrix.from_columns(f, sec_cols, nrows=n)
     return QuotientStructure(f, n, ideal, coset, proj, sec)
 
 
@@ -499,11 +499,11 @@ def solve_linear_map(pairs, domain: Subspace, codomain: Subspace) -> SolveResult
         return SolveResult(TOTAL, LinearMap(domain, codomain, Matrix.zeros(f, 0, d1)))
     if rank == d1:
         cols = [image_of(tuple(f.one if t == i else f.zero for t in range(d1))) for i in range(d1)]
-        mat = Matrix.from_columns(f, cols, nrows=d2) if cols else Matrix.zeros(f, d2, 0)
+        mat = Matrix.from_columns(f, cols, nrows=d2)
         return SolveResult(TOTAL, LinearMap(domain, codomain, mat))
 
     # proper span: restate the map on span(v_in)
     sub = span(f, domain.ambient_dim, [domain.vector_from_coords(r[:d1]) for r in red_rows])
     cols = [image_of(domain.coords_of(b)) for b in sub.basis]
-    mat = Matrix.from_columns(f, cols, nrows=d2) if cols else Matrix.zeros(f, d2, 0)
+    mat = Matrix.from_columns(f, cols, nrows=d2)
     return SolveResult(UNDERDETERMINED, LinearMap(sub, codomain, mat))

@@ -49,8 +49,7 @@ from leibalg.isoclinism import (
 from leibalg.documents import canonical_json, serialize_algebra
 from leibalg.linalg import Matrix, intersect, span, subspace_sum
 
-import conftest
-from conftest import F3, F5, FQ, lie_r2, paper_g1, paper_g2, record_acceptance
+from conftest import F3, F5, FQ, paper_g1, paper_g2, record_acceptance
 
 
 @contextlib.contextmanager

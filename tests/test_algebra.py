@@ -1,3 +1,4 @@
+import itertools
 import random
 import typing
 from fractions import Fraction
@@ -9,9 +10,9 @@ from leibalg.algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
     MorphismError,
+    Violation,
     annihilator_ideal,
     direct_product,
-    full_space,
     has_trivial_lie_commutator,
     ideal_closure,
     is_abelian,
@@ -26,11 +27,13 @@ from leibalg.algebra import (
     validate,
 )
 from leibalg.fields import Field
-from leibalg.linalg import Matrix, intersect, span, zero_subspace
+from leibalg.linalg import Matrix, full_subspace, span, vec_add, vec_sub
 
 from conftest import (
     F3,
+    F5,
     FQ,
+    algebra_suite,
     lie_r2,
     nilpotent_n2,
     paper_g1,
@@ -80,6 +83,43 @@ def test_validate_reports_offending_triples():
     report = validate(perturbed)
     assert not report.ok
     assert {v.triple for v in report.violations} == {(0, 1, 0), (1, 1, 0)}
+
+
+def defining_violations(alg):
+    """The Leibniz identity on every basis triple, with full brackets."""
+    f = alg.field
+    out = []
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        bi, bj, bk = (alg.basis_vector(t) for t in (i, j, k))
+        res = vec_sub(f, alg.bracket(bi, alg.bracket(bj, bk)),
+                      vec_sub(f, alg.bracket(alg.bracket(bi, bj), bk),
+                              alg.bracket(alg.bracket(bi, bk), bj)))
+        if any(res):
+            out.append(Violation((i, j, k), res))
+    return tuple(out)
+
+
+def test_validate_matches_the_defining_triple_loop():
+    rng = random.Random(31)
+    for f in (F3, F5, FQ):
+        named = [paper_g1(f), paper_g2(f), lie_r2(f), nilpotent_n2(f),
+                 direct_product(paper_g2(f), nilpotent_n2(f))]
+        dense = []
+        for _ in range(40):
+            dim = rng.randint(1, 4)
+            table = {(i, j): random_vector(rng, f, dim)
+                     for i in range(dim) for j in range(dim) if rng.random() < 0.4}
+            dense.append(LeibnizAlgebra.from_structure(f, dim, table))
+        for alg in named + dense:
+            report = validate(alg)
+            expected = defining_violations(alg)
+            assert report.violations == expected
+            assert report.ok == (not expected)
+            assert all(type(c) is type(f.zero) for v in report.violations for c in v.residual)
+        assert all(validate(alg).ok for alg in named)
+        assert sum(not validate(alg).ok for alg in dense) >= 20
+    for alg in algebra_suite(seed=7, count=20, field=F5):
+        assert validate(alg).violations == defining_violations(alg) == ()
 
 
 def test_bracket_is_bilinear():
@@ -165,11 +205,22 @@ def test_commutator_span_already_closed_random(suite):
         assert raw == lie_commutator_of(alg)
 
 
+def squares_ideal(alg):
+    """The ideal generated by the squares [x, x], from the polarized
+    generators [b_i, b_i] and [b_i + b_j, b_i + b_j], i < j."""
+    gens = [alg.bracket_basis(i, i) for i in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            v = vec_add(alg.field, alg.basis_vector(i), alg.basis_vector(j))
+            gens.append(alg.bracket(v, v))
+    return ideal_closure(alg, gens)
+
+
 def test_annihilator_equals_lie_commutator_in_odd_characteristic(suite):
-    for alg in suite[:60]:
-        assert annihilator_ideal(alg) == lie_commutator_of(alg)
-    for alg in (paper_g1(FQ), paper_g2(FQ), nilpotent_n2(FQ)):
-        assert annihilator_ideal(alg) == lie_commutator_of(alg)
+    over_q = [paper_g1(FQ), paper_g2(FQ), nilpotent_n2(FQ), lie_r2(FQ),
+              direct_product(paper_g2(FQ), nilpotent_n2(FQ))]
+    for alg in suite + algebra_suite(seed=5, count=40, field=F5) + over_q:
+        assert annihilator_ideal(alg) == squares_ideal(alg)
 
 
 def test_liezation_is_lie(suite):
@@ -195,8 +246,9 @@ def test_ideal_closure_fixed_point(suite):
 def test_lie_commutator_relative_version():
     g2 = paper_g2(FQ)
     z = lie_center(g2)
-    assert lie_commutator(g2, z, full_space(g2)).dim == 0
-    assert lie_commutator(g2, full_space(g2), full_space(g2)) == lie_commutator_of(g2)
+    full = full_subspace(FQ, 3)
+    assert lie_commutator(g2, z, full).dim == 0
+    assert lie_commutator(g2, full, full) == lie_commutator_of(g2)
 
 
 # -- quotients, products, subalgebras ------------------------------------------

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from leibalg.cli import (
     EXIT_DATA,
     EXIT_INVALID,

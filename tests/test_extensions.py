@@ -8,10 +8,8 @@ from leibalg.algebra import (
     LeibnizAlgebra,
     annihilator_ideal,
     direct_product,
-    full_space,
     lie_center,
     lie_commutator_of,
-    liezation,
 )
 from leibalg.extensions import (
     CentralExtension,
@@ -24,16 +22,14 @@ from leibalg.extensions import (
     compute_section,
     diagonal_pullback,
     is_stem_extension,
-    make_extension,
     product_with_abelian,
     quotient_extension_by_alpha,
     validate_extension,
 )
-from leibalg.fields import Field
 from leibalg.isoclinism import search_isoclinism
-from leibalg.linalg import Matrix, intersect, span, zero_subspace
+from leibalg.linalg import Matrix, span, zero_subspace
 
-from conftest import F3, FQ, lie_r2, nilpotent_n2, paper_g1, paper_g2, random_vector
+from conftest import F3, F5, FQ, lie_r2, nilpotent_n2, paper_g1, paper_g2, random_vector
 
 
 def canonical_pair(field=FQ):
@@ -150,6 +146,24 @@ def test_commutator_radical_of_canonical_extension_is_zero(suite):
     # for e_g the radical is pi(Z_Lie(g)) = 0
     for alg in suite[:40]:
         assert commutator_map(canonical_extension(alg)).radical().dim == 0
+
+
+def test_derived_objects_are_computed_once_and_leave_equality_alone():
+    for g in (paper_g2(FQ), paper_g1(F3), lie_r2(F5),
+              direct_product(paper_g1(F5), nilpotent_n2(F5))):
+        assert lie_center(g) is lie_center(g)
+        assert lie_commutator_of(g) is lie_commutator_of(g)
+        assert annihilator_ideal(g) is lie_commutator_of(g)
+        e = canonical_extension(g)
+        assert e.g is g and e.n.dim == lie_center(g).dim
+        assert commutator_map(e) is commutator_map(e)
+        assert commutator_map(e).coord_table is commutator_map(e).coord_table
+        # the caches live beside the fields, which alone decide == and hash
+        fresh = LeibnizAlgebra(g.field, g.dim, g.structure, g.basis_names)
+        assert g == fresh and hash(g) == hash(fresh)
+        fresh_e = canonical_extension(fresh)
+        assert e == fresh_e and hash(e) == hash(fresh_e)
+        assert commutator_map(e) == commutator_map(fresh_e)
 
 
 # -- extension morphisms ---------------------------------------------------------

@@ -1,5 +1,3 @@
-import random
-
 from leibalg.algebra import (
     LeibnizAlgebra,
     annihilator_ideal,

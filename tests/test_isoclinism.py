@@ -15,7 +15,7 @@ from leibalg.algebra import (
     subalgebra_closure,
 )
 from leibalg.extensions import backward_extension, canonical_extension, diagonal_pullback
-from leibalg.fields import Field, FieldError
+from leibalg.fields import FieldError
 from leibalg.isoclinism import (
     DEFAULT_MAX_GL,
     MAX_GL_ENV,
@@ -24,6 +24,7 @@ from leibalg.isoclinism import (
     IsoclinismWitness,
     SearchBoundError,
     _SearchEngine,
+    _verify_group_axioms,
     algebras_isoclinic,
     check_witness,
     classify,
@@ -42,7 +43,7 @@ from leibalg.isoclinism import (
 )
 from leibalg.linalg import LinearMap, Matrix, intersect, span, subspace_sum
 
-from conftest import F3, F5, FQ, lie_r2, paper_g1, paper_g2, random_leibniz_algebra
+from conftest import F3, F5, FQ, lie_r2, paper_g1, paper_g2
 
 
 def paper_pair(field=F3):
@@ -406,6 +407,29 @@ def test_engine_work_over_f5():
     engine = _SearchEngine(e, e)
     assert sum(1 for _ in engine.run()) == 16
     assert engine._examined <= 250
+
+
+def test_group_axiom_check_rejects_incomplete_autoclinism_sets():
+    e = canonical_extension(direct_product(paper_g1(F3), paper_g1(F3)))
+    autos = enumerate_autoclinisms(e)
+    assert len(autos) == 8
+    ident = Matrix.identity(F3, 4)
+    with pytest.raises(IsoclinismError, match="identity"):
+        _verify_group_axioms(e, [w for w in autos if w.eta.matrix != ident])
+    # drop an involution that is a product of two other witnesses: every
+    # inverse stays in the set, so only the composition check can catch it
+    etas = [w.eta.matrix for w in autos]
+    c = next(m for m in etas if m != ident and m @ m == ident)
+    rest = [w for w in autos if w.eta.matrix != c]
+    assert any(b.eta.matrix @ a.eta.matrix == c for a in rest for b in rest)
+    with pytest.raises(IsoclinismError, match="composition"):
+        _verify_group_axioms(e, rest)
+    # drop the inverse of a witness listed first: its inverse check runs
+    # before any composite is formed
+    w = next(w for w in autos if w.eta.matrix.inverse() != w.eta.matrix)
+    inv = w.eta.matrix.inverse()
+    with pytest.raises(IsoclinismError, match="inverse"):
+        _verify_group_axioms(e, [w] + [x for x in autos if x.eta.matrix not in (w.eta.matrix, inv)])
 
 
 def test_autoclinisms_of_abelian_algebra_form_gl():

@@ -10,7 +10,6 @@ from leibalg.linalg import (
     LinalgError,
     LinearMap,
     Matrix,
-    Subspace,
     TOTAL,
     UNDERDETERMINED,
     bilinear,
@@ -94,6 +93,9 @@ def test_matrix_algebra_round_trips():
             assert (a @ b).apply(v) == a.apply(b.apply(v))
             assert a.transpose().transpose() == a
             assert (a + a) - a == a
+        # an empty column list with explicit nrows is the n x 0 matrix
+        for n in (0, 1, 4):
+            assert Matrix.from_columns(field, [], nrows=n) == Matrix.zeros(field, n, 0)
 
 
 def _int_matrix(field, rows, ncols):
