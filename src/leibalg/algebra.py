@@ -22,9 +22,9 @@ cannot go stale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import value_class
 from .fields import Field
 from .linalg import (
     Matrix,
@@ -54,7 +54,7 @@ def _default_names(dim):
     return tuple(f"e{i + 1}" for i in range(dim))
 
 
-@dataclass(frozen=True)
+@value_class
 class LeibnizAlgebra:
     field: Field
     dim: int
@@ -131,13 +131,13 @@ class LeibnizAlgebra:
         return kernel(Matrix(self.field, len(rows), self.dim, tuple(rows)))
 
 
-@dataclass(frozen=True)
+@value_class
 class Violation:
     triple: tuple  # basis indices (i, j, k)
     residual: tuple  # [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]
 
 
-@dataclass(frozen=True)
+@value_class
 class ValidationReport:
     ok: bool
     violations: tuple
@@ -240,7 +240,7 @@ def has_trivial_lie_commutator(alg: LeibnizAlgebra) -> bool:
     return lie_commutator_of(alg).dim == 0
 
 
-@dataclass(frozen=True)
+@value_class
 class AlgebraMorphism:
     """A bracket-preserving linear map, validated at construction."""
 
@@ -297,7 +297,7 @@ class AlgebraMorphism:
         return AlgebraMorphism(self.target, self.source, inv)
 
 
-@dataclass(frozen=True)
+@value_class
 class QuotientAlgebra:
     algebra: LeibnizAlgebra
     projection: AlgebraMorphism
@@ -326,7 +326,7 @@ def quotient_algebra(alg: LeibnizAlgebra, ideal: Subspace, basis_names=()) -> Qu
     return QuotientAlgebra(q_alg, proj, qs)
 
 
-@dataclass(frozen=True)
+@value_class
 class Liezation:
     algebra: LeibnizAlgebra  # the Lie quotient
     projection: AlgebraMorphism
@@ -371,7 +371,7 @@ def subalgebra_check(alg: LeibnizAlgebra, s: Subspace) -> bool:
     return all(s.contains(alg.bracket(u, v)) for u in s.basis for v in s.basis)
 
 
-@dataclass(frozen=True)
+@value_class
 class Subalgebra:
     algebra: LeibnizAlgebra
     inclusion: AlgebraMorphism

@@ -13,9 +13,9 @@ inside the kernel part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import value_class
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
@@ -45,7 +45,7 @@ class ExtensionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class CentralExtension:
     """0 -> n --chi--> g --pi--> q -> 0 with a fixed linear section of pi.
 
@@ -64,9 +64,6 @@ class CentralExtension:
     def lift(self, q_vec):
         return self.section.apply(q_vec)
 
-    def kernel_subspace(self) -> Subspace:
-        return self.chi.image_space()
-
     @cached_property
     def _commutator_map(self) -> "CommutatorMap":
         lifts = [self.section.column(j) for j in range(self.q.dim)]
@@ -74,7 +71,7 @@ class CentralExtension:
             tuple(self.g.symmetric_bracket(x, y) for y in lifts) for x in lifts))
 
 
-@dataclass(frozen=True)
+@value_class
 class ExtensionReport:
     ok: bool
     failures: tuple
@@ -95,12 +92,6 @@ def compute_section(pi: AlgebraMorphism) -> Matrix:
             raise ExtensionError("map is not surjective, no section exists")
         cols.append(x)
     return Matrix.from_columns(f, cols, nrows=pi.source.dim)
-
-
-def make_extension(n, g, q, chi, pi, section=None) -> CentralExtension:
-    if section is None:
-        section = compute_section(pi)
-    return CentralExtension(n, g, q, chi, pi, section)
 
 
 def validate_extension(e: CentralExtension) -> ExtensionReport:
@@ -134,7 +125,7 @@ def canonical_extension(g: LeibnizAlgebra) -> CentralExtension:
                             quot.projection, quot.structure.section)
 
 
-@dataclass(frozen=True)
+@value_class
 class CommutatorMap:
     """C(x, y) = [x^, y^] + [y^, x^] on section lifts, tabulated on basis pairs.
 
@@ -183,7 +174,7 @@ def commutator_map(e: CentralExtension) -> CommutatorMap:
     return e._commutator_map
 
 
-@dataclass(frozen=True)
+@value_class
 class ExtensionMorphism:
     """A commuting triple (alpha, beta, gamma) between two extensions."""
 
@@ -227,7 +218,7 @@ def _embed_right(f, vec, left_dim):
     return vec_zero(f, left_dim) + tuple(vec)
 
 
-@dataclass(frozen=True)
+@value_class
 class BackwardExtension:
     extension: CentralExtension
     iso: ExtensionMorphism  # from the built extension onto the original
@@ -272,7 +263,7 @@ def backward_extension(e2: CentralExtension, eta: AlgebraMorphism) -> BackwardEx
     return BackwardExtension(ext, iso)
 
 
-@dataclass(frozen=True)
+@value_class
 class PullbackExtension:
     """Diagonal pullback of e1 and e2 along eta: q1 -> q2.
 
@@ -330,7 +321,7 @@ def diagonal_pullback(e1: CentralExtension, e2: CentralExtension,
     return PullbackExtension(ext, to_first, to_second)
 
 
-@dataclass(frozen=True)
+@value_class
 class ProductExtension:
     """e x a for a Lie algebra a: 0 -> n x a -> g x a -> q -> 0."""
 
@@ -370,7 +361,7 @@ def product_with_abelian(e: CentralExtension, a: LeibnizAlgebra) -> ProductExten
     return ProductExtension(ext, onto, fro)
 
 
-@dataclass(frozen=True)
+@value_class
 class QuotientExtension:
     extension: CentralExtension
     onto: ExtensionMorphism  # the natural epimorphism triple (nat', nat, id)

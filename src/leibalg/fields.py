@@ -8,8 +8,9 @@ the arithmetic so that matrices never need to know which case they are in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import value_class
 
 # Largest prime modulus accepted.  Moduli come from outside input, and the
 # bound keeps _is_prime's trial division (at most 2**10 steps) and the
@@ -32,7 +33,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@value_class
 class Field:
     """The rationals (p is None) or the prime field F_p for an odd prime p.
 
@@ -40,16 +41,17 @@ class Field:
     (polarization of symmetric brackets).
     """
 
-    p: int | None = None
+    p: int | None
 
-    def __post_init__(self):
-        if self.p is not None:
-            if self.p == 2:
+    def __init__(self, p=None):
+        if p is not None:
+            if p == 2:
                 raise FieldError("characteristic 2 is not supported (2 must be invertible)")
-            if not _is_prime(self.p):
-                raise FieldError(f"modulus {self.p} is not prime")
-            if self.p > MAX_PRIME:
-                raise FieldError(f"modulus {self.p} exceeds the supported bound {MAX_PRIME}")
+            if p > MAX_PRIME:
+                raise FieldError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
+            if not _is_prime(p):
+                raise FieldError(f"modulus {p} is not prime")
+        self.__dict__["p"] = p
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -70,6 +72,9 @@ class Field:
 
     def of(self, value):
         """Canonicalize an int, Fraction or "a/b" string into this field."""
+        # int first: it is the common case, and the Fraction test is an ABC check
+        if isinstance(value, int):
+            return value % self.p if self.p is not None else Fraction(value)
         if isinstance(value, str):
             try:
                 value = Fraction(value)
@@ -82,8 +87,6 @@ class Field:
             if den == 0:
                 raise FieldError(f"denominator of {value} vanishes mod {self.p}")
             return value.numerator * pow(den, self.p - 2, self.p) % self.p
-        if isinstance(value, int):
-            return value % self.p if self.p is not None else Fraction(value)
         raise FieldError(f"cannot coerce {value!r} into {self}")
 
     @property

@@ -18,8 +18,7 @@ property is not, and is_stem_cover_candidate says so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import value_class
 from .algebra import LeibnizAlgebra, lie_commutator_of, liezation
 from .extensions import CentralExtension, is_stem_extension
 from .linalg import (
@@ -31,11 +30,10 @@ from .linalg import (
     quotient,
     solve,
     span,
-    zero_subspace,
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class JunctionCheck:
     """Exactness data at one junction: incoming image vs outgoing kernel."""
 
@@ -46,7 +44,7 @@ class JunctionCheck:
     exact: bool
 
 
-@dataclass(frozen=True)
+@value_class
 class SequenceReport:
     ok: bool
     junctions: tuple
@@ -74,8 +72,6 @@ def theta_image(e: CentralExtension):
         if y is None:
             raise AssertionError("intersection escaped the image of chi")
         coords.append(y)
-    if not coords:
-        return zero_subspace(e.n.field, e.n.dim)
     return span(e.n.field, e.n.dim, coords)
 
 
@@ -129,13 +125,9 @@ def check_sequence_nine(e: CentralExtension) -> SequenceReport:
     restricted = pi_prime(e)
     com_g, com_q = restricted.domain, restricted.codomain
     ker_coords = kernel(restricted.matrix)
-    ker_ambient = (span(e.g.field, e.g.dim,
-                        [com_g.vector_from_coords(c) for c in ker_coords.basis])
-                   if ker_coords.dim else zero_subspace(e.g.field, e.g.dim))
-    theta_n = theta_image(e)
-    theta_ambient = (span(e.g.field, e.g.dim,
-                          [e.chi.apply(v) for v in theta_n.basis])
-                     if theta_n.dim else zero_subspace(e.g.field, e.g.dim))
+    ker_ambient = span(e.g.field, e.g.dim,
+                       [com_g.vector_from_coords(c) for c in ker_coords.basis])
+    theta_ambient = span(e.g.field, e.g.dim, [e.chi.apply(v) for v in theta_image(e).basis])
     head = JunctionCheck("[g,g]_Lie", com_g.dim, theta_ambient.dim,
                          ker_ambient.dim, theta_ambient == ker_ambient)
     end = JunctionCheck("[q,q]_Lie", com_q.dim, restricted.rank(), com_q.dim,
@@ -149,7 +141,7 @@ STEM = "stem"
 UNDECIDABLE_COVER = "undecidable_cover"
 
 
-@dataclass(frozen=True)
+@value_class
 class StemCoverReport:
     """Stemness is decided; the cover property needs dim HL2, which is not
     computed, so for stem extensions the cover verdict is undecidable_cover

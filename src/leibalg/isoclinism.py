@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
+from ._value import value_class
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
@@ -96,13 +96,13 @@ def resolve_max_gl(max_gl=None):
     return DEFAULT_MAX_GL
 
 
-@dataclass(frozen=True)
+@value_class
 class IsoclinismWitness:
     eta: AlgebraMorphism  # q1 -> q2, isomorphism
     xi: LinearMap  # [g1,g1]_Lie -> [g2,g2]_Lie, isomorphism
 
 
-@dataclass(frozen=True)
+@value_class
 class WitnessReport:
     ok: bool
     failures: tuple
@@ -176,7 +176,7 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     return WitnessReport(not failures, tuple(failures), automatic)
 
 
-@dataclass(frozen=True)
+@value_class
 class IsoclinismInvariants:
     """Cheap necessary conditions used to prune the search.
 
@@ -491,7 +491,7 @@ def identity_witness(e: CentralExtension) -> IsoclinismWitness:
     return IsoclinismWitness(eta, xi)
 
 
-@dataclass(frozen=True)
+@value_class
 class IsoclinicHomReport:
     """Result of the isoclinic-homomorphism test for an extension triple.
 
@@ -561,14 +561,14 @@ def induced_canonical_witness(e1: CentralExtension, e2: CentralExtension,
     return IsoclinismWitness(eta_bar, w.xi)
 
 
-@dataclass
+@value_class(frozen=False)
 class IsoclinismClass:
     representative: int
     members: list
     witnesses: dict  # member index -> witness from the representative
 
 
-@dataclass
+@value_class(frozen=False)
 class Classification:
     algebras: tuple
     extensions: tuple

@@ -11,9 +11,9 @@ dimensions, and the default GL bound keeps searched quotients at dim <= 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from operator import mul
 
+from ._value import value_class
 from .fields import Field
 
 
@@ -21,16 +21,20 @@ class LinalgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Matrix:
     field: Field
     nrows: int
     ncols: int
     entries: tuple  # tuple of row tuples, canonical scalars
 
-    def __post_init__(self):
-        if len(self.entries) != self.nrows or any(len(r) != self.ncols for r in self.entries):
+    # written out, not left to value_class: matrices are built in bulk and
+    # this form is the cheapest
+    def __init__(self, field, nrows, ncols, entries):
+        if len(entries) != nrows or any(len(r) != ncols for r in entries):
             raise LinalgError("matrix shape mismatch")
+        d = self.__dict__
+        d["field"], d["nrows"], d["ncols"], d["entries"] = field, nrows, ncols, entries
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
@@ -119,10 +123,6 @@ class Matrix:
             raise LinalgError("vstack mismatch")
         return Matrix(self.field, self.nrows + other.nrows, self.ncols,
                       self.entries + other.entries)
-
-    def is_zero(self):
-        z = self.field.zero
-        return all(v == z for r in self.entries for v in r)
 
     def rank(self):
         return len(rref(self)[1])
@@ -213,21 +213,23 @@ def vec_is_zero(field, a):
     return all(x == z for x in a)
 
 
-@dataclass(frozen=True)
+@value_class
 class Subspace:
     """A subspace of F^ambient_dim held by its canonical RREF basis rows."""
 
     field: Field
     ambient_dim: int
     basis: tuple  # tuple of row tuples, RREF, no zero rows
-    pivots: tuple = dc_field(default=())
+    pivots: tuple
+
+    # written out for speed, as Matrix's is
+    def __init__(self, field, ambient_dim, basis, pivots=()):
+        d = self.__dict__
+        d["field"], d["ambient_dim"], d["basis"], d["pivots"] = field, ambient_dim, basis, pivots
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def basis_vectors(self):
-        return list(self.basis)
 
     def reduce(self, vec):
         """Remainder of vec after subtracting its projection onto the basis."""
@@ -342,7 +344,7 @@ def solve(m: Matrix, rhs):
     return tuple(x)
 
 
-@dataclass(frozen=True)
+@value_class
 class QuotientStructure:
     """F^n / ideal with a fixed section through standard coordinates.
 
@@ -388,7 +390,7 @@ def quotient(ideal: Subspace) -> QuotientStructure:
     return QuotientStructure(f, n, ideal, coset, proj, sec)
 
 
-@dataclass(frozen=True)
+@value_class
 class LinearMap:
     """A linear map between two stored subspaces, in basis coordinates."""
 
@@ -399,9 +401,6 @@ class LinearMap:
     def __post_init__(self):
         if (self.matrix.nrows, self.matrix.ncols) != (self.codomain.dim, self.domain.dim):
             raise LinalgError("linear map shape mismatch")
-
-    def apply_coords(self, coords):
-        return self.matrix.apply(coords)
 
     def apply_ambient(self, vec):
         return self.codomain.vector_from_coords(self.matrix.apply(self.domain.coords_of(vec)))
@@ -442,7 +441,7 @@ UNDERDETERMINED = "underdetermined"
 INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
+@value_class
 class SolveResult:
     """Outcome of solve_linear_map.
 

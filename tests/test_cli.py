@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from leibalg.cli import (
     EXIT_DATA,
@@ -15,6 +19,8 @@ from leibalg.extensions import canonical_extension
 from leibalg.isoclinism import MAX_GL_ENV, search_isoclinism
 
 from conftest import F3, FQ, paper_g1, paper_g2
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -339,6 +345,23 @@ def test_wrongly_typed_and_oversized_documents_are_data_errors(capsys, tmp_path)
 def test_characteristic_two_is_data_error(capsys):
     rc, out, err = run(capsys, "invariants", "catalog:paper_g1", "--field", "2")
     assert rc == EXIT_DATA
+
+
+def test_huge_prime_modulus_is_a_prompt_data_error(tmp_path):
+    # 2**61 - 1 is prime: trial division up to its square root would not
+    # finish, so the modulus bound has to be checked before primality
+    p = 2**61 - 1
+    doc = serialize_algebra(paper_g1(F3))
+    doc["field"] = {"p": p}
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv in (["--field", str(p), "catalog", "show", "paper_g1"], ["validate", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "leibalg", *argv], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.returncode == EXIT_DATA and proc.stdout == ""
+        assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
 
 
 def test_no_arguments_is_usage_error(capsys):
