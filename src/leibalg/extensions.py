@@ -35,7 +35,6 @@ from .linalg import (
     bilinear,
     full_subspace,
     kernel,
-    solve,
     span,
     vec_zero,
 )
@@ -78,20 +77,6 @@ class ExtensionReport:
 
     def __bool__(self):
         return self.ok
-
-
-def compute_section(pi: AlgebraMorphism) -> Matrix:
-    """A deterministic linear section of a surjection (free coordinates 0)."""
-    f = pi.source.field
-    cols = []
-    for j in range(pi.target.dim):
-        rhs = [f.zero] * pi.target.dim
-        rhs[j] = f.one
-        x = solve(pi.matrix, tuple(rhs))
-        if x is None:
-            raise ExtensionError("map is not surjective, no section exists")
-        cols.append(x)
-    return Matrix.from_columns(f, cols, nrows=pi.source.dim)
 
 
 def validate_extension(e: CentralExtension) -> ExtensionReport:

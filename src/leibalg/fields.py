@@ -116,9 +116,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p) if self.p is not None else 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- serialization ------------------------------------------------------
 
     def scalar_to_json(self, a):

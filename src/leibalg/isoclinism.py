@@ -243,7 +243,10 @@ class _SearchEngine:
             return
         self.d = lie_commutator_of(e1.g).dim
         self.c1_table = commutator_map(e1).coord_table
-        self._unit = [tuple(int(a == b) for b in range(self.m)) for a in range(self.m)]
+        # a constraint names its bilinear map by index: the bracket of q2, or C2
+        self.tables = (e2.q.structure, commutator_map(e2).coord_table)
+        # _operators of the column set at each depth, for the deeper _solutions
+        self._ops = [None] * self.m
         self.affine_at = [[] for _ in range(self.m)]
         self.square_at = [[] for _ in range(self.m)]
         # eta [b_i, b_j] = [eta b_i, eta b_j]
@@ -252,12 +255,11 @@ class _SearchEngine:
                 val = e1.q.structure[i][j]
                 support = [t for t in range(self.m) if val[t]]
                 self._add(max([i, j] + support),
-                          (e2.q.structure, [(val[t], t) for t in support], [(-1, i, j)]))
+                          (0, [(val[t], t) for t in support], [(-1, i, j)]))
         # sum of lambda C2(eta b_i, eta b_j) = 0 for each relation lambda among the C1 values
-        c2_table = commutator_map(e2).coord_table
         for depth in range(self.m):
             for terms in self._xi_relations(depth):
-                self._add(depth, (c2_table, [], terms))
+                self._add(depth, (1, [], terms))
 
     def _add(self, depth, constraint):
         """File a constraint under the depth where its last column is set.
@@ -268,13 +270,13 @@ class _SearchEngine:
         terms that read col_depth and the rest, which _solutions evaluates
         separately.
         """
-        table, linear, quadratic = constraint
+        k, linear, quadratic = constraint
         if any(i == j == depth for _, i, j in quadratic):
             self.square_at[depth].append(constraint)
             return
 
         def part(reads):
-            return (table, [u for u in linear if (depth in u[1:]) == reads],
+            return (k, [u for u in linear if (depth in u[1:]) == reads],
                     [u for u in quadratic if (depth in u[1:]) == reads])
         self.affine_at[depth].append((part(True), part(False)))
 
@@ -305,7 +307,8 @@ class _SearchEngine:
     def _residual(self, cols, constraint):
         """sum of c col_t over linear plus sum of c table(col_i, col_j) over
         quadratic, reduced mod p: zero exactly when the constraint holds."""
-        table, linear, quadratic = constraint
+        k, linear, quadratic = constraint
+        table = self.tables[k]
         out = [0] * len(table[0][0])
         vecs = [(c, cols[t]) for c, t in linear]
         vecs += [(c, bilinear(self.field, table, cols[i], cols[j])) for c, i, j in quadratic]
@@ -315,6 +318,25 @@ class _SearchEngine:
                     out[t] += c * v
         p = self.p
         return tuple([v % p for v in out])
+
+    def _operators(self, table, u):
+        """The matrices of x -> T(x, u) and x -> T(u, x), T the bilinear map
+        with structure tensor `table`, as lists of rows reduced mod p."""
+        m, p = self.m, self.p
+        width = len(table[0][0])
+        left = [[0] * m for _ in range(width)]
+        right = [[0] * m for _ in range(width)]
+        for s, us in enumerate(u):
+            if us:
+                for a in range(m):
+                    for t, w in enumerate(table[a][s]):
+                        if w:
+                            left[t][a] += us * w
+                    for t, w in enumerate(table[s][a]):
+                        if w:
+                            right[t][a] += us * w
+        return ([[v % p for v in row] for row in left],
+                [[v % p for v in row] for row in right])
 
     @staticmethod
     def _reduce(row, echelon, p, width):
@@ -336,13 +358,27 @@ class _SearchEngine:
         reversed coordinate order, so the RREF writes each pivot coordinate
         in terms of earlier free ones and a product over the free
         coordinates walks the solutions in lexicographic order.
+
+        A is summed from the multiplication operators of the set columns: a
+        term c T(col_i, x) adds c times x -> T(col_i, x), a term c T(x, col_j)
+        adds c times x -> T(x, col_j), and the linear term c x adds c I.
         """
         p, m = self.p, self.m
+        depth = len(cols)
         rows = []
-        for reads_x, fixed in self.affine_at[len(cols)]:
-            a_cols = [self._residual(cols + [e], reads_x) for e in reversed(self._unit)]
-            for t, v in enumerate(self._residual(cols, fixed)):
-                rows.append([a[t] for a in a_cols] + [-v % p])
+        for (k, linear, quadratic), fixed in self.affine_at[depth]:
+            a = [[0] * m for _ in range(len(self.tables[k][0][0]))]
+            for c, _ in linear:
+                for t in range(m):
+                    a[t][t] += c
+            for c, i, j in quadratic:
+                op = self._ops[j][k][0] if i == depth else self._ops[i][k][1]
+                for row, op_row in zip(a, op):
+                    for t, v in enumerate(op_row):
+                        if v:
+                            row[t] += c * v
+            for row, v in zip(a, self._residual(cols, fixed)):
+                rows.append([x % p for x in reversed(row)] + [-v % p])
         free = list(range(m))
         exprs = []
         if rows:
@@ -387,6 +423,8 @@ class _SearchEngine:
                     continue
                 cols.append(v)
                 if not any(any(self._residual(cols, c)) for c in self.square_at[depth]):
+                    if depth + 1 < self.m:
+                        self._ops[depth] = [self._operators(table, v) for table in self.tables]
                     inv = pow(red[piv], self.p - 2, self.p)
                     norm = [x * inv % self.p for x in red]
                     yield from descend(depth + 1, rank_rows + [(piv, norm)])
@@ -587,19 +625,33 @@ def classify(algebras, max_gl=None) -> Classification:
     Deterministic: algebras are compared in input order against the
     representatives (earliest member) of the existing classes, grouped first
     by the invariant key so that only plausible pairs are searched.
+
+    Equal inputs are reused: each distinct algebra gets one canonical
+    extension and one key, shared by all its copies, and each search runs
+    once per pair of distinct algebras.  The search is a function of its two
+    extensions, so a copy gets the same class and witness as a fresh search
+    would give it.
     """
     algebras = tuple(algebras)
-    exts = tuple(canonical_extension(a) for a in algebras)
-    keys = [IsoclinismInvariants.from_extension(e).search_key() for e in exts]
+    first = {}
+    distinct = [first.setdefault(a, idx) for idx, a in enumerate(algebras)]
+    ext_of = {idx: canonical_extension(algebras[idx]) for idx in first.values()}
+    key_of = {idx: IsoclinismInvariants.from_extension(e).search_key()
+              for idx, e in ext_of.items()}
+    exts = tuple(ext_of[d] for d in distinct)
+    searched = {}  # (distinct rep, distinct input) -> first witness or None
     classes = []
     for idx, e in enumerate(exts):
         placed = False
         for cls in classes:
             rep = cls.representative
-            if keys[rep] != keys[idx]:
+            pair = distinct[rep], distinct[idx]
+            if key_of[pair[0]] != key_of[pair[1]]:
                 continue
             _check_search_preconditions(exts[rep], e, max_gl)
-            w = _first_witness(exts[rep], e)
+            if pair not in searched:
+                searched[pair] = _first_witness(exts[rep], e)
+            w = searched[pair]
             if w is not None:
                 cls.members.append(idx)
                 cls.witnesses[idx] = w

@@ -19,7 +19,6 @@ from leibalg.extensions import (
     canonical_extension,
     central_extension_from_ideal,
     commutator_map,
-    compute_section,
     diagonal_pullback,
     is_stem_extension,
     product_with_abelian,
@@ -252,17 +251,12 @@ def test_quotient_extension_requires_ideal():
         quotient_extension_by_alpha(pr.extension, bad)
 
 
-def test_make_extension_and_compute_section():
+def test_central_extension_from_ideal_validates():
     g = paper_g2(FQ)
     z = lie_center(g)
     e = central_extension_from_ideal(g, z)
     assert validate_extension(e).ok
-    sec = compute_section(e.pi)
-    assert e.pi.matrix @ sec == Matrix.identity(FQ, e.q.dim)
-    with pytest.raises(ExtensionError, match="surjective"):
-        compute_section(AlgebraMorphism(
-            LeibnizAlgebra.abelian(FQ, 1), LeibnizAlgebra.abelian(FQ, 2),
-            Matrix.from_rows(FQ, [(1,), (0,)])))
+    assert e.pi.matrix @ e.section == Matrix.identity(FQ, e.q.dim)
 
 
 # -- stem predicate ----------------------------------------------------------------

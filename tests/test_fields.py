@@ -68,7 +68,6 @@ def test_arithmetic_inverses_random():
                 continue
             assert field.sub(field.add(a, b), b) == a
             assert field.mul(field.inv(b), b) == field.one
-            assert field.div(field.mul(a, b), b) == a
             assert field.add(a, field.neg(a)) == field.zero
 
 

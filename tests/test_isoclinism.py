@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import leibalg.isoclinism as iso
 from leibalg.algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
@@ -663,3 +664,87 @@ def test_classify_respects_pairwise_search(suite):
             same = result.class_of(i) == result.class_of(j)
             found = algebras_isoclinic(sample[i], sample[j]) is not None
             assert same == found
+
+
+def classify_searching_every_pair(algebras):
+    """classify as it was written before equal inputs were reused: every
+    input gets its own extension and key, and every pair with equal keys is
+    searched.  Returns the classes as (representative, members, witnesses)
+    and the pairs searched, as pairs of algebras."""
+    exts = [canonical_extension(a) for a in algebras]
+    keys = [IsoclinismInvariants.from_extension(e).search_key() for e in exts]
+    classes, searched = [], []
+    for idx, e in enumerate(exts):
+        for rep, members, witnesses in classes:
+            if keys[rep] != keys[idx]:
+                continue
+            searched.append((algebras[rep], algebras[idx]))
+            w = next(_SearchEngine(exts[rep], e).witnesses(), None)
+            if w is not None:
+                members.append(idx)
+                witnesses[idx] = w
+                break
+        else:
+            classes.append((idx, [idx], {idx: identity_witness(e)}))
+    return classes, searched
+
+
+def test_classify_reuses_equal_inputs(suite, monkeypatch):
+    # suite[16] represents a class and its lexicographically first
+    # autoclinism swaps two columns, so its copies must not get the identity
+    base = suite[:20]
+    algebras = (base[:10] + [base[4], base[0], base[16]] + base[10:]
+                + [base[16], base[1], base[15], base[4], base[16], base[7]])
+    e16 = canonical_extension(base[16])
+    assert search_isoclinism(e16, e16).eta != AlgebraMorphism.identity(e16.q)
+    expected, searched = classify_searching_every_pair(algebras)
+    assert len(searched) > len(set(searched))
+
+    built, engines = [], []
+
+    def counting_extension(alg):
+        built.append(alg)
+        return canonical_extension(alg)
+
+    class CountingEngine(_SearchEngine):
+        def __init__(self, e1, e2):
+            engines.append((e1.g, e2.g))
+            super().__init__(e1, e2)
+
+    monkeypatch.setattr(iso, "canonical_extension", counting_extension)
+    monkeypatch.setattr(iso, "_SearchEngine", CountingEngine)
+    result = classify(algebras)
+
+    assert [(cls.representative, cls.members, cls.witnesses)
+            for cls in result.classes] == expected
+    assert built == list(dict.fromkeys(algebras))
+    assert len(engines) == len(set(engines)) == len(set(searched))
+    assert set(engines) == set(searched)
+    rep = algebras.index(base[16])
+    copies = [idx for idx in range(rep + 1, len(algebras)) if algebras[idx] == base[16]]
+    assert len(copies) == 3
+    for idx in copies:
+        cls = result.classes[result.class_of(idx)]
+        assert cls.representative == rep
+        assert cls.witnesses[idx].eta != AlgebraMorphism.identity(e16.q)
+
+
+def test_classify_commutes_with_permuting_its_input(suite):
+    # permuting the input changes only the representatives and the witnesses
+    algebras = suite[:30] + suite[:6]
+    perm = list(range(len(algebras)))
+    random.Random(29).shuffle(perm)
+    permuted = [algebras[k] for k in perm]  # position k holds input perm[k]
+    before, after = classify(algebras), classify(permuted)
+
+    def partition(result, position=lambda k: k):
+        return {frozenset(position(k) for k in cls.members) for cls in result.classes}
+
+    assert partition(after, lambda k: perm[k]) == partition(before)
+    assert ({perm[cls.representative] for cls in after.classes}
+            != {cls.representative for cls in before.classes})
+    for result in (before, after):
+        for cls in result.classes:
+            for member, w in cls.witnesses.items():
+                assert check_witness(result.extensions[cls.representative],
+                                     result.extensions[member], w).ok
