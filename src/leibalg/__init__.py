@@ -15,7 +15,6 @@ from .linalg import (
     image,
     quotient,
     rref,
-    solve_linear_map,
     span,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "image",
     "quotient",
     "rref",
-    "solve_linear_map",
     "span",
     "__version__",
 ]

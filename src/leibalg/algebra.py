@@ -326,17 +326,9 @@ def quotient_algebra(alg: LeibnizAlgebra, ideal: Subspace, basis_names=()) -> Qu
     return QuotientAlgebra(q_alg, proj, qs)
 
 
-@value_class
-class Liezation:
-    algebra: LeibnizAlgebra  # the Lie quotient
-    projection: AlgebraMorphism
-    annihilator: Subspace
-
-
-def liezation(alg: LeibnizAlgebra) -> Liezation:
-    ann = annihilator_ideal(alg)
-    q = quotient_algebra(alg, ann)
-    return Liezation(q.algebra, q.projection, ann)
+def liezation(alg: LeibnizAlgebra) -> QuotientAlgebra:
+    """alg / its annihilator ideal: the largest Lie quotient."""
+    return quotient_algebra(alg, annihilator_ideal(alg))
 
 
 def direct_product(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:

@@ -32,7 +32,6 @@ from .algebra import (
 from .linalg import (
     Matrix,
     Subspace,
-    bilinear,
     full_subspace,
     kernel,
     span,
@@ -127,16 +126,6 @@ class CommutatorMap:
         com = lie_commutator_of(self.extension.g)
         return tuple(tuple(com.coords_of(v) for v in row) for row in self.table)
 
-    def value_on_basis(self, i, j):
-        return self.table[i][j]
-
-    def value(self, x_q, y_q):
-        """Bilinear evaluation on arbitrary quotient coordinate vectors."""
-        g = self.extension.g
-        if not self.table:
-            return vec_zero(g.field, g.dim)
-        return bilinear(g.field, self.table, x_q, y_q)
-
     def value_span(self) -> Subspace:
         vals = [self.table[i][j] for i in range(len(self.table)) for j in range(len(self.table))]
         return span(self.extension.g.field, self.extension.g.dim, vals)
@@ -185,14 +174,6 @@ class ExtensionMorphism:
     @property
     def is_isomorphism(self):
         return self.alpha.is_bijective and self.beta.is_bijective and self.gamma.is_bijective
-
-    def compose(self, inner: "ExtensionMorphism") -> "ExtensionMorphism":
-        if inner.target is not self.source and inner.target != self.source:
-            raise ExtensionError("extension morphism composition mismatch")
-        return ExtensionMorphism(inner.source, self.target,
-                                 self.alpha.compose(inner.alpha),
-                                 self.beta.compose(inner.beta),
-                                 self.gamma.compose(inner.gamma))
 
 
 def _embed_left(f, vec, right_dim):

@@ -25,10 +25,8 @@ from .linalg import (
     LinearMap,
     Matrix,
     image,
-    intersect,
     kernel,
     quotient,
-    solve,
     span,
 )
 
@@ -62,17 +60,11 @@ def hl1_lie(g: LeibnizAlgebra) -> LeibnizAlgebra:
 def theta_image(e: CentralExtension):
     """Image of the connecting map, as a subspace of n.
 
-    Equals chi^{-1}(chi(n) meet [g,g]_Lie); chi is injective, so pulling the
-    intersection back through it is exact and unambiguous.
+    Equals chi^{-1}(chi(n) meet [g,g]_Lie): the kernel of n -> g/[g,g]_Lie,
+    chi followed by the projection.  chi is injective, so this is n meet
+    [g,g]_Lie read in n-coordinates.
     """
-    meet = intersect(e.chi.image_space(), lie_commutator_of(e.g))
-    coords = []
-    for v in meet.basis:
-        y = solve(e.chi.matrix, v)
-        if y is None:
-            raise AssertionError("intersection escaped the image of chi")
-        coords.append(y)
-    return span(e.n.field, e.n.dim, coords)
+    return kernel(quotient(lie_commutator_of(e.g)).projection @ e.chi.matrix)
 
 
 def _induced_on_liezations(e: CentralExtension):
@@ -83,11 +75,10 @@ def _induced_on_liezations(e: CentralExtension):
     proj_q = lz_q.projection.matrix
     a = proj_g @ e.chi.matrix
     b0 = proj_q @ e.pi.matrix
-    for v in lz_g.annihilator.basis:
+    for v in lz_g.structure.ideal.basis:
         if any(b0.apply(v)):
             raise AssertionError("pi does not descend to the liezations")
-    sect_g = quotient(lz_g.annihilator).section
-    b = b0 @ sect_g
+    b = b0 @ lz_g.structure.section
     return lz_g, lz_q, a, b
 
 

@@ -7,8 +7,9 @@ totals that intertwines the commutator maps,
     xi(C1(x, y)) = C2(eta x, eta y)   for all x, y in q1.
 
 Since the commutator-map values span the Lie-commutator, eta determines xi
-uniquely whenever a compatible xi exists: derive_xi solves for it by exact
-linear algebra, so search only ever enumerates eta.
+uniquely whenever a compatible xi exists: derive_xi reads it off one RREF of
+the commutator values in Lie-commutator coordinates, and check_witness
+compares in the same coordinates, so search only ever enumerates eta.
 
 The search fixes the columns of eta one at a time, in lexicographic
 coordinate order.  Every bracket condition that becomes checkable at column
@@ -53,10 +54,7 @@ from .linalg import (
     intersect,
     kernel,
     rref,
-    solve_linear_map,
     subspace_sum,
-    TOTAL,
-    INCONSISTENT,
 )
 
 
@@ -113,33 +111,53 @@ class WitnessReport:
 
 
 def derive_xi(e1: CentralExtension, e2: CentralExtension, eta: AlgebraMorphism):
-    """The unique xi compatible with eta, or None if the system is inconsistent.
+    """The unique xi compatible with eta, or None if no linear map is.
 
     eta must be an isomorphism e1.q -> e2.q; the returned map need not be
     injective (callers decide whether a non-injective xi disqualifies eta).
+
+    Works in Lie-commutator coordinates throughout: one row
+    [C1(b_i, b_j) | C2(eta b_i, eta b_j)] per pair i <= j, and one RREF.  xi
+    exists exactly when no pivot falls in the right block.  The C1 values
+    span [g1, g1]_Lie: a symmetric bracket of two elements of g1 is C1 of
+    their images in q1, because chi(n1) is Lie-central, and the symmetric
+    brackets span the ideal they generate.  So the left block has rank d1,
+    its RREF is [I | xi^T] on the top d1 rows, and row k carries xi(e_k).
     """
     if eta.source != e1.q or eta.target != e2.q:
         raise IsoclinismError("eta endpoints do not match the extensions")
     if not eta.is_bijective:
         raise IsoclinismError("eta is not an isomorphism")
-    c1, c2 = commutator_map(e1), commutator_map(e2)
-    pairs = []
-    for i in range(e1.q.dim):
-        for j in range(i, e1.q.dim):
-            pairs.append((c1.value_on_basis(i, j),
-                          c2.value(eta.matrix.column(i), eta.matrix.column(j))))
-    res = solve_linear_map(pairs, lie_commutator_of(e1.g), lie_commutator_of(e2.g))
-    if res.status == INCONSISTENT:
+    f = e1.g.field
+    com1, com2 = lie_commutator_of(e1.g), lie_commutator_of(e2.g)
+    d1, d2 = com1.dim, com2.dim
+    rows = tuple(u + v for _, _, u, v in _squares(e1, e2, eta))
+    red, pivots = rref(Matrix(f, len(rows), d1 + d2, rows))
+    if pivots and pivots[-1] >= d1:
         return None
-    if res.status != TOTAL:
+    if len(pivots) != d1:
         raise IsoclinismError("commutator values failed to span the Lie-commutator")
-    return res.linear_map
+    return LinearMap(com1, com2,
+                     Matrix.from_columns(f, [r[d1:] for r in red.entries[:d1]], nrows=d2))
+
+
+def _squares(e1, e2, eta):
+    """(i, j, C1(b_i, b_j), C2(eta b_i, eta b_j)) for i <= j, both values in
+    Lie-commutator coordinates."""
+    f = e1.g.field
+    t1, t2 = commutator_map(e1).coord_table, commutator_map(e2).coord_table
+    cols = eta.matrix.columns()
+    for i in range(len(cols)):
+        for j in range(i, len(cols)):
+            yield i, j, t1[i][j], bilinear(f, t2, cols[i], cols[j])
 
 
 def check_witness(e1: CentralExtension, e2: CentralExtension,
                   witness: IsoclinismWitness) -> WitnessReport:
     """Full verification of a witness against two extensions.
 
+    The squares are compared in Lie-commutator coordinates: xi applied to
+    the coordinates of C1(b_i, b_j) against those of C2(eta b_i, eta b_j).
     xi only needs to be checked injective: when eta is onto and the squares
     match, the xi-image contains every C2 value and those span the target
     Lie-commutator, so surjectivity is automatic; the report records whether
@@ -159,15 +177,11 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     xi_inj = xi.is_injective
     if not xi_inj:
         failures.append("xi is not injective")
-    c1, c2 = commutator_map(e1), commutator_map(e2)
     compat = True
-    for i in range(e1.q.dim):
-        for j in range(i, e1.q.dim):
-            lhs = xi.apply_ambient(c1.value_on_basis(i, j))
-            rhs = c2.value(eta.matrix.column(i), eta.matrix.column(j))
-            if lhs != rhs:
-                compat = False
-                failures.append(f"commutator squares disagree at basis pair ({i}, {j})")
+    for i, j, u, v in _squares(e1, e2, eta):
+        if xi.matrix.apply(u) != v:
+            compat = False
+            failures.append(f"commutator squares disagree at basis pair ({i}, {j})")
     automatic = eta_bij and xi_inj and compat
     if automatic and not xi.is_surjective:
         # cannot happen mathematically; keep the check honest anyway

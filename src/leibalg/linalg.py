@@ -99,19 +99,6 @@ class Matrix:
                       tuple(tuple(of(sum(map(mul, row, col))) for col in cols)
                             for row in self.entries))
 
-    def __add__(self, other):
-        if self.field != other.field or (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LinalgError("matrix add mismatch")
-        f = self.field
-        return Matrix(f, self.nrows, self.ncols,
-                      tuple(tuple(f.add(a, b) for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        f = self.field
-        return self + Matrix(f, other.nrows, other.ncols,
-                             tuple(tuple(f.neg(v) for v in r) for r in other.entries))
-
     def hstack(self, other):
         if self.nrows != other.nrows or self.field != other.field:
             raise LinalgError("hstack mismatch")
@@ -331,19 +318,6 @@ def image(m: Matrix) -> Subspace:
     return span(m.field, m.nrows, m.columns())
 
 
-def solve(m: Matrix, rhs):
-    """One exact solution of M @ x = rhs (free coordinates zero), or None."""
-    f = m.field
-    b = Matrix(f, m.nrows, 1, tuple((f.of(v),) for v in rhs))
-    red, pivots = rref(m.hstack(b))
-    if any(p == m.ncols for p in pivots):
-        return None
-    x = [f.zero] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = red.entries[i][m.ncols]
-    return tuple(x)
-
-
 @value_class
 class QuotientStructure:
     """F^n / ideal with a fixed section through standard coordinates.
@@ -366,9 +340,6 @@ class QuotientStructure:
 
     def project(self, vec):
         return self.projection.apply(tuple(self.field.of(v) for v in vec))
-
-    def lift(self, coords):
-        return self.section.apply(tuple(self.field.of(v) for v in coords))
 
 
 def quotient(ideal: Subspace) -> QuotientStructure:
@@ -434,75 +405,3 @@ class LinearMap:
     @classmethod
     def identity(cls, space: Subspace) -> "LinearMap":
         return cls(space, space, Matrix.identity(space.field, space.dim))
-
-
-TOTAL = "total"
-UNDERDETERMINED = "underdetermined"
-INCONSISTENT = "inconsistent"
-
-
-@value_class
-class SolveResult:
-    """Outcome of solve_linear_map.
-
-    status: "total" (map defined on all of domain), "underdetermined" (pairs
-    only span a proper subspace; linear_map is the unique map on that span),
-    or "inconsistent" (no linear map satisfies the pairs; linear_map is None).
-    """
-
-    status: str
-    linear_map: LinearMap | None
-
-    def __bool__(self):
-        return self.status == TOTAL
-
-
-def solve_linear_map(pairs, domain: Subspace, codomain: Subspace) -> SolveResult:
-    """The unique linear map sending each v_in to v_out, if one exists.
-
-    pairs is a sequence of (v_in, v_out) ambient vectors with v_in in domain
-    and v_out in codomain (violations raise).  Deterministic: everything is
-    read off one RREF of the stacked [coords_in | coords_out] system.
-    """
-    f = domain.field
-    d1, d2 = domain.dim, codomain.dim
-    rows = []
-    for vin, vout in pairs:
-        rows.append(domain.coords_of(vin) + codomain.coords_of(vout))
-    if rows:
-        red, pivots = rref(Matrix(f, len(rows), d1 + d2, tuple(rows)))
-        if any(p >= d1 for p in pivots):
-            return SolveResult(INCONSISTENT, None)
-        red_rows = [red.entries[i] for i in range(len(pivots))]
-    else:
-        pivots, red_rows = [], []
-    rank = len(pivots)
-
-    def image_of(coord_vec):
-        # express coord_vec over the left parts, accumulate the right parts
-        v = list(coord_vec)
-        out = [f.zero] * d2
-        for row, piv in zip(red_rows, pivots):
-            c = v[piv]
-            if c:
-                for t in range(d1):
-                    v[t] = f.sub(v[t], f.mul(c, row[t]))
-                for t in range(d2):
-                    out[t] = f.add(out[t], f.mul(c, row[d1 + t]))
-        if any(v):
-            raise LinalgError("coordinate vector outside the solved span")
-        return tuple(out)
-
-    if d2 == 0:
-        # the zero codomain admits exactly one map however few pairs were given
-        return SolveResult(TOTAL, LinearMap(domain, codomain, Matrix.zeros(f, 0, d1)))
-    if rank == d1:
-        cols = [image_of(tuple(f.one if t == i else f.zero for t in range(d1))) for i in range(d1)]
-        mat = Matrix.from_columns(f, cols, nrows=d2)
-        return SolveResult(TOTAL, LinearMap(domain, codomain, mat))
-
-    # proper span: restate the map on span(v_in)
-    sub = span(f, domain.ambient_dim, [domain.vector_from_coords(r[:d1]) for r in red_rows])
-    cols = [image_of(domain.coords_of(b)) for b in sub.basis]
-    mat = Matrix.from_columns(f, cols, nrows=d2)
-    return SolveResult(UNDERDETERMINED, LinearMap(sub, codomain, mat))

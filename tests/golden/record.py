@@ -1,0 +1,134 @@
+"""Write the golden CLI fixtures: the input documents and cases.json.
+
+Run from a checkout, with the library on the path:
+
+    PYTHONPATH=src python tests/golden/record.py
+
+Each case is one command line together with the stdout, stderr and exit code
+that `leibalg.cli.main` gave for it, run with this directory as the working
+directory.  tests/test_golden.py replays every case and compares the bytes.
+Re-record only for an intended change of a report, and say which cases
+changed and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))  # the tests' conftest: fixtures and suite
+
+from conftest import F3, F5, FQ, algebra_suite, nilpotent_n2, paper_g1  # noqa: E402
+
+from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product  # noqa: E402
+from leibalg.cli import main  # noqa: E402
+from leibalg.documents import canonical_json, serialize_algebra  # noqa: E402
+from leibalg.linalg import Matrix  # noqa: E402
+
+G1 = ("catalog:paper_g1", "catalog:paper_g2")
+COMMANDS = [
+    ("catalog", "list"),
+    ("catalog", "show", "paper_g2", "--field", "5"),
+    ("validate", "catalog:paper_g1", "--field", "3"),
+    ("validate", "docs/not_leibniz.json"),
+    ("invariants", "catalog:paper_g2"),
+    ("invariants", "catalog:paper_g1", "--field", "7", "--seed", "7"),
+    ("invariants", "docs/n2_q.json", "--field", "5"),
+    ("isoclinic", *G1, "--field", "3"),
+    ("isoclinic", *G1, "--field", "5", "--search"),
+    ("isoclinic", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
+    ("isoclinic", "docs/square_11.json", "docs/square_12.json"),
+    ("isoclinic", "docs/g1xg1.json", "docs/g1xg1_moved.json"),
+    ("isoclinic", *G1, "--field", "3", "--witness", "docs/witness_ok.json"),
+    ("isoclinic", *G1, "--witness", "docs/witness_ok_q.json"),
+    ("isoclinic", *G1, "--field", "3", "--witness", "docs/witness_scaled.json"),
+    ("isoclinic", *G1, "--field", "3", "--witness", "docs/witness_zero_xi.json"),
+    ("isoclinic", *G1, "--field", "3", "--witness", "docs/witness_not_morphism.json"),
+    ("isoclinic", *G1, "--field", "3", "--witness", "docs/witness_bad_shape.json"),
+    ("extension", "canonical", "catalog:paper_g2", "--field", "7"),
+    ("extension", "canonical", "docs/n2_q.json"),
+    ("extension", "backward", *G1, "--field", "3"),
+    ("extension", "pullback", *G1, "--field", "5"),
+    ("extension", "product", "catalog:paper_g1", "--field", "3", "--abelian-dim", "2"),
+    ("classify", "docs/batch"),
+    ("invariants", "docs/missing.json"),
+]
+
+
+def quadratic_form_algebra(d1, d2):
+    """[e1,e1] = d1 e3, [e2,e2] = d2 e3 over F_3: equal search keys, and
+    isoclinic only when x^2 + d2/d1 y^2 is equivalent to x^2 + y^2."""
+    return LeibnizAlgebra.from_structure(F3, 3, {(0, 0): (0, 0, d1), (1, 1): (0, 0, d2)})
+
+
+def change_basis(alg, p_mat):
+    """P.g: the algebra for which x -> P x is an isomorphism from g."""
+    cols = p_mat.inverse().columns()
+    h = LeibnizAlgebra.from_structure(
+        alg.field, alg.dim,
+        [[p_mat.apply(alg.bracket(cols[i], cols[j])) for j in range(alg.dim)]
+         for i in range(alg.dim)])
+    AlgebraMorphism(alg, h, p_mat)
+    return h
+
+
+def documents():
+    """Relative path -> text of every input file."""
+    g1xg1 = direct_product(paper_g1(F5), paper_g1(F5))
+    moved = change_basis(g1xg1, Matrix.from_rows(
+        F5, [(1, 2, 0, 0), (0, 1, 0, 3), (0, 0, 1, 1), (3, 0, 0, 1)]))
+    algebras = {
+        "n2_q": nilpotent_n2(FQ),
+        "square_11": quadratic_form_algebra(1, 1),
+        "square_12": quadratic_form_algebra(1, 2),
+        "g1xg1": g1xg1,
+        "g1xg1_moved": moved,
+    }
+    batch = list(dict.fromkeys(algebra_suite()))[:14]  # distinct, in suite order
+    batch += [batch[0], batch[6]]  # copies: classify reuses equal inputs
+    algebras.update({f"batch/a{k:02d}": alg for k, alg in enumerate(batch)})
+    out = {f"docs/{name}.json": canonical_json(serialize_algebra(alg))
+           for name, alg in algebras.items()}
+    bad = serialize_algebra(paper_g1(F3))
+    bad["brackets"] = [{"left": 0, "right": 0, "value": [1, 0]},
+                       {"left": 0, "right": 1, "value": [0, 1]}]
+    out["docs/not_leibniz.json"] = canonical_json(bad)
+    witnesses = {
+        "ok": {"eta": [[1, 0], [0, 1]], "xi": [[1]]},
+        "ok_q": {"eta": [["1", "0"], ["1", "2"]], "xi": [["2"]]},
+        "scaled": {"eta": [[1, 0], [0, 1]], "xi": [[2]]},
+        "zero_xi": {"eta": [[1, 0], [1, 2]], "xi": [[0]]},
+        "not_morphism": {"eta": [[0, 1], [1, 0]], "xi": [[1]]},
+        "bad_shape": {"eta": [[1]], "xi": [[1]]},
+    }
+    for name, doc in witnesses.items():
+        out[f"docs/witness_{name}.json"] = canonical_json(doc)
+    return out
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def cases():
+    return [run(argv + fmt) for argv in COMMANDS for fmt in ((), ("--format", "json"))]
+
+
+if __name__ == "__main__":
+    os.environ.pop("LEIBALG_MAX_GL", None)
+    for rel, text in documents().items():
+        path = HERE / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    os.chdir(HERE)
+    recorded = cases()
+    (HERE / "cases.json").write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(recorded)} cases", file=sys.stderr)

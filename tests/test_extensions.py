@@ -26,7 +26,7 @@ from leibalg.extensions import (
     validate_extension,
 )
 from leibalg.isoclinism import search_isoclinism
-from leibalg.linalg import Matrix, span, zero_subspace
+from leibalg.linalg import Matrix, bilinear, span, zero_subspace
 
 from conftest import F3, F5, FQ, lie_r2, nilpotent_n2, paper_g1, paper_g2, random_vector
 
@@ -90,6 +90,36 @@ def test_validator_catches_broken_squares():
     assert any("section" in f for f in report.failures)
 
 
+def test_validator_reports_each_broken_map():
+    # hand-broken variants of 0 -> Z_Lie -> g2 -> g2/Z_Lie -> 0 over Q, each
+    # with the exact failures it must produce, in the validator's order
+    e1, e2 = canonical_pair()
+    f, n, g, q = FQ, e2.n, e2.g, e2.q
+
+    def report(**parts):
+        fields = dict(n=n, g=g, q=q, chi=e2.chi, pi=e2.pi, section=e2.section)
+        fields.update(parts)
+        return validate_extension(CentralExtension(**fields)).failures
+
+    assert report() == ()
+    # n and q replaced by equal-dimensional algebras with other basis names
+    assert report(n=LeibnizAlgebra.abelian(f, 1)) == ("chi endpoints do not match n -> g",)
+    assert report(q=e1.q) == ("pi endpoints do not match g -> q",)
+    zero_chi = AlgebraMorphism(n, g, Matrix.zeros(f, g.dim, n.dim))
+    assert report(chi=zero_chi) == ("chi is not injective", "image(chi) != kernel(pi)")
+    zero_pi = AlgebraMorphism(g, q, Matrix.zeros(f, q.dim, g.dim))
+    assert report(pi=zero_pi) == ("pi is not surjective", "image(chi) != kernel(pi)",
+                                  "section is not a right inverse of pi")
+    # g2 x F r has Lie-center span{a2 - a3, r}; extend by span{r}, then let
+    # chi hit a2 - a3 instead: still injective and Lie-central, not exact
+    gr = direct_product(paper_g2(FQ), LeibnizAlgebra.abelian(FQ, 1))
+    e = central_extension_from_ideal(gr, span(FQ, 4, [(0, 0, 0, 1)]))
+    assert validate_extension(e).ok
+    off = AlgebraMorphism(e.n, gr, Matrix.from_columns(FQ, [(0, 1, -1, 0)]))
+    assert validate_extension(CentralExtension(e.n, gr, e.q, off, e.pi, e.section)).failures == (
+        "image(chi) != kernel(pi)",)
+
+
 # -- the commutator map --------------------------------------------------------
 
 
@@ -97,14 +127,14 @@ def test_commutator_map_fixture_values():
     e1, e2 = canonical_pair()
     c1 = commutator_map(e1)
     # q1 = g1 since Z_Lie(g1) = 0; values land in [g1,g1]_Lie = span{e2}
-    assert c1.value_on_basis(0, 0) == (Fraction(0), Fraction(2))
-    assert c1.value_on_basis(0, 1) == (Fraction(0), Fraction(1))
-    assert c1.value_on_basis(1, 1) == (Fraction(0), Fraction(0))
+    assert c1.table[0][0] == (Fraction(0), Fraction(2))
+    assert c1.table[0][1] == (Fraction(0), Fraction(1))
+    assert c1.table[1][1] == (Fraction(0), Fraction(0))
     c2 = commutator_map(e2)
     # q2 has coset representatives (a1, a3)
-    assert c2.value_on_basis(0, 0) == (Fraction(0), Fraction(0), Fraction(2))
-    assert c2.value_on_basis(0, 1) == (Fraction(0), Fraction(0), Fraction(1))
-    assert c2.value_on_basis(1, 1) == (Fraction(0), Fraction(0), Fraction(0))
+    assert c2.table[0][0] == (Fraction(0), Fraction(0), Fraction(2))
+    assert c2.table[0][1] == (Fraction(0), Fraction(0), Fraction(1))
+    assert c2.table[1][1] == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_commutator_map_symmetric_bilinear(suite):
@@ -115,9 +145,10 @@ def test_commutator_map_symmetric_bilinear(suite):
         for _ in range(5):
             x = random_vector(rng, F3, e.q.dim)
             y = random_vector(rng, F3, e.q.dim)
-            assert c.value(x, y) == c.value(y, x)
+            xy = bilinear(F3, c.table, x, y)
+            assert xy == bilinear(F3, c.table, y, x)
             two_x = tuple((2 * t) % 3 for t in x)
-            assert c.value(two_x, y) == tuple((2 * t) % 3 for t in c.value(x, y))
+            assert bilinear(F3, c.table, two_x, y) == tuple((2 * t) % 3 for t in xy)
 
 
 def test_commutator_map_independent_of_lift(suite):
@@ -132,7 +163,8 @@ def test_commutator_map_independent_of_lift(suite):
             y = random_vector(rng, F3, e.q.dim)
             shift = e.chi.apply(random_vector(rng, F3, e.n.dim))
             lifted = tuple((a + s) % 3 for a, s in zip(e.lift(x), shift))
-            assert alg.symmetric_bracket(lifted, e.lift(y)) == c.value(x, y)
+            value = lie_commutator_of(alg).vector_from_coords(bilinear(F3, c.coord_table, x, y))
+            assert alg.symmetric_bracket(lifted, e.lift(y)) == value
 
 
 def test_commutator_values_span_lie_commutator(suite):

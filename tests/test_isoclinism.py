@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ import leibalg.isoclinism as iso
 from leibalg.algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
+    MorphismError,
     direct_product,
     ideal_closure,
     lie_center,
@@ -15,7 +17,13 @@ from leibalg.algebra import (
     subalgebra,
     subalgebra_closure,
 )
-from leibalg.extensions import backward_extension, canonical_extension, diagonal_pullback
+from leibalg.extensions import (
+    backward_extension,
+    canonical_extension,
+    central_extension_from_ideal,
+    commutator_map,
+    diagonal_pullback,
+)
 from leibalg.fields import FieldError
 from leibalg.isoclinism import (
     DEFAULT_MAX_GL,
@@ -42,9 +50,17 @@ from leibalg.isoclinism import (
     search_isoclinism,
     triple_to_witness,
 )
-from leibalg.linalg import LinearMap, Matrix, intersect, span, subspace_sum
+from leibalg.linalg import (
+    LinearMap,
+    Matrix,
+    bilinear,
+    full_subspace,
+    intersect,
+    span,
+    subspace_sum,
+)
 
-from conftest import F3, F5, FQ, lie_r2, paper_g1, paper_g2
+from conftest import F3, F5, FQ, lie_r2, nilpotent_n2, paper_g1, paper_g2
 
 
 def paper_pair(field=F3):
@@ -78,6 +94,15 @@ def contract(p, table, x, y):
                  for t in range(len(table[0][0])))
 
 
+def commutator_table(e):
+    """C(b_i, b_j) = [s b_i, s b_j] + [s b_j, s b_i] in g coordinates, mod p."""
+    p = e.g.field.p
+    lifts = e.section.columns()
+    return [[tuple((a + b) % p for a, b in zip(contract(p, e.g.structure, u, v),
+                                                contract(p, e.g.structure, v, u)))
+             for v in lifts] for u in lifts]
+
+
 def brute_force_witness_columns(e1, e2, xi_injective=True):
     """Enumerate GL(q1.dim, p) directly and test each candidate from scratch.
 
@@ -91,13 +116,6 @@ def brute_force_witness_columns(e1, e2, xi_injective=True):
     p = f.p
     if q1.dim != q2.dim:
         return []
-
-    def commutator_table(e):
-        lifts = e.section.columns()
-        return [[tuple((a + b) % p for a, b in zip(contract(p, e.g.structure, u, v),
-                                                    contract(p, e.g.structure, v, u)))
-                 for v in lifts] for u in lifts]
-
     c1, c2 = commutator_table(e1), commutator_table(e2)
     pairs = [(i, j) for i in range(q1.dim) for j in range(q1.dim)]
     com1 = span(f, e1.g.dim, [c1[i][j] for i, j in pairs])
@@ -281,6 +299,89 @@ def test_derive_xi_rejects_bad_eta():
     other = canonical_extension(lie_r2(F3))
     with pytest.raises(IsoclinismError, match="endpoints"):
         derive_xi(other, e2, AlgebraMorphism.identity(other.q))
+
+
+def morphisms_between(q1, q2, matrices):
+    """The bracket-preserving maps q1 -> q2 among the given invertible matrices."""
+    for mat in matrices:
+        try:
+            yield AlgebraMorphism(q1, q2, mat)
+        except MorphismError:
+            pass
+
+
+def invertible_matrices(field, m, values):
+    """Every invertible m x m matrix with entries from values."""
+    for entries in itertools.product(values, repeat=m * m):
+        mat = Matrix.from_rows(field, [entries[r * m:(r + 1) * m] for r in range(m)], ncols=m)
+        if mat.rank() == m:
+            yield mat
+
+
+def test_derive_xi_against_brute_force(suite):
+    # every eta in GL(m, F_3) between distinct suite algebras with q-dim <= 2:
+    # derive_xi returns the only linear map com1 -> com2 with
+    # xi(C1(b_i, b_j)) = C2(eta b_i, eta b_j) for all i, j, found here by
+    # trying all 3^(d1 d2) maps in coordinates, or None when none of them fits
+    exts = [e for e in map(canonical_extension, dict.fromkeys(suite)) if e.q.dim <= 2]
+    gl = {m: list(invertible_matrices(F3, m, range(3))) for m in range(3)}
+    outcomes = Counter()
+    for e1, e2 in itertools.permutations(exts, 2):
+        if e1.q.dim != e2.q.dim:
+            continue
+        com1, com2 = lie_commutator_of(e1.g), lie_commutator_of(e2.g)
+        c2 = commutator_table(e2)
+        pairs = list(itertools.product(range(e1.q.dim), repeat=2))
+        sources = [com1.coords_of(v) for row in commutator_table(e1) for v in row]
+        maps = list(all_matrices(F3, com2.dim, com1.dim))
+        for eta in morphisms_between(e1.q, e2.q, gl[e1.q.dim]):
+            cols = eta.matrix.columns()
+            images = [com2.coords_of(contract(3, c2, cols[i], cols[j])) for i, j in pairs]
+            fits = [x for x in maps if [x.apply(u) for u in sources] == images]
+            assert len(fits) <= 1
+            xi = derive_xi(e1, e2, eta)
+            assert (xi and xi.matrix) == (fits[0] if fits else None)
+            outcomes[bool(fits)] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100
+
+
+def test_derive_xi_over_rationals_against_check_witness():
+    # every pair here has one-dimensional Lie-commutators, so a compatible xi
+    # is a scalar: a ratio C2(eta b_i, eta b_j) / C1(b_i, b_j) that
+    # check_witness accepts.  derive_xi must return it, or None when no ratio
+    # passes.  x^2 + y^2 is similar to 2x^2 + 2y^2 but to no multiple of
+    # x^2 + 2y^2, since 2 is not a square in Q
+    square = {d: quadratic_form_algebra(*d, field=FQ) for d in ((1, 1), (2, 2), (1, 2))}
+    outcomes = Counter()
+    for a, b in [(paper_g1(FQ), paper_g2(FQ)), (paper_g2(FQ), paper_g1(FQ)),
+                 (nilpotent_n2(FQ), nilpotent_n2(FQ)),
+                 (square[1, 1], square[2, 2]), (square[1, 1], square[1, 2])]:
+        e1, e2 = canonical_extension(a), canonical_extension(b)
+        com1, com2 = lie_commutator_of(a), lie_commutator_of(b)
+        assert com1.dim == com2.dim == 1
+        c1, c2 = commutator_map(e1), commutator_map(e2)
+        small = invertible_matrices(FQ, e1.q.dim, (-1, 0, 1, 2))
+        for eta in morphisms_between(e1.q, e2.q, small):
+            cols = eta.matrix.columns()
+            fits = set()
+            for i, j in itertools.product(range(e1.q.dim), repeat=2):
+                u = com1.coords_of(c1.table[i][j])[0]
+                if u:
+                    v = com2.coords_of(bilinear(FQ, c2.table, cols[i], cols[j]))[0]
+                    xi = LinearMap(com1, com2, Matrix(FQ, 1, 1, ((v / u,),)))
+                    if check_witness(e1, e2, IsoclinismWitness(eta, xi)).ok:
+                        fits.add(xi)
+            assert {derive_xi(e1, e2, eta)} - {None} == fits
+            outcomes[bool(fits)] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 10
+
+
+def test_derive_xi_refuses_commutator_values_that_do_not_span():
+    # n = g is not Lie-central: the quotient is 0, so there are no
+    # commutator values, while [g, g]_Lie = span(e2)
+    e = central_extension_from_ideal(nilpotent_n2(FQ), full_subspace(FQ, 2))
+    with pytest.raises(IsoclinismError, match="span"):
+        derive_xi(e, e, AlgebraMorphism.identity(e.q))
 
 
 def test_search_requires_matching_fields():

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,12 +5,9 @@ import pytest
 
 from leibalg.fields import MAX_PRIME, Field, _is_prime
 from leibalg.linalg import (
-    INCONSISTENT,
     LinalgError,
     LinearMap,
     Matrix,
-    TOTAL,
-    UNDERDETERMINED,
     bilinear,
     full_subspace,
     image,
@@ -19,8 +15,6 @@ from leibalg.linalg import (
     kernel,
     quotient,
     rref,
-    solve,
-    solve_linear_map,
     span,
     subspace_sum,
     vec_add,
@@ -92,7 +86,6 @@ def test_matrix_algebra_round_trips():
             v = random_vector(rng, field, m)
             assert (a @ b).apply(v) == a.apply(b.apply(v))
             assert a.transpose().transpose() == a
-            assert (a + a) - a == a
         # an empty column list with explicit nrows is the n x 0 matrix
         for n in (0, 1, 4):
             assert Matrix.from_columns(field, [], nrows=n) == Matrix.zeros(field, n, 0)
@@ -156,20 +149,6 @@ def test_inverse_iff_full_rank():
                 assert inv @ a == Matrix.identity(field, n)
             else:
                 assert inv is None
-
-
-def test_solve_against_brute_force():
-    rng = random.Random(106)
-    for _ in range(50):
-        n, m = rng.randint(1, 3), rng.randint(1, 3)
-        a = random_matrix(rng, F3, n, m)
-        b = random_vector(rng, F3, n)
-        x = solve(a, b)
-        solutions = [v for v in all_vectors(F3, m) if a.apply(v) == b]
-        if solutions:
-            assert x is not None and a.apply(x) == b
-        else:
-            assert x is None
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -236,7 +215,7 @@ def test_kernel_image_rank_nullity():
             for v in ker.basis:
                 assert not any(a.apply(v))
             for v in im.basis:
-                assert solve(a, v) is not None
+                assert a.hstack(Matrix.from_columns(field, [v])).rank() == a.rank()
 
 
 def test_quotient_structure_laws():
@@ -255,56 +234,6 @@ def test_quotient_structure_laws():
 
 
 # -- linear maps between subspaces --------------------------------------------
-
-
-def _all_linear_maps(domain, codomain):
-    """Brute-force oracle: every linear map as a (codomain.dim x domain.dim)
-    coordinate matrix over F_3."""
-    d1, d2 = domain.dim, codomain.dim
-    if d1 == 0 or d2 == 0:
-        yield Matrix.zeros(F3, d2, d1)
-        return
-    for flat in itertools.product(range(3), repeat=d1 * d2):
-        yield Matrix.from_rows(F3, [flat[i * d1:(i + 1) * d1] for i in range(d2)])
-
-
-def test_solve_linear_map_against_brute_force():
-    rng = random.Random(112)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 3)
-        domain = span(F3, n, [random_vector(rng, F3, n) for _ in range(rng.randint(1, 2))])
-        codomain = span(F3, m, [random_vector(rng, F3, m) for _ in range(rng.randint(1, 2))])
-        pairs = []
-        for _ in range(rng.randint(0, 3)):
-            cin = random_vector(rng, F3, domain.dim)
-            cout = random_vector(rng, F3, codomain.dim)
-            pairs.append((domain.vector_from_coords(cin),
-                          codomain.vector_from_coords(cout)))
-        matching = [mat for mat in _all_linear_maps(domain, codomain)
-                    if all(mat.apply(domain.coords_of(a)) == tuple(codomain.coords_of(b))
-                           for a, b in pairs)]
-        res = solve_linear_map(pairs, domain, codomain)
-        if not matching:
-            assert res.status == INCONSISTENT
-            assert not res
-        elif len(matching) == 1:
-            assert res.status == TOTAL
-            assert res.linear_map.matrix == matching[0]
-        else:
-            assert res.status == UNDERDETERMINED
-            partial = res.linear_map
-            for a, b in pairs:
-                assert partial.apply_ambient(a) == b
-
-
-def test_solve_linear_map_total_on_spanning_pairs():
-    domain = span(F3, 2, [(1, 0), (0, 1)])
-    codomain = span(F3, 2, [(1, 0), (0, 1)])
-    pairs = [((1, 0), (0, 1)), ((0, 1), (2, 0)), ((1, 1), (2, 1))]
-    res = solve_linear_map(pairs, domain, codomain)
-    assert res.status == TOTAL
-    assert res.linear_map.apply_ambient((1, 2)) == (1, 1)
 
 
 def test_linear_map_compose_inverse():
