@@ -191,12 +191,20 @@ def load_algebra(ref: str, field: Field | None, check=True) -> LeibnizAlgebra:
         alg = catalog_entry(ref[len(CATALOG_PREFIX):],
                             field if field is not None else Field.rationals())
         return alg
-    with open(ref, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    return parse_algebra(_read_text(ref), field, check)
+
+
+def parse_algebra(text: str, field: Field | None, check=True) -> LeibnizAlgebra:
+    """The algebra of a document's text, reduced to field when one is given."""
     alg = parse_algebra_json(text, check=check)
     if field is not None and alg.field != field:
         alg = convert_field(alg, field)
     return alg
+
+
+def _read_text(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _read_json(path):
@@ -371,9 +379,13 @@ def cmd_classify(args):
 
     field = _target_field(args)
     names = sorted(n for n in os.listdir(args.directory) if n.endswith(".json"))
+    parsed = {}  # document text -> its algebra: copies are parsed once
     algebras = []
     for name in names:
-        algebras.append(load_algebra(os.path.join(args.directory, name), field))
+        text = _read_text(os.path.join(args.directory, name))
+        if text not in parsed:
+            parsed[text] = parse_algebra(text, field)
+        algebras.append(parsed[text])
     fields = {alg.field for alg in algebras}
     if len(fields) > 1 or (algebras and not algebras[0].field.is_finite):
         raise DocumentError(
@@ -390,7 +402,12 @@ def cmd_classify(args):
             "witnesses": {names[i]: witness_payload(w)
                           for i, w in sorted(cls.witnesses.items())},
         })
-    inputs = {names[i]: algebra_hash(algebras[i]) for i in range(len(names))}
+    hashes = {}  # distinct algebra -> its hash
+    inputs = {}
+    for name, alg in zip(names, algebras):
+        if alg not in hashes:
+            hashes[alg] = algebra_hash(alg)
+        inputs[name] = hashes[alg]
     emit(args, "classify", inputs, "ok",
          {"count": len(classes), "classes": classes})
     return EXIT_OK

@@ -34,6 +34,7 @@ from .linalg import (
     Subspace,
     full_subspace,
     kernel,
+    quotient,
     span,
     vec_zero,
 )
@@ -49,7 +50,8 @@ class CentralExtension:
 
     Not validated at construction so that broken candidates can be fed to
     validate_extension; every constructor in this module produces valid ones.
-    The commutator map is computed once, on first request, and kept.
+    The commutator map and the theta image are computed once, on first
+    request, and kept.
     """
 
     n: LeibnizAlgebra
@@ -67,6 +69,11 @@ class CentralExtension:
         lifts = [self.section.column(j) for j in range(self.q.dim)]
         return CommutatorMap(self, tuple(
             tuple(self.g.symmetric_bracket(x, y) for y in lifts) for x in lifts))
+
+    @cached_property
+    def _theta_image(self) -> Subspace:
+        # homology.theta_image: the kernel of n -> g/[g,g]_Lie
+        return kernel(quotient(lie_commutator_of(self.g)).projection @ self.chi.matrix)
 
 
 @value_class
@@ -125,10 +132,6 @@ class CommutatorMap:
         """coord_table[i][j] = coordinates of C(b_i, b_j) in [g, g]_Lie."""
         com = lie_commutator_of(self.extension.g)
         return tuple(tuple(com.coords_of(v) for v in row) for row in self.table)
-
-    def value_span(self) -> Subspace:
-        vals = [self.table[i][j] for i in range(len(self.table)) for j in range(len(self.table))]
-        return span(self.extension.g.field, self.extension.g.dim, vals)
 
     def radical(self) -> Subspace:
         """{x in q : C(x, y) = 0 for all y}, an isoclinism-invariant subspace."""

@@ -26,7 +26,6 @@ from .linalg import (
     Matrix,
     image,
     kernel,
-    quotient,
     span,
 )
 
@@ -62,9 +61,9 @@ def theta_image(e: CentralExtension):
 
     Equals chi^{-1}(chi(n) meet [g,g]_Lie): the kernel of n -> g/[g,g]_Lie,
     chi followed by the projection.  chi is injective, so this is n meet
-    [g,g]_Lie read in n-coordinates.
+    [g,g]_Lie read in n-coordinates.  Computed once per extension.
     """
-    return kernel(quotient(lie_commutator_of(e.g)).projection @ e.chi.matrix)
+    return e._theta_image
 
 
 def _induced_on_liezations(e: CentralExtension):

@@ -24,7 +24,11 @@ first one, and any concurrent evaluation of branches must preserve that
 (the implementation here is sequential).
 
 Two algebras are isoclinic when their canonical extensions by the Lie-center
-are; classify() partitions a list of algebras by that relation.
+are; classify() partitions a list of algebras by that relation.  The search
+and its invariant key read only each side's isoclinism datum (q, C): the
+quotient algebra and the commutator map in Lie-commutator coordinates.  So
+isoclinism, and the matrices of the first witness, are functions of the two
+data, and classify() searches each pair of data once.
 """
 
 from __future__ import annotations
@@ -640,33 +644,46 @@ def classify(algebras, max_gl=None) -> Classification:
     representatives (earliest member) of the existing classes, grouped first
     by the invariant key so that only plausible pairs are searched.
 
-    Equal inputs are reused: each distinct algebra gets one canonical
-    extension and one key, shared by all its copies, and each search runs
-    once per pair of distinct algebras.  The search is a function of its two
-    extensions, so a copy gets the same class and witness as a fresh search
-    would give it.
+    Each distinct algebra gets one canonical extension, shared by its copies.
+    Isoclinism is a function of the datum (q, C) of each side: the quotient
+    algebra and the commutator map in Lie-commutator coordinates, over one
+    field.  The key and the search read nothing else, so the key is computed
+    once per datum and the search runs once per pair of data.  A witness
+    found for another pair with the same data is rebuilt on this pair's own
+    quotients and Lie-commutators, so every class, member and witness is the
+    one a search of this very pair would give.
     """
     algebras = tuple(algebras)
-    first = {}
-    distinct = [first.setdefault(a, idx) for idx, a in enumerate(algebras)]
-    ext_of = {idx: canonical_extension(algebras[idx]) for idx in first.values()}
-    key_of = {idx: IsoclinismInvariants.from_extension(e).search_key()
-              for idx, e in ext_of.items()}
-    exts = tuple(ext_of[d] for d in distinct)
-    searched = {}  # (distinct rep, distinct input) -> first witness or None
+    ext_of, datum_of = {}, {}  # distinct algebra -> its extension, its datum's number
+    numbers, keys = {}, []  # datum -> its number; number -> search key
+    for a in algebras:
+        if a in ext_of:
+            continue
+        e = ext_of[a] = canonical_extension(a)
+        d = datum_of[a] = numbers.setdefault(_datum(e), len(numbers))
+        if d == len(keys):
+            keys.append(IsoclinismInvariants.from_extension(e).search_key())
+    exts = tuple(ext_of[a] for a in algebras)
+    data = tuple(datum_of[a] for a in algebras)
+    searched = {}  # (datum of rep, datum of input) -> (rep, input, first witness or None)
     classes = []
     for idx, e in enumerate(exts):
         placed = False
         for cls in classes:
-            rep = cls.representative
-            pair = distinct[rep], distinct[idx]
-            if key_of[pair[0]] != key_of[pair[1]]:
+            rep = exts[cls.representative]
+            pair = data[cls.representative], data[idx]
+            if keys[pair[0]] != keys[pair[1]]:
                 continue
-            _check_search_preconditions(exts[rep], e, max_gl)
+            _check_search_preconditions(rep, e, max_gl)
             if pair not in searched:
-                searched[pair] = _first_witness(exts[rep], e)
-            w = searched[pair]
+                searched[pair] = rep, e, _first_witness(rep, e)
+            rep0, e0, w = searched[pair]
             if w is not None:
+                if rep0 is not rep or e0 is not e:
+                    w = IsoclinismWitness(
+                        AlgebraMorphism(rep.q, e.q, w.eta.matrix),
+                        LinearMap(lie_commutator_of(rep.g), lie_commutator_of(e.g),
+                                  w.xi.matrix))
                 cls.members.append(idx)
                 cls.witnesses[idx] = w
                 placed = True
@@ -674,3 +691,10 @@ def classify(algebras, max_gl=None) -> Classification:
         if not placed:
             classes.append(IsoclinismClass(idx, [idx], {idx: identity_witness(e)}))
     return Classification(algebras, exts, classes)
+
+
+def _datum(e):
+    """What the search and its key read of e: the field, the bracket of q,
+    dim [g, g]_Lie and the commutator map in Lie-commutator coordinates."""
+    return (e.g.field, e.q.structure, lie_commutator_of(e.g).dim,
+            commutator_map(e).coord_table)

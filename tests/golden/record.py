@@ -23,7 +23,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # the tests' conftest: fixtures and suite
 
-from conftest import F3, F5, FQ, algebra_suite, nilpotent_n2, paper_g1  # noqa: E402
+from conftest import F3, F5, FQ, algebra_suite, nilpotent_n2, paper_g1, paper_g2  # noqa: E402
 
 from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product  # noqa: E402
 from leibalg.cli import main  # noqa: E402
@@ -56,14 +56,17 @@ COMMANDS = [
     ("extension", "pullback", *G1, "--field", "5"),
     ("extension", "product", "catalog:paper_g1", "--field", "3", "--abelian-dim", "2"),
     ("classify", "docs/batch"),
+    ("classify", "docs/shared", "--field", "3"),
+    ("classify", "docs/shared"),
+    ("classify", "docs/shared_bad", "--field", "3"),
     ("invariants", "docs/missing.json"),
 ]
 
 
-def quadratic_form_algebra(d1, d2):
+def quadratic_form_algebra(d1, d2, field=F3):
     """[e1,e1] = d1 e3, [e2,e2] = d2 e3 over F_3: equal search keys, and
     isoclinic only when x^2 + d2/d1 y^2 is equivalent to x^2 + y^2."""
-    return LeibnizAlgebra.from_structure(F3, 3, {(0, 0): (0, 0, d1), (1, 1): (0, 0, d2)})
+    return LeibnizAlgebra.from_structure(field, 3, {(0, 0): (0, 0, d1), (1, 1): (0, 0, d2)})
 
 
 def change_basis(alg, p_mat):
@@ -94,6 +97,7 @@ def documents():
     algebras.update({f"batch/a{k:02d}": alg for k, alg in enumerate(batch)})
     out = {f"docs/{name}.json": canonical_json(serialize_algebra(alg))
            for name, alg in algebras.items()}
+    out.update(shared_documents())
     bad = serialize_algebra(paper_g1(F3))
     bad["brackets"] = [{"left": 0, "right": 0, "value": [1, 0]},
                        {"left": 0, "right": 1, "value": [0, 1]}]
@@ -108,6 +112,45 @@ def documents():
     }
     for name, doc in witnesses.items():
         out[f"docs/witness_{name}.json"] = canonical_json(doc)
+    return out
+
+
+def shared_documents():
+    """Two classify batches of copies and shared isoclinism data.
+
+    docs/shared holds g1, g1 x F and F x g1, which differ but share one
+    datum (q, C); byte-identical copies; one algebra again with other
+    whitespace and key order; rational documents that reduce, under
+    --field 3, to algebras also given over F_3; and two pairs of quadratic
+    form algebras.  docs/shared_bad holds good documents and one malformed
+    document under two names.
+    """
+    g1 = paper_g1(F3)
+    a1 = LeibnizAlgebra.abelian(F3, 1)
+    algebras = {
+        "g1": g1,
+        "g1xa1": direct_product(g1, a1),
+        "a1xg1": direct_product(a1, g1),
+        "g1_moved": change_basis(g1, Matrix.from_rows(F3, [(1, 1), (0, 2)])),
+        "g2": paper_g2(F3),
+        "ab2": LeibnizAlgebra.abelian(F3, 2),
+        "ab3": LeibnizAlgebra.abelian(F3, 3),
+        "square_11": quadratic_form_algebra(1, 1),
+        "square_12": quadratic_form_algebra(1, 2),
+        "q_g1xa1": direct_product(paper_g1(FQ), LeibnizAlgebra.abelian(FQ, 1)),
+        "q_square_12": quadratic_form_algebra(1, 2, FQ),
+        "q_square_22": quadratic_form_algebra(2, 2, FQ),
+    }
+    texts = {name: canonical_json(serialize_algebra(alg)) for name, alg in algebras.items()}
+    texts["g1_copy"] = texts["zz_g1_copy"] = texts["g1"]
+    texts["q_square_12_copy"] = texts["q_square_12"]
+    doc = serialize_algebra(algebras["g1xa1"])
+    texts["g1xa1_spaced"] = json.dumps(dict(reversed(doc.items())), indent=3) + "\n\n"
+    out = {f"docs/shared/{name}.json": text for name, text in texts.items()}
+    malformed = texts["g2"][:-20]
+    for name, text in (("g1", texts["g1"]), ("g1_copy", texts["g1"]), ("m_bad", malformed),
+                       ("m_bad_copy", malformed), ("q_square_12", texts["q_square_12"])):
+        out[f"docs/shared_bad/{name}.json"] = text
     return out
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import leibalg.cli as cli
 from leibalg.cli import (
     EXIT_DATA,
     EXIT_INVALID,
@@ -15,12 +16,14 @@ from leibalg.cli import (
     main,
 )
 from leibalg.documents import MAX_DIM, canonical_json, serialize_algebra, serialize_witness
-from leibalg.extensions import canonical_extension
+from leibalg.extensions import CentralExtension, canonical_extension
+from leibalg.fields import Field
 from leibalg.isoclinism import MAX_GL_ENV, search_isoclinism
 
-from conftest import F3, FQ, paper_g1, paper_g2
+from conftest import F3, FQ, nilpotent_n2, paper_g1, paper_g2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -213,6 +216,62 @@ def test_classify_rational_documents_with_field_flag(capsys, tmp_path):
     rc, report, err = run_json(capsys, "classify", str(tmp_path), "--field", "3")
     assert rc == EXIT_OK
     assert report["payload"]["count"] == 1
+
+
+def counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_classify_parses_each_distinct_text_once(capsys, monkeypatch):
+    # docs/shared holds byte copies, one algebra in other whitespace and key
+    # order, and rational documents that --field 3 reduces to algebras also
+    # given over F_3; docs/shared_bad holds one malformed document under two
+    # names, and classify stops at the first.  The reports were recorded
+    # before copies were parsed once.
+    cases = {tuple(c["argv"]): c
+             for c in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))}
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv(MAX_GL_ENV, raising=False)
+    parsed, hashed = [], []
+    monkeypatch.setattr(cli, "parse_algebra_json", counting(parsed, cli.parse_algebra_json))
+    monkeypatch.setattr(cli, "algebra_hash", counting(hashed, cli.algebra_hash))
+    for argv, read in ((("classify", "docs/shared", "--field", "3"), 16),
+                       (("classify", "docs/shared"), 16),
+                       (("classify", "docs/shared_bad", "--field", "3"), 3)):
+        paths = sorted((GOLDEN / argv[1]).glob("*.json"))[:read]
+        texts = [path.read_text(encoding="utf-8") for path in paths]
+        assert len(set(texts)) < len(texts)
+        for fmt in ((), ("--format", "json")):
+            parsed.clear()
+            hashed.clear()
+            case = cases[argv + fmt]
+            assert run(capsys, *argv, *fmt) == (case["exit"], case["stdout"], case["stderr"])
+            assert len(parsed) == len(set(texts))
+            if case["exit"] == EXIT_OK:
+                algebras = {cli.parse_algebra(t, Field.prime(3)) for t in texts}
+                assert len(hashed) == len(algebras) < len(set(texts))
+            else:
+                assert hashed == []
+
+
+def test_extension_payload_computes_theta_image_once(capsys, monkeypatch):
+    # check_sequence_nine and the stem report both read the theta image
+    prop = CentralExtension.__dict__["_theta_image"]
+    computed = []
+    monkeypatch.setattr(prop, "func", counting(computed, prop.func))
+    for alg in (paper_g2(F3), nilpotent_n2(F3)):
+        e = canonical_extension(alg)
+        payload = cli.extension_payload(e, "canonical")
+        assert computed == [(e,)]
+        assert (payload["stem"]["theta_dim"]
+                == payload["sequence_nine"]["junctions"][0]["image_dim"])
+        computed.clear()
+    rc, out, err = run(capsys, "extension", "pullback", "catalog:paper_g1",
+                       "catalog:paper_g2", "--field", "3")
+    assert rc == EXIT_OK and len(computed) == 1
 
 
 # -- extension ---------------------------------------------------------------

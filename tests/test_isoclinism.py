@@ -790,6 +790,14 @@ def classify_searching_every_pair(algebras):
     return classes, searched
 
 
+def datum(alg):
+    """The isoclinism datum of alg: the field, the bracket of q = g/Z_Lie(g),
+    dim [g, g]_Lie and the commutator map in Lie-commutator coordinates."""
+    e = canonical_extension(alg)
+    return (alg.field, e.q.structure, lie_commutator_of(alg).dim,
+            commutator_map(e).coord_table)
+
+
 def test_classify_reuses_equal_inputs(suite, monkeypatch):
     # suite[16] represents a class and its lexicographically first
     # autoclinism swaps two columns, so its copies must not get the identity
@@ -819,8 +827,10 @@ def test_classify_reuses_equal_inputs(suite, monkeypatch):
     assert [(cls.representative, cls.members, cls.witnesses)
             for cls in result.classes] == expected
     assert built == list(dict.fromkeys(algebras))
-    assert len(engines) == len(set(engines)) == len(set(searched))
-    assert set(engines) == set(searched)
+    # one engine per distinct datum pair, fewer than the distinct algebra pairs
+    engine_data = [(datum(a), datum(b)) for a, b in engines]
+    assert len(engine_data) == len(set(engine_data)) < len(set(searched))
+    assert set(engine_data) == {(datum(a), datum(b)) for a, b in searched}
     rep = algebras.index(base[16])
     copies = [idx for idx in range(rep + 1, len(algebras)) if algebras[idx] == base[16]]
     assert len(copies) == 3
@@ -828,6 +838,54 @@ def test_classify_reuses_equal_inputs(suite, monkeypatch):
         cls = result.classes[result.class_of(idx)]
         assert cls.representative == rep
         assert cls.witnesses[idx].eta != AlgebraMorphism.identity(e16.q)
+
+
+def test_classify_searches_each_datum_pair_once(suite, monkeypatch):
+    # g, g x F and F^2 x g differ but share one datum; P.g does not
+    base = list(dict.fromkeys(suite))[:12]
+    a1, a2 = LeibnizAlgebra.abelian(F3, 1), LeibnizAlgebra.abelian(F3, 2)
+    p = Matrix.from_rows(F3, [(1, 1, 0), (0, 2, 0), (1, 0, 1)])
+    algebras = (base[:6] + [direct_product(b, a1) for b in base[:8]]
+                + [change_basis(b, p) for b in base if b.dim == 3][:3]
+                + [direct_product(a2, b) for b in base[4:12]] + base[6:] + base[2:5])
+    expected, searched = classify_searching_every_pair(algebras)
+    distinct = list(dict.fromkeys(algebras))
+    data = list(dict.fromkeys(datum(a) for a in distinct))
+    pairs = {(datum(a), datum(b)) for a, b in searched}
+    assert len(data) < len(distinct) and len(pairs) < len(set(searched))
+
+    keyed, engines = [], []
+    from_extension = IsoclinismInvariants.from_extension.__func__
+
+    def counting_key(cls, e):
+        keyed.append(e.g)
+        return from_extension(cls, e)
+
+    class CountingEngine(_SearchEngine):
+        def __init__(self, e1, e2):
+            engines.append((e1.g, e2.g))
+            super().__init__(e1, e2)
+
+    monkeypatch.setattr(IsoclinismInvariants, "from_extension", classmethod(counting_key))
+    monkeypatch.setattr(iso, "_SearchEngine", CountingEngine)
+    result = classify(algebras)
+
+    assert [(cls.representative, cls.members, cls.witnesses)
+            for cls in result.classes] == expected
+    assert [datum(g) for g in keyed] == data
+    engine_data = [(datum(a), datum(b)) for a, b in engines]
+    assert len(engine_data) == len(set(engine_data)) and set(engine_data) == pairs
+    rebuilt = 0
+    for cls in result.classes:
+        rep = result.extensions[cls.representative]
+        for member, w in cls.witnesses.items():
+            e = result.extensions[member]
+            assert (w.eta.source, w.eta.target) == (rep.q, e.q)
+            assert (w.xi.domain, w.xi.codomain) == (lie_commutator_of(rep.g),
+                                                    lie_commutator_of(e.g))
+            assert check_witness(rep, e, w).ok
+            rebuilt += (rep.g, e.g) not in engines and member != cls.representative
+    assert rebuilt > 0
 
 
 def test_classify_commutes_with_permuting_its_input(suite):
