@@ -38,7 +38,6 @@ from .linalg import (
     vec_add,
     vec_is_zero,
     vec_zero,
-    zero_subspace,
 )
 
 
@@ -126,8 +125,6 @@ class LeibnizAlgebra:
                     for i in range(self.dim)]
             for r in range(self.dim):
                 rows.append(tuple(c[r] for c in cols))
-        if not rows:
-            return zero_subspace(self.field, 0)
         return kernel(Matrix(self.field, len(rows), self.dim, tuple(rows)))
 
 

@@ -16,7 +16,8 @@ also settable via LEIBALG_MAX_GL), --seed N (recorded in reports).
 
 Exit codes: 0 success; 2 validation failed; 3 no witness found; 4 witness
 rejected; 64 usage error (including a search larger than the GL bound);
-65 malformed or inconsistent input data; 66 unreadable input file.
+65 malformed or inconsistent input data (a document that is not UTF-8
+included); 66 unreadable input file.
 
 All reports are deterministic for fixed inputs: JSON is emitted with sorted
 keys and the text format renders the same payload line by line.
@@ -204,15 +205,18 @@ def parse_algebra(text: str, field: Field | None, check=True) -> LeibnizAlgebra:
 
 def _read_text(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
 
 
 # -- payload builders -------------------------------------------------------

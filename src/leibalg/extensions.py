@@ -8,7 +8,11 @@ the lifts and is the bilinear invariant that isoclinism matches up.
 Constructions: the canonical extension by the Lie-center, pulling an
 extension back along an isomorphism of quotients, the diagonal pullback of
 two extensions, the product with a Lie algebra, and the quotient by an ideal
-inside the kernel part.
+inside the kernel part.  The backward extension g2 x_{q2} q1 and the diagonal
+pullback g1 x_{q2} g2 are fibre products, and the product with a Lie algebra
+is a product; all three are built by the same two private helpers, which
+also give the projections (and, transposed, the embeddings) of their
+triples.
 """
 
 from __future__ import annotations
@@ -24,20 +28,11 @@ from .algebra import (
     has_trivial_lie_commutator,
     is_ideal,
     lie_center,
-    lie_commutator,
     lie_commutator_of,
     quotient_algebra,
     subalgebra,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    full_subspace,
-    kernel,
-    quotient,
-    span,
-    vec_zero,
-)
+from .linalg import Matrix, Subspace, kernel, quotient
 
 
 class ExtensionError(ValueError):
@@ -96,10 +91,13 @@ def validate_extension(e: CentralExtension) -> ExtensionReport:
         failures.append("chi is not injective")
     if not e.pi.is_surjective:
         failures.append("pi is not surjective")
-    if e.chi.image_space() != e.pi.kernel_space():
+    image = e.chi.image_space()
+    if image != e.pi.kernel_space():
         failures.append("image(chi) != kernel(pi)")
-    cm = lie_commutator(e.g, e.chi.image_space(), full_subspace(e.g.field, e.g.dim))
-    if cm.dim != 0:
+    # chi(n) inside Z_Lie(g) says [chi(n), g]_Lie = 0: the ideal is generated
+    # by the symmetric brackets with chi(n), and those vanish exactly then.
+    # An image in another algebra than g is not inside Z_Lie(g).
+    if image.ambient_dim != e.g.dim or not image.is_subspace_of(lie_center(e.g)):
         failures.append("[chi(n), g]_Lie != 0 (extension is not Lie-central)")
     prod = e.pi.matrix @ e.section
     if prod != Matrix.identity(e.g.field, e.q.dim):
@@ -135,15 +133,10 @@ class CommutatorMap:
 
     def radical(self) -> Subspace:
         """{x in q : C(x, y) = 0 for all y}, an isoclinism-invariant subspace."""
-        f = self.extension.g.field
         m = self.extension.q.dim
-        rows = []
-        for j in range(m):
-            for r in range(self.extension.g.dim):
-                rows.append(tuple(self.table[i][j][r] for i in range(m)))
-        if not rows:
-            return span(f, m, [self.extension.q.basis_vector(i) for i in range(m)])
-        return kernel(Matrix(f, len(rows), m, tuple(rows)))
+        rows = tuple(tuple(self.table[i][j][r] for i in range(m))
+                     for j in range(m) for r in range(self.extension.g.dim))
+        return kernel(Matrix(self.extension.g.field, len(rows), m, rows))
 
 
 def commutator_map(e: CentralExtension) -> CommutatorMap:
@@ -179,12 +172,39 @@ class ExtensionMorphism:
         return self.alpha.is_bijective and self.beta.is_bijective and self.gamma.is_bijective
 
 
-def _embed_left(f, vec, right_dim):
-    return tuple(vec) + vec_zero(f, right_dim)
+def _product(a: LeibnizAlgebra, b: LeibnizAlgebra):
+    """a x b with its projections onto a and onto b; their transposes are
+    the embeddings."""
+    f = a.field
+    total = direct_product(a, b)
+    onto_a = Matrix.identity(f, a.dim).hstack(Matrix.zeros(f, a.dim, b.dim))
+    onto_b = Matrix.zeros(f, b.dim, a.dim).hstack(Matrix.identity(f, b.dim))
+    return total, AlgebraMorphism(total, a, onto_a), AlgebraMorphism(total, b, onto_b)
 
 
-def _embed_right(f, vec, left_dim):
-    return vec_zero(f, left_dim) + tuple(vec)
+def _fibre_product(a: LeibnizAlgebra, alpha: Matrix, b: LeibnizAlgebra, beta: Matrix):
+    """a x_F b = {(x, y) in a x b : alpha x = beta y} for linear maps alpha,
+    beta into a common space F: the kernel w of [alpha | -beta], the
+    subalgebra of a x b on w and its projections onto a and onto b."""
+    f = a.field
+    w = kernel(alpha.hstack(
+        Matrix(f, beta.nrows, beta.ncols, tuple(tuple(map(f.neg, row)) for row in beta.entries))))
+    sub = subalgebra(direct_product(a, b), w)
+    total, rows = sub.algebra, sub.inclusion.matrix.entries
+    return (w, total, AlgebraMorphism(total, a, Matrix(f, a.dim, w.dim, rows[:a.dim])),
+            AlgebraMorphism(total, b, Matrix(f, b.dim, w.dim, rows[a.dim:])))
+
+
+def _in_coordinates(w: Subspace, m: Matrix) -> Matrix:
+    """The columns of m, each a vector of w, in w's basis coordinates."""
+    return Matrix.from_columns(m.field, [w.coords_of(c) for c in m.columns()], nrows=w.dim)
+
+
+def _block_diagonal(m1: Matrix, m2: Matrix) -> Matrix:
+    """[[m1, 0], [0, m2]]."""
+    f = m1.field
+    return m1.hstack(Matrix.zeros(f, m1.nrows, m2.ncols)).vstack(
+        Matrix.zeros(f, m2.nrows, m1.ncols).hstack(m2))
 
 
 @value_class
@@ -196,9 +216,9 @@ class BackwardExtension:
 def backward_extension(e2: CentralExtension, eta: AlgebraMorphism) -> BackwardExtension:
     """Pull e2 back along an isomorphism eta: q1 -> q2 of quotient algebras.
 
-    The total algebra is {(g, x) in g2 x q1 : pi2(g) = eta(x)}; the result is
-    an extension of q1 by n2 together with the isomorphism of extensions
-    (id, (g, x) |-> g, eta) onto e2.
+    The total algebra is the fibre product g2 x_{q2} q1 = {(g, x) :
+    pi2(g) = eta(x)}; the result is an extension of q1 by n2 together with
+    the isomorphism of extensions (id, (g, x) |-> g, eta) onto e2.
     """
     if eta.target != e2.q:
         raise ExtensionError("eta must land in the quotient of the extension")
@@ -206,28 +226,12 @@ def backward_extension(e2: CentralExtension, eta: AlgebraMorphism) -> BackwardEx
         raise ExtensionError("eta is not an isomorphism")
     q1 = eta.source
     f = e2.g.field
-    prod = direct_product(e2.g, q1)
-    # membership: pi2(g) - eta(x) = 0
-    constraint = e2.pi.matrix.hstack(
-        Matrix(f, eta.matrix.nrows, eta.matrix.ncols,
-               tuple(tuple(f.neg(v) for v in row) for row in eta.matrix.entries)))
-    w = kernel(constraint)
-    sub = subalgebra(prod, w)
-    total = sub.algebra
-
-    chi_cols = [w.coords_of(_embed_left(f, e2.chi.matrix.column(j), q1.dim))
-                for j in range(e2.n.dim)]
-    chi = AlgebraMorphism(e2.n, total, Matrix.from_columns(f, chi_cols, nrows=total.dim))
-    pi_rows_src = [sub.inclusion.matrix.column(j)[e2.g.dim:] for j in range(total.dim)]
-    pi = AlgebraMorphism(total, q1, Matrix.from_columns(f, pi_rows_src, nrows=q1.dim))
+    w, total, beta, pi = _fibre_product(e2.g, e2.pi.matrix, q1, eta.matrix)
+    chi = AlgebraMorphism(e2.n, total, _in_coordinates(
+        w, e2.chi.matrix.vstack(Matrix.zeros(f, q1.dim, e2.n.dim))))
     # natural section: x |-> (s2(eta x), x)
-    sec_cols = [w.coords_of(tuple(e2.section.apply(eta.matrix.column(j))) + q1.basis_vector(j))
-                for j in range(q1.dim)]
-    section = Matrix.from_columns(f, sec_cols, nrows=total.dim)
+    section = _in_coordinates(w, (e2.section @ eta.matrix).vstack(Matrix.identity(f, q1.dim)))
     ext = CentralExtension(e2.n, total, q1, chi, pi, section)
-
-    beta_cols = [sub.inclusion.matrix.column(j)[:e2.g.dim] for j in range(total.dim)]
-    beta = AlgebraMorphism(total, e2.g, Matrix.from_columns(f, beta_cols, nrows=e2.g.dim))
     iso = ExtensionMorphism(ext, e2, AlgebraMorphism.identity(e2.n), beta, eta)
     return BackwardExtension(ext, iso)
 
@@ -236,8 +240,8 @@ def backward_extension(e2: CentralExtension, eta: AlgebraMorphism) -> BackwardEx
 class PullbackExtension:
     """Diagonal pullback of e1 and e2 along eta: q1 -> q2.
 
-    total = {(x, y) in g1 x g2 : eta(pi1 x) = pi2 y}, an extension of q1 by
-    n1 x n2; to_first and to_second are the projection triples
+    total = g1 x_{q2} g2 = {(x, y) : eta(pi1 x) = pi2 y}, an extension of q1
+    by n1 x n2; to_first and to_second are the projection triples
     (sigma_i, tau_i, gamma_i) with gamma_1 = id and gamma_2 = eta.
     """
 
@@ -252,39 +256,14 @@ def diagonal_pullback(e1: CentralExtension, e2: CentralExtension,
         raise ExtensionError("eta must map the first quotient onto the second")
     if not eta.is_bijective:
         raise ExtensionError("eta is not an isomorphism")
-    f = e1.g.field
-    prod = direct_product(e1.g, e2.g)
-    constraint = (eta.matrix @ e1.pi.matrix).hstack(
-        Matrix(f, e2.pi.matrix.nrows, e2.pi.matrix.ncols,
-               tuple(tuple(f.neg(v) for v in row) for row in e2.pi.matrix.entries)))
-    w = kernel(constraint)
-    sub = subalgebra(prod, w)
-    total = sub.algebra
-
-    n_prod = direct_product(e1.n, e2.n)
-    chi_cols = []
-    for j in range(e1.n.dim):
-        chi_cols.append(w.coords_of(_embed_left(f, e1.chi.matrix.column(j), e2.g.dim)))
-    for j in range(e2.n.dim):
-        chi_cols.append(w.coords_of(_embed_right(f, e2.chi.matrix.column(j), e1.g.dim)))
-    chi = AlgebraMorphism(n_prod, total, Matrix.from_columns(f, chi_cols, nrows=total.dim))
-
-    tau1_cols = [sub.inclusion.matrix.column(j)[:e1.g.dim] for j in range(total.dim)]
-    tau1 = AlgebraMorphism(total, e1.g, Matrix.from_columns(f, tau1_cols, nrows=e1.g.dim))
-    tau2_cols = [sub.inclusion.matrix.column(j)[e1.g.dim:] for j in range(total.dim)]
-    tau2 = AlgebraMorphism(total, e2.g, Matrix.from_columns(f, tau2_cols, nrows=e2.g.dim))
+    w, total, tau1, tau2 = _fibre_product(e1.g, eta.matrix @ e1.pi.matrix, e2.g, e2.pi.matrix)
+    n_prod, sigma1, sigma2 = _product(e1.n, e2.n)
+    chi = AlgebraMorphism(n_prod, total, _in_coordinates(
+        w, _block_diagonal(e1.chi.matrix, e2.chi.matrix)))
     rho = AlgebraMorphism(total, e1.q, e1.pi.matrix @ tau1.matrix)
-
     # natural section: x |-> (s1 x, s2 eta x)
-    sec_cols = [w.coords_of(tuple(e1.section.column(j)) + tuple(e2.section.apply(eta.matrix.column(j))))
-                for j in range(e1.q.dim)]
-    section = Matrix.from_columns(f, sec_cols, nrows=total.dim)
+    section = _in_coordinates(w, e1.section.vstack(e2.section @ eta.matrix))
     ext = CentralExtension(n_prod, total, e1.q, chi, rho, section)
-
-    sigma1 = AlgebraMorphism(n_prod, e1.n,
-                             Matrix.identity(f, e1.n.dim).hstack(Matrix.zeros(f, e1.n.dim, e2.n.dim)))
-    sigma2 = AlgebraMorphism(n_prod, e2.n,
-                             Matrix.zeros(f, e2.n.dim, e1.n.dim).hstack(Matrix.identity(f, e2.n.dim)))
     to_first = ExtensionMorphism(ext, e1, sigma1, tau1, AlgebraMorphism.identity(e1.q))
     to_second = ExtensionMorphism(ext, e2, sigma2, tau2, eta)
     return PullbackExtension(ext, to_first, to_second)
@@ -302,31 +281,17 @@ class ProductExtension:
 def product_with_abelian(e: CentralExtension, a: LeibnizAlgebra) -> ProductExtension:
     if not has_trivial_lie_commutator(a):
         raise ExtensionError("factor must have trivial Lie-commutator (a Lie algebra)")
-    f = e.g.field
-    total = direct_product(e.g, a)
-    n_new = direct_product(e.n, a)
-    chi = AlgebraMorphism(
-        n_new, total,
-        Matrix.from_columns(
-            f,
-            [_embed_left(f, e.chi.matrix.column(j), a.dim) for j in range(e.n.dim)]
-            + [_embed_right(f, a.basis_vector(j), e.g.dim) for j in range(a.dim)],
-            nrows=total.dim))
-    pi = AlgebraMorphism(total, e.q, e.pi.matrix.hstack(Matrix.zeros(f, e.q.dim, a.dim)))
-    section = e.section.vstack(Matrix.zeros(f, a.dim, e.q.dim))
-    ext = CentralExtension(n_new, total, e.q, chi, pi, section)
-
-    phi_prime = AlgebraMorphism(n_new, e.n,
-                                Matrix.identity(f, e.n.dim).hstack(Matrix.zeros(f, e.n.dim, a.dim)))
-    phi = AlgebraMorphism(total, e.g,
-                          Matrix.identity(f, e.g.dim).hstack(Matrix.zeros(f, e.g.dim, a.dim)))
-    onto = ExtensionMorphism(ext, e, phi_prime, phi, AlgebraMorphism.identity(e.q))
-
-    mu_prime = AlgebraMorphism(e.n, n_new,
-                               Matrix.identity(f, e.n.dim).vstack(Matrix.zeros(f, a.dim, e.n.dim)))
-    mu = AlgebraMorphism(e.g, total,
-                         Matrix.identity(f, e.g.dim).vstack(Matrix.zeros(f, a.dim, e.g.dim)))
-    fro = ExtensionMorphism(e, ext, mu_prime, mu, AlgebraMorphism.identity(e.q))
+    total, phi, _ = _product(e.g, a)
+    n_new, phi_prime, _ = _product(e.n, a)
+    chi = AlgebraMorphism(n_new, total,
+                          _block_diagonal(e.chi.matrix, Matrix.identity(e.g.field, a.dim)))
+    pi = AlgebraMorphism(total, e.q, e.pi.matrix @ phi.matrix)
+    ext = CentralExtension(n_new, total, e.q, chi, pi, phi.matrix.transpose() @ e.section)
+    identity = AlgebraMorphism.identity(e.q)
+    onto = ExtensionMorphism(ext, e, phi_prime, phi, identity)
+    mu_prime = AlgebraMorphism(e.n, n_new, phi_prime.matrix.transpose())
+    mu = AlgebraMorphism(e.g, total, phi.matrix.transpose())
+    fro = ExtensionMorphism(e, ext, mu_prime, mu, identity)
     return ProductExtension(ext, onto, fro)
 
 

@@ -3,8 +3,16 @@ import random
 
 import pytest
 
-from leibalg.algebra import LeibnizAlgebra, validate
+from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product, validate
+from leibalg.documents import serialize_algebra
+from leibalg.extensions import (
+    backward_extension,
+    canonical_extension,
+    diagonal_pullback,
+    product_with_abelian,
+)
 from leibalg.fields import Field
+from leibalg.linalg import Matrix, kernel
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -59,6 +67,152 @@ def random_leibniz_algebra(rng, field=F3, max_dim=3):
 def algebra_suite(seed=SUITE_SEED, count=SUITE_SIZE, field=F3, max_dim=3):
     rng = random.Random(seed)
     return [random_leibniz_algebra(rng, field, max_dim) for _ in range(count)]
+
+
+def change_basis(alg, p_mat):
+    """P.g: the algebra for which x -> P x is an isomorphism from g."""
+    cols = p_mat.inverse().columns()
+    h = LeibnizAlgebra.from_structure(
+        alg.field, alg.dim,
+        [[p_mat.apply(alg.bracket(cols[i], cols[j])) for j in range(alg.dim)]
+         for i in range(alg.dim)])
+    AlgebraMorphism(alg, h, p_mat)  # construction checks that P preserves brackets
+    return h
+
+
+def fixed_gl(field, n):
+    """One fixed P in GL(n) over every field: lower times upper
+    unitriangular, so det P = 1."""
+    lower = Matrix.from_rows(field, [[int(j <= i) for j in range(n)] for i in range(n)], ncols=n)
+    upper = Matrix.from_rows(field, [[(i + j) % 3 + 1 if j > i else int(i == j)
+                                      for j in range(n)] for i in range(n)], ncols=n)
+    return lower @ upper
+
+
+def embedding(field, dim, extra):
+    """x -> (x, 0): F^dim into F^(dim + extra)."""
+    return Matrix.identity(field, dim).vstack(Matrix.zeros(field, extra, dim))
+
+
+# -- generated central extensions ---------------------------------------------
+
+
+def leibniz_cocycles(q):
+    """A basis of the Leibniz 2-cocycles q x q -> F, each as the m*m
+    coefficients phi(b_i, b_j) at index i*m + j: the kernel of
+    phi(x, [y, z]) = phi([x, y], z) - phi([x, z], y) on basis triples."""
+    m = q.dim
+    rows = []
+    for i, j, k in itertools.product(range(m), repeat=3):
+        row = [0] * (m * m)
+        for t, c in enumerate(q.structure[j][k]):
+            row[i * m + t] += c
+        for t, c in enumerate(q.structure[i][j]):
+            row[t * m + k] -= c
+        for t, c in enumerate(q.structure[i][k]):
+            row[t * m + j] += c
+        rows.append(row)
+    return kernel(Matrix.from_rows(q.field, rows, ncols=m * m)).basis
+
+
+def central_extension_algebra(q, cocycles):
+    """g = q + F^k with [(x, a), (y, b)] = ([x, y], phi(x, y)) for the k
+    cocycles phi: F^k is central in g and g / F^k = q."""
+    m = q.dim
+    table = {(i, j): tuple(q.structure[i][j]) + tuple(phi[i * m + j] for phi in cocycles)
+             for i in range(m) for j in range(m)}
+    return LeibnizAlgebra.from_structure(q.field, m + len(cocycles), table)
+
+
+def random_central_extension(rng, q, k):
+    """q + F^k along k seeded combinations of the cocycle basis."""
+    f, basis = q.field, leibniz_cocycles(q)
+    scalars = range(f.p) if f.is_finite else range(-2, 3)
+    cocycles = []
+    for _ in range(k):
+        coeffs = [rng.choice(scalars) for _ in basis]
+        cocycles.append(tuple(f.of(sum(c * v[t] for c, v in zip(coeffs, basis)))
+                              for t in range(q.dim * q.dim)))
+    return central_extension_algebra(q, cocycles)
+
+
+def generated_algebras(field, seed):
+    """Deterministic Leibniz algebras of dim 4-6 with canonical q-dim <= 3.
+
+    Each is built in two central-extension steps: a base of dim 1 or 2 is
+    extended to dim 3, and that algebra h by F^k, k = 1, 2, 3.  The last F^k
+    is central, so it lies in the Lie-center and g / Z_Lie(g) is a quotient
+    of h.
+    """
+    rng = random.Random(seed)
+    bases = [LeibnizAlgebra.abelian(field, 1), LeibnizAlgebra.abelian(field, 2),
+             paper_g1(field), nilpotent_n2(field), lie_r2(field)]
+    out = []
+    for k, base in zip((1, 2, 3, 1, 2), bases):
+        h = random_central_extension(rng, base, 3 - base.dim)
+        out.append(random_central_extension(rng, h, k))
+    return out
+
+
+# -- pinned extension constructions -------------------------------------------
+
+
+def _matrix_json(m):
+    return [[m.field.scalar_to_json(c) for c in row] for row in m.entries]
+
+
+def _extension_json(e):
+    doc = {part: serialize_algebra(getattr(e, part)) for part in ("n", "g", "q")}
+    doc.update(chi=_matrix_json(e.chi.matrix), pi=_matrix_json(e.pi.matrix),
+               section=_matrix_json(e.section))
+    return doc
+
+
+def _triple_json(t):
+    return {part: _matrix_json(getattr(t, part).matrix) for part in ("alpha", "beta", "gamma")}
+
+
+def construction_snapshots():
+    """label -> the matrices and algebras of one built extension and its
+    triples, for backward_extension, diagonal_pullback and
+    product_with_abelian on a fixed battery over F_3, F_5 and Q.
+
+    Each fibre product runs along the eta induced on quotients by an algebra
+    morphism M: g -> h, for h = P.g (M = P) and h = P.(g x F) (M = P after
+    the embedding).
+    """
+    out = {}
+    for field in (F3, F5, FQ):
+        one = LeibnizAlgebra.abelian(field, 1)
+        battery = {"g1": paper_g1(field), "g2": paper_g2(field), "n2": nilpotent_n2(field),
+                   "r2": lie_r2(field),
+                   "g1xn2": direct_product(paper_g1(field), nilpotent_n2(field))}
+        for name, g in battery.items():
+            e1 = canonical_extension(g)
+            n = g.dim
+            pairs = {
+                "P.g": (change_basis(g, fixed_gl(field, n)), fixed_gl(field, n)),
+                "P.(g x F)": (change_basis(direct_product(g, one), fixed_gl(field, n + 1)),
+                              fixed_gl(field, n + 1) @ embedding(field, n, 1)),
+            }
+            for pair, (h, m) in pairs.items():
+                e2 = canonical_extension(h)
+                eta = AlgebraMorphism(e1.q, e2.q, e2.pi.matrix @ m @ e1.section)
+                bw = backward_extension(e2, eta)
+                out[f"{field} {name} backward {pair}"] = {
+                    "extension": _extension_json(bw.extension), "iso": _triple_json(bw.iso)}
+                pb = diagonal_pullback(e1, e2, eta)
+                out[f"{field} {name} pullback {pair}"] = {
+                    "extension": _extension_json(pb.extension),
+                    "to_first": _triple_json(pb.to_first),
+                    "to_second": _triple_json(pb.to_second)}
+            for k in range(3):
+                pr = product_with_abelian(e1, LeibnizAlgebra.abelian(field, k))
+                out[f"{field} {name} product F^{k}"] = {
+                    "extension": _extension_json(pr.extension),
+                    "onto_original": _triple_json(pr.onto_original),
+                    "from_original": _triple_json(pr.from_original)}
+    return out
 
 
 @pytest.fixture(scope="session")

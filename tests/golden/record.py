@@ -7,8 +7,10 @@ Run from a checkout, with the library on the path:
 Each case is one command line together with the stdout, stderr and exit code
 that `leibalg.cli.main` gave for it, run with this directory as the working
 directory.  tests/test_golden.py replays every case and compares the bytes.
-Re-record only for an intended change of a report, and say which cases
-changed and why.
+It also compares conftest.construction_snapshots() with constructions.json,
+the matrices and algebras of the extension constructions on a fixed battery.
+Re-record only for an intended change of a report or a construction, and say
+which cases changed and why.
 """
 
 from __future__ import annotations
@@ -23,9 +25,19 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # the tests' conftest: fixtures and suite
 
-from conftest import F3, F5, FQ, algebra_suite, nilpotent_n2, paper_g1, paper_g2  # noqa: E402
+from conftest import (  # noqa: E402
+    F3,
+    F5,
+    FQ,
+    algebra_suite,
+    change_basis,
+    construction_snapshots,
+    nilpotent_n2,
+    paper_g1,
+    paper_g2,
+)
 
-from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product  # noqa: E402
+from leibalg.algebra import LeibnizAlgebra, direct_product  # noqa: E402
 from leibalg.cli import main  # noqa: E402
 from leibalg.documents import canonical_json, serialize_algebra  # noqa: E402
 from leibalg.linalg import Matrix  # noqa: E402
@@ -55,6 +67,9 @@ COMMANDS = [
     ("extension", "backward", *G1, "--field", "3"),
     ("extension", "pullback", *G1, "--field", "5"),
     ("extension", "product", "catalog:paper_g1", "--field", "3", "--abelian-dim", "2"),
+    ("extension", "backward", "docs/g1xg1.json", "docs/g1xg1_moved.json"),
+    ("extension", "pullback", "docs/g1xg1.json", "docs/g1xg1_moved.json"),
+    ("extension", "product", "docs/g1xg1_moved.json", "--abelian-dim", "2"),
     ("classify", "docs/batch"),
     ("classify", "docs/shared", "--field", "3"),
     ("classify", "docs/shared"),
@@ -67,17 +82,6 @@ def quadratic_form_algebra(d1, d2, field=F3):
     """[e1,e1] = d1 e3, [e2,e2] = d2 e3 over F_3: equal search keys, and
     isoclinic only when x^2 + d2/d1 y^2 is equivalent to x^2 + y^2."""
     return LeibnizAlgebra.from_structure(field, 3, {(0, 0): (0, 0, d1), (1, 1): (0, 0, d2)})
-
-
-def change_basis(alg, p_mat):
-    """P.g: the algebra for which x -> P x is an isomorphism from g."""
-    cols = p_mat.inverse().columns()
-    h = LeibnizAlgebra.from_structure(
-        alg.field, alg.dim,
-        [[p_mat.apply(alg.bracket(cols[i], cols[j])) for j in range(alg.dim)]
-         for i in range(alg.dim)])
-    AlgebraMorphism(alg, h, p_mat)
-    return h
 
 
 def documents():
@@ -174,4 +178,9 @@ if __name__ == "__main__":
     os.chdir(HERE)
     recorded = cases()
     (HERE / "cases.json").write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(recorded)} cases", file=sys.stderr)
+    snapshots = construction_snapshots()
+    lines = [f"{json.dumps(label)}: {json.dumps(snap, separators=(',', ':'))}"
+             for label, snap in snapshots.items()]
+    (HERE / "constructions.json").write_text("{\n" + ",\n".join(lines) + "\n}\n",
+                                             encoding="utf-8")
+    print(f"{len(recorded)} cases, {len(snapshots)} constructions", file=sys.stderr)

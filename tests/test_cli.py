@@ -380,6 +380,22 @@ def test_malformed_json_is_data_error(capsys, tmp_path):
     assert rc == EXIT_DATA
 
 
+def test_non_utf8_documents_are_data_errors(capsys, tmp_path):
+    # a UTF-16 byte order mark: every reader of a document file reports the
+    # file in one line instead of raising UnicodeDecodeError
+    bad = tmp_path / "batch" / "utf16.json"
+    bad.parent.mkdir()
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    write_doc(bad.parent, "g1.json", paper_g1(F3))
+    for argv in (("validate", str(bad)),
+                 ("isoclinic", "catalog:paper_g1", "catalog:paper_g2", "--field", "3",
+                  "--witness", str(bad)),
+                 ("classify", str(bad.parent))):
+        rc, out, err = run(capsys, *argv)
+        assert rc == EXIT_DATA and out == ""
+        assert err.startswith(f"data error: {bad} is not UTF-8 text") and err.count("\n") == 1
+
+
 def test_wrongly_typed_and_oversized_documents_are_data_errors(capsys, tmp_path):
     docs = {
         "bool_dim": {"schema_version": "1", "field": {"p": 3}, "dim": True, "brackets": []},

@@ -120,6 +120,20 @@ def test_validator_reports_each_broken_map():
         "image(chi) != kernel(pi)",)
 
 
+def test_validator_reports_chi_into_another_algebra():
+    # chi(n) in an algebra other than g is not inside Z_Lie(g): the report
+    # lists the failures instead of comparing vectors of different lengths
+    e = canonical_pair()[1]
+    for target in (direct_product(e.g, LeibnizAlgebra.abelian(FQ, 1)),
+                   LeibnizAlgebra.abelian(FQ, 2)):
+        rows = e.chi.matrix.entries + ((0,),) * (target.dim - e.g.dim)
+        chi = AlgebraMorphism(e.n, target, Matrix.from_rows(FQ, rows[:target.dim]))
+        report = validate_extension(CentralExtension(e.n, e.g, e.q, chi, e.pi, e.section))
+        assert report.failures == ("chi endpoints do not match n -> g",
+                                   "image(chi) != kernel(pi)",
+                                   "[chi(n), g]_Lie != 0 (extension is not Lie-central)")
+
+
 # -- the commutator map --------------------------------------------------------
 
 

@@ -1,0 +1,149 @@
+"""Metamorphic laws on generated algebras beyond dim 3.
+
+conftest.generated_algebras builds g = q + F^k with
+[(x, a), (y, b)] = ([x, y], phi(x, y)) for Leibniz 2-cocycles phi, in two
+steps, so that every algebra has dim 4-6 and canonical q-dim <= 3.  The laws:
+P.g keeps the invariants and the search key; g, P.g and g x F^k are
+isoclinic, by the witness that P or the embedding carries and, over F_p, by
+the searched one; and the constructions along each witness validate and
+have isoclinic triples.
+"""
+
+import random
+
+import pytest
+
+from leibalg.algebra import (
+    AlgebraMorphism,
+    LeibnizAlgebra,
+    direct_product,
+    lie_commutator_of,
+    validate,
+)
+from leibalg.extensions import (
+    backward_extension,
+    canonical_extension,
+    diagonal_pullback,
+    product_with_abelian,
+    validate_extension,
+)
+from leibalg.isoclinism import (
+    IsoclinismInvariants,
+    IsoclinismWitness,
+    check_witness,
+    is_isoclinic_homomorphism,
+    search_isoclinism,
+)
+from leibalg.linalg import LinearMap, Matrix
+
+from conftest import (
+    F3,
+    F5,
+    FQ,
+    change_basis,
+    embedding,
+    generated_algebras,
+    leibniz_cocycles,
+    paper_g1,
+)
+
+FIELDS = (F3, F5, FQ)
+SEED = 5417
+
+
+def seeded_gl(rng, field, n):
+    scalars = range(field.p) if field.is_finite else range(-2, 3)
+    while True:
+        m = Matrix.from_rows(field, [[rng.choice(scalars) for _ in range(n)] for _ in range(n)],
+                             ncols=n)
+        if m.inverse() is not None:
+            return m
+
+
+def induced_witness(e1, e2, m):
+    """The witness carried by a linear map M: g1 -> g2 that maps brackets to
+    brackets and Z_Lie(g1) into Z_Lie(g2), and is onto modulo Z_Lie(g2):
+    eta = pi2 M s1 on quotients and xi = M on the Lie-commutators."""
+    f = e1.g.field
+    eta = AlgebraMorphism(e1.q, e2.q, e2.pi.matrix @ m @ e1.section)
+    com1, com2 = lie_commutator_of(e1.g), lie_commutator_of(e2.g)
+    xi = Matrix.from_columns(f, [com2.coords_of(m.apply(v)) for v in com1.basis], nrows=com2.dim)
+    return IsoclinismWitness(eta, LinearMap(com1, com2, xi))
+
+
+def isoclinic_pairs(field):
+    """(label, g, h, M): h = P.g with M = P, and h = g x F^k with M the
+    embedding, for every generated g."""
+    rng = random.Random(SEED)
+    out = []
+    for idx, g in enumerate(generated_algebras(field, SEED)):
+        p_mat = seeded_gl(rng, field, g.dim)
+        out.append((f"{field} #{idx} P.g", g, change_basis(g, p_mat), p_mat))
+        k = 1 + idx % 2
+        out.append((f"{field} #{idx} g x F^{k}", g,
+                    direct_product(g, LeibnizAlgebra.abelian(field, k)),
+                    embedding(field, g.dim, k)))
+    return out
+
+
+PAIRS = {field: isoclinic_pairs(field) for field in FIELDS}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_generated_algebras_reach_dim_4_to_6_with_small_quotients(field):
+    algebras = generated_algebras(field, SEED)
+    assert {g.dim for g in algebras} == {4, 5, 6}
+    for g in algebras:
+        assert validate(g).ok
+        assert 1 <= canonical_extension(g).q.dim <= 3
+    # every bilinear form on an abelian algebra is a cocycle; on paper_g1
+    # ([e1,e1] = [e2,e1] = e2) the triples (e1,e1,e1) and (e1,e1,e2) force
+    # phi(e1, e2) = phi(e2, e2) = 0, and the other triples add nothing
+    assert len(leibniz_cocycles(LeibnizAlgebra.abelian(field, 2))) == 4
+    assert leibniz_cocycles(paper_g1(field)) == ((1, 0, 0, 0), (0, 0, 1, 0))
+    # the same seed gives the same algebras
+    assert generated_algebras(field, SEED) == algebras
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_change_of_basis_keeps_invariants_and_search_key(field):
+    for label, g, h, _ in PAIRS[field]:
+        if "P.g" in label:
+            ig, ih = IsoclinismInvariants.from_algebra(g), IsoclinismInvariants.from_algebra(h)
+            assert ig == ih, label
+            assert ig.search_key() == ih.search_key(), label
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_change_of_basis_and_abelian_factors_are_isoclinisms(field):
+    for label, g, h, m in PAIRS[field]:
+        e1, e2 = canonical_extension(g), canonical_extension(h)
+        assert check_witness(e1, e2, induced_witness(e1, e2, m)).ok, label
+        if field.is_finite:
+            found = search_isoclinism(e1, e2)
+            assert found is not None, label
+            assert check_witness(e1, e2, found).ok, label
+
+
+def witnesses(field, e1, e2, m):
+    """The induced witness, and over F_p the searched one too."""
+    out = [induced_witness(e1, e2, m)]
+    if field.is_finite:
+        out.append(search_isoclinism(e1, e2))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_constructions_along_witnesses_validate_with_isoclinic_triples(field):
+    for label, g, h, m in PAIRS[field]:
+        e1, e2 = canonical_extension(g), canonical_extension(h)
+        built = [product_with_abelian(e1, LeibnizAlgebra.abelian(field, 1))]
+        triples = [built[0].onto_original, built[0].from_original]
+        for w in witnesses(field, e1, e2, m):
+            bw, pb = backward_extension(e2, w.eta), diagonal_pullback(e1, e2, w.eta)
+            built += [bw, pb]
+            triples += [bw.iso, pb.to_first, pb.to_second]
+        for b in built:
+            assert validate_extension(b.extension).ok, label
+        for triple in triples:
+            assert is_isoclinic_homomorphism(triple), label

@@ -60,7 +60,17 @@ from leibalg.linalg import (
     subspace_sum,
 )
 
-from conftest import F3, F5, FQ, lie_r2, nilpotent_n2, paper_g1, paper_g2
+from conftest import (
+    F3,
+    F5,
+    FQ,
+    change_basis,
+    generated_algebras,
+    lie_r2,
+    nilpotent_n2,
+    paper_g1,
+    paper_g2,
+)
 
 
 def paper_pair(field=F3):
@@ -173,18 +183,6 @@ def random_gl(rng, field, n):
             return m
 
 
-def change_basis(alg, p_mat):
-    """P.g: the algebra for which x -> P x is an isomorphism from g."""
-    p_inv = p_mat.inverse()
-    cols = p_inv.columns()
-    h = LeibnizAlgebra.from_structure(
-        alg.field, alg.dim,
-        [[p_mat.apply(alg.bracket(cols[i], cols[j])) for j in range(alg.dim)]
-         for i in range(alg.dim)])
-    AlgebraMorphism(alg, h, p_mat)  # construction checks that P preserves brackets
-    return h
-
-
 def test_engine_matches_brute_force_at_q_dim_3(suite):
     # the suite's algebras with a 3-dimensional quotient all share one search
     # key; brute force runs over all 3^9 matrices, |GL(3, F_3)| = 11,232
@@ -201,6 +199,24 @@ def test_engine_matches_brute_force_at_q_dim_3(suite):
         assert engine == sorted(oracle)  # same set, in lexicographic order
         found += bool(engine)
     assert found == 2  # g is isoclinic to P.g, and the first pair is isoclinic
+
+
+def test_engine_matches_brute_force_on_generated_algebras():
+    # central extensions of total dim 4-6 (conftest.generated_algebras): the
+    # engine's witnesses from g to P.g and from g to g x F are the
+    # brute-force list.  The oracle also enumerates every xi, so keep to
+    # q-dim 2 and Lie-commutator dim 2 (the other pairs take seconds each)
+    rng = random.Random(77)
+    picked = [g for g in generated_algebras(F3, 5417)
+              if canonical_extension(g).q.dim == 2 and lie_commutator_of(g).dim == 2]
+    assert len(picked) == 2 and {g.dim for g in picked} == {4, 5}
+    for g in picked:
+        e1 = canonical_extension(g)
+        for h in (change_basis(g, random_gl(rng, F3, g.dim)),
+                  direct_product(g, LeibnizAlgebra.abelian(F3, 1))):
+            e2 = canonical_extension(h)
+            engine = [eta_columns(w) for w in engine_witnesses(e1, e2)]
+            assert engine and engine == sorted(brute_force_witness_columns(e1, e2))
 
 
 def test_engine_run_matches_brute_force_on_square_conditions():
