@@ -25,6 +25,7 @@ import itertools
 from functools import cached_property
 
 from ._value import value_class
+from .errors import AlgebraError, MorphismError
 from .fields import Field
 from .linalg import (
     Matrix,
@@ -39,14 +40,6 @@ from .linalg import (
     vec_is_zero,
     vec_zero,
 )
-
-
-class AlgebraError(ValueError):
-    pass
-
-
-class MorphismError(ValueError):
-    pass
 
 
 def _default_names(dim):
@@ -99,10 +92,14 @@ class LeibnizAlgebra:
 
     def bracket(self, x, y):
         """[x, y] for coordinate tuples x, y (bilinear tensor contraction)."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise AlgebraError(f"bracket of vectors of lengths {len(x)} and {len(y)} "
+                               f"in an algebra of dim {self.dim}")
         return bilinear(self.field, self.structure, x, y)
 
     def symmetric_bracket(self, x, y):
-        return vec_add(self.field, self.bracket(x, y), self.bracket(y, x))
+        # bracket(x, y) checks both lengths
+        return vec_add(self.field, self.bracket(x, y), bilinear(self.field, self.structure, y, x))
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim

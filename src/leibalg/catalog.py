@@ -10,36 +10,16 @@ works.
 
 from __future__ import annotations
 
-from .algebra import LeibnizAlgebra
-from .documents import check_dim
-from .fields import Field
+from .errors import CatalogError
 
-
-class CatalogError(KeyError):
-    pass
-
-
-def _paper_g1(field):
-    return LeibnizAlgebra.from_structure(
-        field, 2, {(0, 0): (0, 1), (1, 0): (0, 1)}, basis_names=("e1", "e2"))
-
-
-def _paper_g2(field):
-    return LeibnizAlgebra.from_structure(
-        field, 3,
-        {(0, 0): (0, 0, 1), (1, 0): (0, 0, 1), (2, 0): (0, 0, 1)},
-        basis_names=("a1", "a2", "a3"))
-
-
-def _paper_q2(field):
-    return LeibnizAlgebra.from_structure(
-        field, 2, {(0, 0): (0, 1), (1, 0): (0, 1)}, basis_names=("a1", "a3"))
-
-
+# name -> (dim, structure entries {(i, j): vector}, basis names, description)
 _FIXED = {
-    "paper_g1": (_paper_g1, "dim 2: [e1,e1] = [e2,e1] = e2"),
-    "paper_g2": (_paper_g2, "dim 3: [a1,a1] = [a2,a1] = [a3,a1] = a3"),
-    "paper_q2": (_paper_q2, "dim 2 quotient of paper_g2 by its Lie-center"),
+    "paper_g1": (2, {(0, 0): (0, 1), (1, 0): (0, 1)}, ("e1", "e2"),
+                 "dim 2: [e1,e1] = [e2,e1] = e2"),
+    "paper_g2": (3, {(0, 0): (0, 0, 1), (1, 0): (0, 0, 1), (2, 0): (0, 0, 1)},
+                 ("a1", "a2", "a3"), "dim 3: [a1,a1] = [a2,a1] = [a3,a1] = a3"),
+    "paper_q2": (2, {(0, 0): (0, 1), (1, 0): (0, 1)}, ("a1", "a3"),
+                 "dim 2 quotient of paper_g2 by its Lie-center"),
 }
 
 ABELIAN_PREFIX = "abelian_"
@@ -52,16 +32,21 @@ def catalog_names():
 
 def describe(name: str) -> str:
     if name in _FIXED:
-        return _FIXED[name][1]
+        return _FIXED[name][3]
     if name == "abelian_n":
         return "parametric abelian algebra: use abelian_<dim>, e.g. abelian_3"
     raise CatalogError(f"unknown catalog entry {name!r}")
 
 
 def catalog_entry(name: str, field: Field | None = None) -> LeibnizAlgebra:
+    from .algebra import LeibnizAlgebra
+    from .documents import check_dim
+    from .fields import Field
+
     field = field if field is not None else Field.rationals()
     if name in _FIXED:
-        return _FIXED[name][0](field)
+        dim, entries, basis_names, _ = _FIXED[name]
+        return LeibnizAlgebra.from_structure(field, dim, entries, basis_names=basis_names)
     if name.startswith(ABELIAN_PREFIX):
         suffix = name[len(ABELIAN_PREFIX):]
         if suffix == "n":

@@ -17,7 +17,10 @@ also settable via LEIBALG_MAX_GL), --seed N (recorded in reports).
 Exit codes: 0 success; 2 validation failed; 3 no witness found; 4 witness
 rejected; 64 usage error (including a search larger than the GL bound);
 65 malformed or inconsistent input data (a document that is not UTF-8
-included); 66 unreadable input file.
+included), and any other error the library raises (every class in
+leibalg.errors); 66 unreadable input file.
+
+Each command imports only the layers it runs: `catalog list` loads none.
 
 All reports are deterministic for fixed inputs: JSON is emitted with sorted
 keys and the text format renders the same payload line by line.
@@ -30,45 +33,47 @@ import json
 import sys
 
 from . import __version__
-from .algebra import (
-    annihilator_ideal,
-    has_trivial_lie_commutator,
-    is_abelian,
-    lie_center,
-    lie_commutator_of,
-    MorphismError,
-    AlgebraMorphism,
-)
-from .catalog import CatalogError, catalog_entry, catalog_names, describe
-from .documents import (
+from .catalog import catalog_entry, catalog_names, describe
+from .errors import (
+    AlgebraError,
+    CatalogError,
     DocumentError,
-    algebra_hash,
-    canonical_json,
-    check_dim,
-    convert_field,
-    matrix_from_json,
-    parse_algebra_json,
-    serialize_algebra,
-    serialize_witness,
-)
-from .extensions import (
-    backward_extension,
-    canonical_extension,
-    diagonal_pullback,
-    product_with_abelian,
-    validate_extension,
-)
-from .fields import Field, FieldError
-from .homology import check_sequence_nine, check_sequence_tail, is_stem_cover_candidate
-from .isoclinism import (
-    IsoclinismWitness,
+    ExtensionError,
+    FieldError,
+    IsoclinismError,
+    LinalgError,
+    MorphismError,
     SearchBoundError,
-    check_witness,
-    is_isoclinic_homomorphism,
-    search_isoclinism,
 )
-from .algebra import LeibnizAlgebra, validate
-from .linalg import LinearMap
+
+# Layer names that `cli.<name>` resolves to the layer's current attribute.
+# The commands import them where they run, so loading cli loads no layer.
+_LAYER_NAMES = {
+    "algebra": ("AlgebraMorphism", "LeibnizAlgebra", "annihilator_ideal",
+                "has_trivial_lie_commutator", "is_abelian", "lie_center",
+                "lie_commutator_of", "validate"),
+    "documents": ("algebra_hash", "canonical_json", "check_dim", "convert_field",
+                  "matrix_from_json", "parse_algebra_json", "serialize_algebra",
+                  "serialize_witness"),
+    "extensions": ("backward_extension", "canonical_extension", "diagonal_pullback",
+                   "product_with_abelian", "validate_extension"),
+    "fields": ("Field",),
+    "homology": ("check_sequence_nine", "check_sequence_tail", "is_stem_cover_candidate"),
+    "isoclinism": ("IsoclinismWitness", "check_witness", "is_isoclinic_homomorphism",
+                   "search_isoclinism"),
+    "linalg": ("LinearMap",),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__package__}.{layer}"), name)
+
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -184,19 +189,21 @@ def build_parser() -> _Parser:
 def _target_field(args):
     if args.field is None:
         return None
+    from .fields import Field
+
     return Field.prime(args.field)
 
 
 def load_algebra(ref: str, field: Field | None, check=True) -> LeibnizAlgebra:
     if ref.startswith(CATALOG_PREFIX):
-        alg = catalog_entry(ref[len(CATALOG_PREFIX):],
-                            field if field is not None else Field.rationals())
-        return alg
+        return catalog_entry(ref[len(CATALOG_PREFIX):], field)
     return parse_algebra(_read_text(ref), field, check)
 
 
 def parse_algebra(text: str, field: Field | None, check=True) -> LeibnizAlgebra:
     """The algebra of a document's text, reduced to field when one is given."""
+    from .documents import convert_field, parse_algebra_json
+
     alg = parse_algebra_json(text, check=check)
     if field is not None and alg.field != field:
         alg = convert_field(alg, field)
@@ -241,6 +248,15 @@ def stem_payload(rep):
 
 def invariants_payload(e):
     """Invariants of the algebra e.g, given its canonical extension e."""
+    from .algebra import (
+        annihilator_ideal,
+        has_trivial_lie_commutator,
+        is_abelian,
+        lie_center,
+        lie_commutator_of,
+    )
+    from .homology import is_stem_cover_candidate
+
     alg = e.g
     ann = annihilator_ideal(alg)
     return {
@@ -261,6 +277,9 @@ def invariants_payload(e):
 
 
 def extension_payload(e, construction):
+    from .extensions import validate_extension
+    from .homology import check_sequence_nine, check_sequence_tail, is_stem_cover_candidate
+
     report = validate_extension(e)
     payload = {
         "construction": construction,
@@ -279,6 +298,8 @@ def extension_payload(e, construction):
 
 
 def witness_payload(w: IsoclinismWitness):
+    from .documents import serialize_witness
+
     doc = serialize_witness(w)
     return {"eta": doc["eta"], "xi": doc["xi"]}
 
@@ -319,6 +340,9 @@ def _flatten(prefix, value, out):
 
 
 def cmd_validate(args):
+    from .algebra import validate
+    from .documents import algebra_hash
+
     alg = load_algebra(args.algebra, _target_field(args), check=False)
     report = validate(alg)
     violations = [{"triple": list(v.triple),
@@ -331,6 +355,9 @@ def cmd_validate(args):
 
 
 def cmd_invariants(args):
+    from .documents import algebra_hash
+    from .extensions import canonical_extension
+
     alg = load_algebra(args.algebra, _target_field(args))
     emit(args, "invariants", {"algebra": algebra_hash(alg)}, "ok",
          invariants_payload(canonical_extension(alg)))
@@ -338,6 +365,12 @@ def cmd_invariants(args):
 
 
 def cmd_isoclinic(args):
+    from .algebra import AlgebraMorphism, lie_commutator_of
+    from .documents import algebra_hash, matrix_from_json
+    from .extensions import canonical_extension
+    from .isoclinism import IsoclinismWitness, check_witness, search_isoclinism
+    from .linalg import LinearMap
+
     field = _target_field(args)
     a = load_algebra(args.first, field)
     b = load_algebra(args.second, field)
@@ -381,6 +414,9 @@ def cmd_isoclinic(args):
 def cmd_classify(args):
     import os
 
+    from .documents import algebra_hash
+    from .isoclinism import classify as classify_algebras
+
     field = _target_field(args)
     names = sorted(n for n in os.listdir(args.directory) if n.endswith(".json"))
     parsed = {}  # document text -> its algebra: copies are parsed once
@@ -395,8 +431,6 @@ def cmd_classify(args):
         raise DocumentError(
             "classify needs all inputs over one finite field; pass --field p "
             "to reduce rational documents")
-    from .isoclinism import classify as classify_algebras
-
     classification = classify_algebras(algebras, max_gl=args.max_gl)
     classes = []
     for cls in classification.classes:
@@ -418,6 +452,9 @@ def cmd_classify(args):
 
 
 def cmd_extension_canonical(args):
+    from .documents import algebra_hash
+    from .extensions import canonical_extension
+
     alg = load_algebra(args.algebra, _target_field(args))
     e = canonical_extension(alg)
     payload = extension_payload(e, "canonical")
@@ -427,6 +464,10 @@ def cmd_extension_canonical(args):
 
 
 def _searched_pair(args):
+    from .documents import algebra_hash
+    from .extensions import canonical_extension
+    from .isoclinism import search_isoclinism
+
     field = _target_field(args)
     a = load_algebra(args.first, field)
     b = load_algebra(args.second, field)
@@ -438,6 +479,9 @@ def _searched_pair(args):
 
 
 def cmd_extension_backward(args):
+    from .extensions import backward_extension
+    from .isoclinism import is_isoclinic_homomorphism
+
     e1, e2, witness, inputs = _searched_pair(args)
     if witness is None:
         emit(args, "extension", inputs, "no_witness", {"construction": "backward"})
@@ -452,6 +496,9 @@ def cmd_extension_backward(args):
 
 
 def cmd_extension_pullback(args):
+    from .extensions import diagonal_pullback
+    from .isoclinism import is_isoclinic_homomorphism
+
     e1, e2, witness, inputs = _searched_pair(args)
     if witness is None:
         emit(args, "extension", inputs, "no_witness", {"construction": "pullback"})
@@ -469,6 +516,11 @@ def cmd_extension_pullback(args):
 
 
 def cmd_extension_product(args):
+    from .algebra import LeibnizAlgebra
+    from .documents import algebra_hash, check_dim
+    from .extensions import canonical_extension, product_with_abelian
+    from .isoclinism import is_isoclinic_homomorphism
+
     alg = load_algebra(args.algebra, _target_field(args))
     if args.abelian_dim < 0:
         raise UsageError("--abelian-dim must be non-negative")
@@ -495,7 +547,9 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_show(args):
-    alg = catalog_entry(args.name, _target_field(args) or Field.rationals())
+    from .documents import canonical_json, serialize_algebra
+
+    alg = catalog_entry(args.name, _target_field(args))
     doc = serialize_algebra(alg)
     if args.format == "json":
         sys.stdout.write(canonical_json(doc))
@@ -517,7 +571,8 @@ def main(argv=None) -> int:
     except SearchBoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DocumentError, CatalogError, FieldError) as exc:
+    except (DocumentError, CatalogError, FieldError, AlgebraError, MorphismError,
+            LinalgError, ExtensionError, IsoclinismError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"data error: {message}", file=sys.stderr)
         return EXIT_DATA

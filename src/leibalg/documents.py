@@ -24,7 +24,8 @@ import hashlib
 import json
 
 from .algebra import LeibnizAlgebra, validate
-from .fields import Field, FieldError
+from .errors import DocumentError, FieldError
+from .fields import Field
 from .linalg import Matrix
 
 SCHEMA_VERSION = "1"
@@ -33,10 +34,6 @@ SCHEMA_VERSION = "1"
 # dim^3 basis triples, so a 60-byte document of dim 120 used to run for
 # minutes; every algebra in the tests and the benchmark has dim <= 24.
 MAX_DIM = 64
-
-
-class DocumentError(ValueError):
-    """Malformed or semantically invalid interchange document."""
 
 
 def _is_int(value):

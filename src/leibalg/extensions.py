@@ -32,11 +32,8 @@ from .algebra import (
     quotient_algebra,
     subalgebra,
 )
+from .errors import ExtensionError
 from .linalg import Matrix, Subspace, kernel, quotient
-
-
-class ExtensionError(ValueError):
-    pass
 
 
 @value_class

@@ -4,22 +4,31 @@ Scalars are kept as plain Python values: `int` residues in [0, p) for a
 prime field, `fractions.Fraction` (lowest terms, positive denominator,
 which Fraction guarantees) for the rationals.  A Field instance supplies
 the arithmetic so that matrices never need to know which case they are in.
+
+`fractions` (and the `decimal` module it loads) is imported on first
+rational use: work over F_p with integer scalars never needs it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._value import value_class
+from .errors import FieldError
 
 # Largest prime modulus accepted.  Moduli come from outside input, and the
 # bound keeps _is_prime's trial division (at most 2**10 steps) and the
 # pow(a, p - 2, p) inverses cheap.
 MAX_PRIME = 1 << 20
 
+# fractions.Fraction once _fraction_type has imported it.  Every Field(None)
+# imports it, so the methods of a rational field read this global directly.
+Fraction = None
 
-class FieldError(ValueError):
-    """Raised for unusable coefficient fields or non-field scalars."""
+
+def _fraction_type():
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction
 
 
 def _is_prime(n: int) -> bool:
@@ -51,6 +60,8 @@ class Field:
                 raise FieldError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
             if not _is_prime(p):
                 raise FieldError(f"modulus {p} is not prime")
+        else:
+            _fraction_type()
         self.__dict__["p"] = p
 
     @classmethod
@@ -75,12 +86,13 @@ class Field:
         # int first: it is the common case, and the Fraction test is an ABC check
         if isinstance(value, int):
             return value % self.p if self.p is not None else Fraction(value)
+        fraction = _fraction_type()
         if isinstance(value, str):
             try:
-                value = Fraction(value)
+                value = fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
                 raise FieldError(f"cannot parse scalar {value!r}: {exc}") from None
-        if isinstance(value, Fraction):
+        if isinstance(value, fraction):
             if self.p is None:
                 return value
             den = value.denominator % self.p

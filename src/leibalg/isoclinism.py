@@ -50,7 +50,7 @@ from .extensions import (
     canonical_extension,
     commutator_map,
 )
-from .fields import FieldError
+from .errors import FieldError, IsoclinismError, SearchBoundError
 from .linalg import (
     LinearMap,
     Matrix,
@@ -60,14 +60,6 @@ from .linalg import (
     rref,
     subspace_sum,
 )
-
-
-class IsoclinismError(ValueError):
-    pass
-
-
-class SearchBoundError(IsoclinismError):
-    """The requested search would enumerate more of GL(n, F_p) than allowed."""
 
 
 MAX_GL_ENV = "LEIBALG_MAX_GL"

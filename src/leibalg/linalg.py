@@ -14,11 +14,8 @@ from __future__ import annotations
 from operator import mul
 
 from ._value import value_class
+from .errors import LinalgError
 from .fields import Field
-
-
-class LinalgError(ValueError):
-    pass
 
 
 @value_class

@@ -63,6 +63,16 @@ def test_structure_shape_errors():
         LeibnizAlgebra.from_structure(FQ, 2, {(0, 0): (0, 1, 0)})
 
 
+def test_bracket_rejects_vectors_of_the_wrong_length():
+    g = paper_g1(F3)
+    assert g.bracket((1, 0), (1, 0)) == (0, 1)
+    for x, y in (((1, 0, 0), (1,)), ((1, 0), (1,)), ((1,), (1, 0)), ((1, 0), (1, 0, 0))):
+        with pytest.raises(AlgebraError, match="dim 2"):
+            g.bracket(x, y)
+        with pytest.raises(AlgebraError, match="dim 2"):
+            g.symmetric_bracket(x, y)
+
+
 def test_validate_worked_examples():
     for field in (FQ, F3):
         assert validate(paper_g1(field)).ok

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import leibalg.cli as cli
+import leibalg.documents as documents
+import leibalg.errors as errors
 from leibalg.cli import (
     EXIT_DATA,
     EXIT_INVALID,
@@ -236,8 +238,9 @@ def test_classify_parses_each_distinct_text_once(capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.delenv(MAX_GL_ENV, raising=False)
     parsed, hashed = [], []
-    monkeypatch.setattr(cli, "parse_algebra_json", counting(parsed, cli.parse_algebra_json))
-    monkeypatch.setattr(cli, "algebra_hash", counting(hashed, cli.algebra_hash))
+    monkeypatch.setattr(documents, "parse_algebra_json",
+                        counting(parsed, documents.parse_algebra_json))
+    monkeypatch.setattr(documents, "algebra_hash", counting(hashed, documents.algebra_hash))
     for argv, read in ((("classify", "docs/shared", "--field", "3"), 16),
                        (("classify", "docs/shared"), 16),
                        (("classify", "docs/shared_bad", "--field", "3"), 3)):
@@ -437,6 +440,26 @@ def test_huge_prime_modulus_is_a_prompt_data_error(tmp_path):
                               text=True, env=env, timeout=30)
         assert proc.returncode == EXIT_DATA and proc.stdout == ""
         assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1
+
+
+def test_every_library_error_has_an_exit_code(capsys, monkeypatch):
+    def raising(exc):
+        def handler(args):
+            raise exc
+        return handler
+
+    codes = {errors.SearchBoundError: EXIT_USAGE}
+    codes.update((cls, EXIT_DATA) for cls in (
+        errors.FieldError, errors.LinalgError, errors.AlgebraError, errors.MorphismError,
+        errors.DocumentError, errors.ExtensionError, errors.IsoclinismError,
+        errors.CatalogError))
+    assert set(codes) == {value for value in vars(errors).values()
+                          if isinstance(value, type) and issubclass(value, Exception)}
+    for cls, code in codes.items():
+        monkeypatch.setattr(cli, "cmd_validate", raising(cls(f"bad {cls.__name__}")))
+        rc, out, err = run(capsys, "validate", "catalog:paper_g1")
+        prefix = "usage error" if code == EXIT_USAGE else "data error"
+        assert (rc, out, err) == (code, "", f"{prefix}: bad {cls.__name__}\n")
 
 
 def test_no_arguments_is_usage_error(capsys):
