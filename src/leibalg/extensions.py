@@ -128,13 +128,6 @@ class CommutatorMap:
         com = lie_commutator_of(self.extension.g)
         return tuple(tuple(com.coords_of(v) for v in row) for row in self.table)
 
-    def radical(self) -> Subspace:
-        """{x in q : C(x, y) = 0 for all y}, an isoclinism-invariant subspace."""
-        m = self.extension.q.dim
-        rows = tuple(tuple(self.table[i][j][r] for i in range(m))
-                     for j in range(m) for r in range(self.extension.g.dim))
-        return kernel(Matrix(self.extension.g.field, len(rows), m, rows))
-
 
 def commutator_map(e: CentralExtension) -> CommutatorMap:
     """The commutator map of e, computed once per extension."""

@@ -3,7 +3,7 @@
 For a Lie-central extension 0 -> n -> g -> q -> 0 the pieces that are finite
 dimensional without a free presentation are:
 
-* HL1 of an algebra, which is its liezation;
+* HL1 of an algebra, which is its liezation (algebra.liezation);
 * the image of the connecting map theta, which equals n meet [g,g]_Lie
   (reported in n-coordinates through the injection chi);
 * the tail  n -> HL1(g) -> HL1(q) -> 0  of the six-term sequence;
@@ -19,7 +19,7 @@ property is not, and is_stem_cover_candidate says so explicitly.
 from __future__ import annotations
 
 from ._value import value_class
-from .algebra import LeibnizAlgebra, lie_commutator_of, liezation
+from .algebra import lie_commutator_of, liezation
 from .extensions import CentralExtension, is_stem_extension
 from .linalg import (
     LinearMap,
@@ -49,11 +49,6 @@ class SequenceReport:
 
     def __bool__(self):
         return self.ok
-
-
-def hl1_lie(g: LeibnizAlgebra) -> LeibnizAlgebra:
-    """First relative homology of an algebra: its liezation."""
-    return liezation(g).algebra
 
 
 def theta_image(e: CentralExtension):

@@ -6,10 +6,13 @@ totals that intertwines the commutator maps,
 
     xi(C1(x, y)) = C2(eta x, eta y)   for all x, y in q1.
 
-Since the commutator-map values span the Lie-commutator, eta determines xi
-uniquely whenever a compatible xi exists: derive_xi reads it off one RREF of
-the commutator values in Lie-commutator coordinates, and check_witness
-compares in the same coordinates, so search only ever enumerates eta.
+Everything here reads each side through its isoclinism datum
+(IsoclinismDatum): the field, the bracket of q, d = dim [g, g]_Lie and the
+commutator map C in Lie-commutator coordinates.  Since the commutator-map
+values span the Lie-commutator, eta determines xi uniquely whenever a
+compatible xi exists: _xi_matrix reads it off one RREF of the commutator
+values, and check_witness compares in the same coordinates, so search only
+ever enumerates eta.
 
 The search fixes the columns of eta one at a time, in lexicographic
 coordinate order.  Every bracket condition that becomes checkable at column
@@ -23,18 +26,19 @@ lexicographic order, so the first witness found is the lexicographically
 first one, and any concurrent evaluation of branches must preserve that
 (the implementation here is sequential).
 
-Two algebras are isoclinic when their canonical extensions by the Lie-center
-are; classify() partitions a list of algebras by that relation.  The search
-and its invariant key read only each side's isoclinism datum (q, C): the
-quotient algebra and the commutator map in Lie-commutator coordinates.  So
-isoclinism, and the matrices of the first witness, are functions of the two
-data, and classify() searches each pair of data once.
+The engine yields the (eta, xi) matrices, which are functions of the two
+data alone; _witness builds them into a witness on a given pair of
+extensions, re-checking the brackets.  Two algebras are isoclinic when their
+canonical extensions by the Lie-center are; classify() partitions a list of
+algebras by that relation, with one datum per distinct algebra, one search
+key per datum and one search per pair of data.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from functools import cached_property
 
 from ._value import value_class
 from .algebra import (
@@ -51,6 +55,7 @@ from .extensions import (
     commutator_map,
 )
 from .errors import FieldError, IsoclinismError, SearchBoundError
+from .fields import Field
 from .linalg import (
     LinearMap,
     Matrix,
@@ -106,46 +111,89 @@ class WitnessReport:
         return self.ok
 
 
+@value_class
+class IsoclinismDatum:
+    """What Lie-isoclinism reads of a Lie-central extension.
+
+    The field, the bracket of q, d = dim [g, g]_Lie and the commutator map in
+    Lie-commutator coordinates, table[i][j] = C(b_i, b_j).  The search, its
+    key and classify read nothing else, so the (eta, xi) matrices of every
+    witness between two extensions are functions of their two data.
+    """
+
+    field: Field
+    structure: tuple  # the structure tensor of q
+    d: int
+    table: tuple
+
+    @classmethod
+    def of(cls, e: CentralExtension) -> "IsoclinismDatum":
+        return cls(e.g.field, e.q.structure, lie_commutator_of(e.g).dim,
+                   commutator_map(e).coord_table)
+
+    @cached_property
+    def key(self):
+        """Invariants every isoclinic pair shares, computed once per datum:
+        dim q, d, the dimension of the radical {x : C(x, y) = 0 for all y},
+        and the dimensions of the Lie-center, the Lie-commutator and the
+        annihilator ideal of q."""
+        m = len(self.structure)
+        rows = tuple(tuple(self.table[i][j][t] for i in range(m))
+                     for j in range(m) for t in range(self.d))
+        q = LeibnizAlgebra(self.field, m, self.structure)
+        return (m, self.d, m - Matrix(self.field, len(rows), m, rows).rank(),
+                lie_center(q).dim, lie_commutator_of(q).dim, annihilator_ideal(q).dim)
+
+
+def _squares(d1, d2, cols):
+    """(i, j, C1(b_i, b_j), C2(eta b_i, eta b_j)) for i <= j, both values in
+    Lie-commutator coordinates, eta the map with columns cols."""
+    t1, t2 = d1.table, d2.table
+    for i in range(len(cols)):
+        for j in range(i, len(cols)):
+            yield i, j, t1[i][j], bilinear(d1.field, t2, cols[i], cols[j])
+
+
+def _xi_matrix(d1, d2, cols):
+    """The matrix of the unique xi compatible with the eta with columns
+    cols, or None if no linear map is; it need not be injective.
+
+    One row [C1(b_i, b_j) | C2(eta b_i, eta b_j)] per pair i <= j, and one
+    RREF.  xi exists exactly when no pivot falls in the right block.  The C1
+    values span [g1, g1]_Lie: a symmetric bracket of two elements of g1 is C1
+    of their images in q1, because chi(n1) is Lie-central, and the symmetric
+    brackets span the ideal they generate.  So the left block has rank d1,
+    its RREF is [I | xi^T] on the top d1 rows, and row k carries xi(e_k).
+    """
+    rows = tuple(u + v for _, _, u, v in _squares(d1, d2, cols))
+    red, pivots = rref(Matrix(d1.field, len(rows), d1.d + d2.d, rows))
+    if pivots and pivots[-1] >= d1.d:
+        return None
+    if len(pivots) != d1.d:
+        raise IsoclinismError("commutator values failed to span the Lie-commutator")
+    return Matrix.from_columns(d1.field, [r[d1.d:] for r in red.entries[:d1.d]], nrows=d2.d)
+
+
+def _witness(e1, e2, matrices) -> IsoclinismWitness:
+    """The witness from e1 to e2 with the given (eta, xi) matrices, built on
+    e1's and e2's own quotients and Lie-commutators."""
+    eta, xi = matrices
+    return IsoclinismWitness(AlgebraMorphism(e1.q, e2.q, eta),
+                             LinearMap(lie_commutator_of(e1.g), lie_commutator_of(e2.g), xi))
+
+
 def derive_xi(e1: CentralExtension, e2: CentralExtension, eta: AlgebraMorphism):
     """The unique xi compatible with eta, or None if no linear map is.
 
     eta must be an isomorphism e1.q -> e2.q; the returned map need not be
     injective (callers decide whether a non-injective xi disqualifies eta).
-
-    Works in Lie-commutator coordinates throughout: one row
-    [C1(b_i, b_j) | C2(eta b_i, eta b_j)] per pair i <= j, and one RREF.  xi
-    exists exactly when no pivot falls in the right block.  The C1 values
-    span [g1, g1]_Lie: a symmetric bracket of two elements of g1 is C1 of
-    their images in q1, because chi(n1) is Lie-central, and the symmetric
-    brackets span the ideal they generate.  So the left block has rank d1,
-    its RREF is [I | xi^T] on the top d1 rows, and row k carries xi(e_k).
     """
     if eta.source != e1.q or eta.target != e2.q:
         raise IsoclinismError("eta endpoints do not match the extensions")
     if not eta.is_bijective:
         raise IsoclinismError("eta is not an isomorphism")
-    f = e1.g.field
-    com1, com2 = lie_commutator_of(e1.g), lie_commutator_of(e2.g)
-    d1, d2 = com1.dim, com2.dim
-    rows = tuple(u + v for _, _, u, v in _squares(e1, e2, eta))
-    red, pivots = rref(Matrix(f, len(rows), d1 + d2, rows))
-    if pivots and pivots[-1] >= d1:
-        return None
-    if len(pivots) != d1:
-        raise IsoclinismError("commutator values failed to span the Lie-commutator")
-    return LinearMap(com1, com2,
-                     Matrix.from_columns(f, [r[d1:] for r in red.entries[:d1]], nrows=d2))
-
-
-def _squares(e1, e2, eta):
-    """(i, j, C1(b_i, b_j), C2(eta b_i, eta b_j)) for i <= j, both values in
-    Lie-commutator coordinates."""
-    f = e1.g.field
-    t1, t2 = commutator_map(e1).coord_table, commutator_map(e2).coord_table
-    cols = eta.matrix.columns()
-    for i in range(len(cols)):
-        for j in range(i, len(cols)):
-            yield i, j, t1[i][j], bilinear(f, t2, cols[i], cols[j])
+    xi = _xi_matrix(IsoclinismDatum.of(e1), IsoclinismDatum.of(e2), eta.matrix.columns())
+    return None if xi is None else LinearMap(lie_commutator_of(e1.g), lie_commutator_of(e2.g), xi)
 
 
 def check_witness(e1: CentralExtension, e2: CentralExtension,
@@ -174,7 +222,8 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     if not xi_inj:
         failures.append("xi is not injective")
     compat = True
-    for i, j, u, v in _squares(e1, e2, eta):
+    squares = _squares(IsoclinismDatum.of(e1), IsoclinismDatum.of(e2), eta.matrix.columns())
+    for i, j, u, v in squares:
         if xi.matrix.apply(u) != v:
             compat = False
             failures.append(f"commutator squares disagree at basis pair ({i}, {j})")
@@ -186,54 +235,9 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     return WitnessReport(not failures, tuple(failures), automatic)
 
 
-@value_class
-class IsoclinismInvariants:
-    """Cheap necessary conditions used to prune the search.
-
-    search_key() holds only data every isoclinic pair must share: the
-    quotient dimension, the Lie-commutator dimension, the radical of the
-    commutator map, and isomorphism invariants of the quotient algebra.
-    Total dimension and Lie-center dimension are recorded for reporting but
-    never compared: an algebra and its product with an abelian algebra are
-    isoclinic yet differ in both.
-    """
-
-    q_dim: int
-    commutator_dim: int
-    c_radical_dim: int
-    q_center_dim: int
-    q_commutator_dim: int
-    q_annihilator_dim: int
-    g_dim: int
-    g_center_dim: int
-    g_annihilator_dim: int
-
-    @classmethod
-    def from_extension(cls, e: CentralExtension) -> "IsoclinismInvariants":
-        g, q = e.g, e.q
-        return cls(
-            q_dim=q.dim,
-            commutator_dim=lie_commutator_of(g).dim,
-            c_radical_dim=commutator_map(e).radical().dim,
-            q_center_dim=lie_center(q).dim,
-            q_commutator_dim=lie_commutator_of(q).dim,
-            q_annihilator_dim=annihilator_ideal(q).dim,
-            g_dim=g.dim,
-            g_center_dim=lie_center(g).dim,
-            g_annihilator_dim=annihilator_ideal(g).dim,
-        )
-
-    @classmethod
-    def from_algebra(cls, g: LeibnizAlgebra) -> "IsoclinismInvariants":
-        return cls.from_extension(canonical_extension(g))
-
-    def search_key(self):
-        return (self.q_dim, self.commutator_dim, self.c_radical_dim,
-                self.q_center_dim, self.q_commutator_dim, self.q_annihilator_dim)
-
-
 class _SearchEngine:
-    """Depth-first enumeration of eta column images over F_p.
+    """Depth-first enumeration of eta column images over F_p, between two
+    isoclinism data; it reads no extension.
 
     Each condition on eta is a constraint whose residual vanishes exactly
     when it holds (see _residual), checked at the first depth d where every
@@ -242,19 +246,19 @@ class _SearchEngine:
     pair (d, d), and rank are checked per candidate.
     """
 
-    def __init__(self, e1, e2):
-        self.e1, self.e2 = e1, e2
-        self.field = e1.g.field
+    def __init__(self, d1, d2):
+        self.data = d1, d2
+        self.field = d1.field
         self.p = self.field.p
-        self.m = e1.q.dim
+        self.m = len(d1.structure)
         self._examined = 0  # candidate columns that reached the filter
-        self.feasible = e1.q.dim == e2.q.dim
+        self.feasible = self.m == len(d2.structure)
         if not self.feasible:
             return
-        self.d = lie_commutator_of(e1.g).dim
-        self.c1_table = commutator_map(e1).coord_table
+        self.d = d1.d
+        self.c1_table = d1.table
         # a constraint names its bilinear map by index: the bracket of q2, or C2
-        self.tables = (e2.q.structure, commutator_map(e2).coord_table)
+        self.tables = (d2.structure, d2.table)
         # _operators of the column set at each depth, for the deeper _solutions
         self._ops = [None] * self.m
         self.affine_at = [[] for _ in range(self.m)]
@@ -262,7 +266,7 @@ class _SearchEngine:
         # eta [b_i, b_j] = [eta b_i, eta b_j]
         for i in range(self.m):
             for j in range(self.m):
-                val = e1.q.structure[i][j]
+                val = d1.structure[i][j]
                 support = [t for t in range(self.m) if val[t]]
                 self._add(max([i, j] + support),
                           (0, [(val[t], t) for t in support], [(-1, i, j)]))
@@ -443,15 +447,13 @@ class _SearchEngine:
         yield from descend(0, [])
 
     def witnesses(self):
-        """Witnesses in lexicographic eta order: run() with xi derived and
-        non-injective ones dropped."""
-        e1, e2 = self.e1, self.e2
-        f = self.field
+        """The (eta, xi) matrices of the witnesses, in lexicographic eta
+        order: run() with xi derived and non-injective ones dropped."""
+        d1, d2 = self.data
         for columns in self.run():
-            eta = AlgebraMorphism(e1.q, e2.q, Matrix.from_columns(f, columns, nrows=e2.q.dim))
-            xi = derive_xi(e1, e2, eta)
-            if xi is not None and xi.is_injective:
-                yield IsoclinismWitness(eta, xi)
+            xi = _xi_matrix(d1, d2, columns)
+            if xi is not None and xi.rank() == d1.d:
+                yield Matrix.from_columns(self.field, columns, nrows=self.m), xi
 
 
 def _check_search_preconditions(e1, e2, max_gl):
@@ -472,16 +474,17 @@ def search_isoclinism(e1: CentralExtension, e2: CentralExtension,
                       max_gl=None) -> IsoclinismWitness | None:
     """Lexicographically first witness of Lie-isoclinism, or None."""
     _check_search_preconditions(e1, e2, max_gl)
-    k1 = IsoclinismInvariants.from_extension(e1)
-    k2 = IsoclinismInvariants.from_extension(e2)
-    if k1.search_key() != k2.search_key():
+    d1, d2 = IsoclinismDatum.of(e1), IsoclinismDatum.of(e2)
+    if d1.key != d2.key:
         return None
-    return _first_witness(e1, e2)
+    found = _first_witness(d1, d2)
+    return None if found is None else _witness(e1, e2, found)
 
 
-def _first_witness(e1, e2) -> IsoclinismWitness | None:
-    """search_isoclinism after its precondition and invariant-key checks."""
-    return next(_SearchEngine(e1, e2).witnesses(), None)
+def _first_witness(d1, d2):
+    """The (eta, xi) matrices of the first witness between two data, or
+    None; search_isoclinism after its precondition and key checks."""
+    return next(_SearchEngine(d1, d2).witnesses(), None)
 
 
 def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
@@ -492,7 +495,8 @@ def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
     deterministic sample beyond that).
     """
     _check_search_preconditions(e, e, max_gl)
-    out = list(_SearchEngine(e, e).witnesses())
+    d = IsoclinismDatum.of(e)
+    out = [_witness(e, e, found) for found in _SearchEngine(d, d).witnesses()]
     if out:
         _verify_group_axioms(e, out)
     return out
@@ -636,57 +640,37 @@ def classify(algebras, max_gl=None) -> Classification:
     representatives (earliest member) of the existing classes, grouped first
     by the invariant key so that only plausible pairs are searched.
 
-    Each distinct algebra gets one canonical extension, shared by its copies.
-    Isoclinism is a function of the datum (q, C) of each side: the quotient
-    algebra and the commutator map in Lie-commutator coordinates, over one
-    field.  The key and the search read nothing else, so the key is computed
-    once per datum and the search runs once per pair of data.  A witness
-    found for another pair with the same data is rebuilt on this pair's own
-    quotients and Lie-commutators, so every class, member and witness is the
-    one a search of this very pair would give.
+    Each distinct algebra gets one canonical extension, shared by its copies,
+    and equal data are one object, so the key is computed once per datum.
+    The search runs once per pair of data, and every witness is built on its
+    own pair's quotients and Lie-commutators from the matrices that search
+    found, so every class, member and witness is the one a search of this
+    very pair would give.
     """
     algebras = tuple(algebras)
-    ext_of, datum_of = {}, {}  # distinct algebra -> its extension, its datum's number
-    numbers, keys = {}, []  # datum -> its number; number -> search key
+    seen, interned = {}, {}  # distinct algebra -> (extension, datum); datum -> itself
     for a in algebras:
-        if a in ext_of:
-            continue
-        e = ext_of[a] = canonical_extension(a)
-        d = datum_of[a] = numbers.setdefault(_datum(e), len(numbers))
-        if d == len(keys):
-            keys.append(IsoclinismInvariants.from_extension(e).search_key())
-    exts = tuple(ext_of[a] for a in algebras)
-    data = tuple(datum_of[a] for a in algebras)
-    searched = {}  # (datum of rep, datum of input) -> (rep, input, first witness or None)
+        if a not in seen:
+            e = canonical_extension(a)
+            d = IsoclinismDatum.of(e)
+            seen[a] = e, interned.setdefault(d, d)
+    exts = tuple(seen[a][0] for a in algebras)
+    data = tuple(seen[a][1] for a in algebras)
+    searched = {}  # (datum of rep, datum of input) -> first witness's matrices or None
     classes = []
     for idx, e in enumerate(exts):
-        placed = False
         for cls in classes:
-            rep = exts[cls.representative]
-            pair = data[cls.representative], data[idx]
-            if keys[pair[0]] != keys[pair[1]]:
+            rep = cls.representative
+            pair = data[rep], data[idx]
+            if pair[0].key != pair[1].key:
                 continue
-            _check_search_preconditions(rep, e, max_gl)
+            _check_search_preconditions(exts[rep], e, max_gl)
             if pair not in searched:
-                searched[pair] = rep, e, _first_witness(rep, e)
-            rep0, e0, w = searched[pair]
-            if w is not None:
-                if rep0 is not rep or e0 is not e:
-                    w = IsoclinismWitness(
-                        AlgebraMorphism(rep.q, e.q, w.eta.matrix),
-                        LinearMap(lie_commutator_of(rep.g), lie_commutator_of(e.g),
-                                  w.xi.matrix))
+                searched[pair] = _first_witness(*pair)
+            if searched[pair] is not None:
                 cls.members.append(idx)
-                cls.witnesses[idx] = w
-                placed = True
+                cls.witnesses[idx] = _witness(exts[rep], e, searched[pair])
                 break
-        if not placed:
+        else:
             classes.append(IsoclinismClass(idx, [idx], {idx: identity_witness(e)}))
     return Classification(algebras, exts, classes)
-
-
-def _datum(e):
-    """What the search and its key read of e: the field, the bracket of q,
-    dim [g, g]_Lie and the commutator map in Lie-commutator coordinates."""
-    return (e.g.field, e.q.structure, lie_commutator_of(e.g).dim,
-            commutator_map(e).coord_table)

@@ -184,10 +184,6 @@ def vec_add(field, a, b):
     return tuple(field.add(x, y) for x, y in zip(a, b))
 
 
-def vec_sub(field, a, b):
-    return tuple(field.sub(x, y) for x, y in zip(a, b))
-
-
 def vec_scale(field, c, a):
     return tuple(field.mul(c, x) for x in a)
 
@@ -268,11 +264,6 @@ def span(field, ambient_dim, vectors) -> Subspace:
 
 def zero_subspace(field, ambient_dim) -> Subspace:
     return Subspace(field, ambient_dim, (), ())
-
-
-def full_subspace(field, ambient_dim) -> Subspace:
-    eye = Matrix.identity(field, ambient_dim)
-    return Subspace(field, ambient_dim, eye.entries, tuple(range(ambient_dim)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

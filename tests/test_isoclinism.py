@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -9,6 +10,7 @@ from leibalg.algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
     MorphismError,
+    annihilator_ideal,
     direct_product,
     ideal_closure,
     lie_center,
@@ -29,7 +31,7 @@ from leibalg.isoclinism import (
     DEFAULT_MAX_GL,
     MAX_GL_ENV,
     IsoclinismError,
-    IsoclinismInvariants,
+    IsoclinismDatum,
     IsoclinismWitness,
     SearchBoundError,
     _SearchEngine,
@@ -54,7 +56,6 @@ from leibalg.linalg import (
     LinearMap,
     Matrix,
     bilinear,
-    full_subspace,
     intersect,
     span,
     subspace_sum,
@@ -83,9 +84,21 @@ def quadratic_form_algebra(d1, d2, field=F3):
         field, 3, {(0, 0): (0, 0, d1), (1, 1): (0, 0, d2)})
 
 
+def engine(e1, e2):
+    """The search engine on the isoclinism data of two extensions."""
+    return _SearchEngine(IsoclinismDatum.of(e1), IsoclinismDatum.of(e2))
+
+
+def as_witness(e1, e2, matrices):
+    """The witness from e1 to e2 with the given (eta, xi) matrices."""
+    eta, xi = matrices
+    return IsoclinismWitness(AlgebraMorphism(e1.q, e2.q, eta),
+                             LinearMap(lie_commutator_of(e1.g), lie_commutator_of(e2.g), xi))
+
+
 def engine_witnesses(e1, e2):
     """Every witness the backtracking engine can produce, in search order."""
-    return list(_SearchEngine(e1, e2).witnesses())
+    return [as_witness(e1, e2, found) for found in engine(e1, e2).witnesses()]
 
 
 # -- brute-force oracle ---------------------------------------------------------
@@ -113,39 +126,56 @@ def commutator_table(e):
              for v in lifts] for u in lifts]
 
 
+def rank_mod_p(p, rows):
+    """The rank of a list of vectors mod p, by Gaussian elimination written
+    out apart from the library."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c]:
+                f = rows[r][c] * pow(top[c], p - 2, p)
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
 def brute_force_witness_columns(e1, e2, xi_injective=True):
     """Enumerate GL(q1.dim, p) directly and test each candidate from scratch.
 
-    Shares no code with the search engine: brackets and commutator values are
-    contracted from the structure tensors here, and xi is found by
-    enumerating every linear map between the Lie-commutators (every injective
-    one, or with xi_injective=False every one at all).
+    Shares no code with the search engine: brackets and commutator values
+    are contracted from the structure tensors here, and every rank comes
+    from rank_mod_p.  A linear xi with xi(C1(b_i, b_j)) = C2(eta b_i,
+    eta b_j) for all i, j exists exactly when the rows [C1 | C2 eta] have
+    the rank of their C1 parts, which span [g1, g1]_Lie; it is injective
+    exactly when the C2 eta parts have that rank too.
     """
     q1, q2 = e1.q, e2.q
-    f = q1.field
-    p = f.p
-    if q1.dim != q2.dim:
+    p, m = q1.field.p, q1.dim
+    if m != q2.dim:
         return []
     c1, c2 = commutator_table(e1), commutator_table(e2)
-    pairs = [(i, j) for i in range(q1.dim) for j in range(q1.dim)]
-    com1 = span(f, e1.g.dim, [c1[i][j] for i, j in pairs])
-    com2 = span(f, e2.g.dim, [c2[i][j] for i, j in pairs])
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    sources = [c1[i][j] for i, j in pairs]
+    d1 = rank_mod_p(p, sources)
     found = []
-    for m in all_matrices(f, q2.dim, q1.dim):
-        if m.rank() != q1.dim:
+    for cols in itertools.product(itertools.product(range(p), repeat=m), repeat=m):
+        if rank_mod_p(p, cols) != m:
             continue
-        cols = m.columns()
-        if any(m.apply(q1.structure[i][j]) != contract(p, q2.structure, cols[i], cols[j])
+        if any(tuple(sum(c * col[t] for c, col in zip(q1.structure[i][j], cols)) % p
+                     for t in range(m)) != contract(p, q2.structure, cols[i], cols[j])
                for i, j in pairs):
             continue
-        images = {(i, j): contract(p, c2, cols[i], cols[j]) for i, j in pairs}
-        for xi_mat in all_matrices(f, com2.dim, com1.dim):
-            if xi_injective and xi_mat.rank() != com1.dim:
-                continue
-            xi = LinearMap(com1, com2, xi_mat)
-            if all(xi.apply_ambient(c1[i][j]) == images[i, j] for i, j in pairs):
-                found.append(tuple(cols))
-                break
+        images = [contract(p, c2, cols[i], cols[j]) for i, j in pairs]
+        if rank_mod_p(p, [u + v for u, v in zip(sources, images)]) != d1:
+            continue
+        if not xi_injective or rank_mod_p(p, images) == d1:
+            found.append(cols)
     return found
 
 
@@ -202,21 +232,25 @@ def test_engine_matches_brute_force_at_q_dim_3(suite):
 
 
 def test_engine_matches_brute_force_on_generated_algebras():
-    # central extensions of total dim 4-6 (conftest.generated_algebras): the
-    # engine's witnesses from g to P.g and from g to g x F are the
-    # brute-force list.  The oracle also enumerates every xi, so keep to
-    # q-dim 2 and Lie-commutator dim 2 (the other pairs take seconds each)
+    # central extensions of total dim 4-6 with q-dim 2 and 3
+    # (conftest.generated_algebras): the engine's witnesses from g to P.g,
+    # from g to g x F and between two generated algebras with quotients of
+    # one dimension are the brute-force list
     rng = random.Random(77)
-    picked = [g for g in generated_algebras(F3, 5417)
-              if canonical_extension(g).q.dim == 2 and lie_commutator_of(g).dim == 2]
-    assert len(picked) == 2 and {g.dim for g in picked} == {4, 5}
-    for g in picked:
-        e1 = canonical_extension(g)
-        for h in (change_basis(g, random_gl(rng, F3, g.dim)),
-                  direct_product(g, LeibnizAlgebra.abelian(F3, 1))):
-            e2 = canonical_extension(h)
-            engine = [eta_columns(w) for w in engine_witnesses(e1, e2)]
-            assert engine and engine == sorted(brute_force_witness_columns(e1, e2))
+    generated = generated_algebras(F3, 5417)
+    assert sorted(canonical_extension(g).q.dim for g in generated) == [2, 2, 2, 3, 3]
+    pairs = [(g, h) for g in generated
+             for h in (change_basis(g, random_gl(rng, F3, g.dim)),
+                       direct_product(g, LeibnizAlgebra.abelian(F3, 1)))]
+    pairs += [(g, h) for g, h in itertools.combinations(generated, 2)
+              if canonical_extension(g).q.dim == canonical_extension(h).q.dim]
+    found = []
+    for g, h in pairs:
+        e1, e2 = canonical_extension(g), canonical_extension(h)
+        engine = [eta_columns(w) for w in engine_witnesses(e1, e2)]
+        assert engine == sorted(brute_force_witness_columns(e1, e2))
+        found.append(bool(engine))
+    assert found[:10] == [True] * 10 and not all(found)
 
 
 def test_engine_run_matches_brute_force_on_square_conditions():
@@ -226,18 +260,27 @@ def test_engine_run_matches_brute_force_on_square_conditions():
     # [e2,e1] = e3 with its basis reversed has the quotient [b1,b1] = b0,
     # whose quadratic bracket condition on the pair (1, 1) no xi relation
     # implies: C1(1, 1) is not in the span of the other commutator values.
+    # [e1,e1] = e3, [e2,e2] = e4 has a 2-dimensional Lie-commutator, so
+    # every xi from it to the 1-dimensional one of x^2 + y^2 is not
+    # injective, and witnesses() must drop every eta that run() yields.
     ea = canonical_extension(quadratic_form_algebra(1, 1))
     eb = canonical_extension(quadratic_form_algebra(1, 2))
     en = canonical_extension(LeibnizAlgebra.from_structure(
         F3, 3, {(0, 0): (0, 1, 0), (1, 0): (0, 0, 1)}))
     er = canonical_extension(LeibnizAlgebra.from_structure(
         F3, 3, {(2, 2): (0, 1, 0), (1, 2): (1, 0, 0)}))
-    yielded = 0
-    for e1, e2 in [(ea, eb), (ea, ea), (eb, eb), (eb, ea), (er, er), (er, en)]:
+    ew = canonical_extension(LeibnizAlgebra.from_structure(
+        F3, 4, {(0, 0): (0, 0, 1, 0), (1, 1): (0, 0, 0, 1)}))
+    yielded = injective = 0
+    for e1, e2 in [(ea, eb), (ea, ea), (eb, eb), (eb, ea), (er, er), (er, en), (ew, ea)]:
         oracle = brute_force_witness_columns(e1, e2, xi_injective=False)
-        assert list(_SearchEngine(e1, e2).run()) == sorted(oracle)
+        assert list(engine(e1, e2).run()) == sorted(oracle)
+        witnesses = [eta_columns(w) for w in engine_witnesses(e1, e2)]
+        assert witnesses == sorted(brute_force_witness_columns(e1, e2))
         yielded += len(oracle)
-    assert yielded
+        injective += len(witnesses)
+    assert yielded and injective
+    assert list(engine(ew, ea).run()) and not engine_witnesses(ew, ea)
 
 
 def test_every_engine_witness_verifies(suite):
@@ -293,9 +336,7 @@ def test_non_isoclinic_quadratic_forms():
     # admit no witness.
     ea = canonical_extension(quadratic_form_algebra(1, 1))
     eb = canonical_extension(quadratic_form_algebra(1, 2))
-    ka = IsoclinismInvariants.from_extension(ea)
-    kb = IsoclinismInvariants.from_extension(eb)
-    assert ka.search_key() == kb.search_key()
+    assert IsoclinismDatum.of(ea).key == IsoclinismDatum.of(eb).key
     assert search_isoclinism(ea, eb) is None
     assert engine_witnesses(ea, eb) == []
 
@@ -395,7 +436,7 @@ def test_derive_xi_over_rationals_against_check_witness():
 def test_derive_xi_refuses_commutator_values_that_do_not_span():
     # n = g is not Lie-central: the quotient is 0, so there are no
     # commutator values, while [g, g]_Lie = span(e2)
-    e = central_extension_from_ideal(nilpotent_n2(FQ), full_subspace(FQ, 2))
+    e = central_extension_from_ideal(nilpotent_n2(FQ), span(FQ, 2, Matrix.identity(FQ, 2).entries))
     with pytest.raises(IsoclinismError, match="span"):
         derive_xi(e, e, AlgebraMorphism.identity(e.q))
 
@@ -507,24 +548,24 @@ def test_engine_work_over_f5():
     # of its linear constraints.  Enumerating all p^m candidates per depth
     # examined 725,625 columns here; solving for them examines 1,681.
     e = canonical_extension(direct_product(paper_g1(F5), paper_g1(F5)))
-    engine = _SearchEngine(e, e)
-    assert sum(1 for _ in engine.run()) == 32
-    assert engine._examined <= 2000
+    search = engine(e, e)
+    assert sum(1 for _ in search.run()) == 32
+    assert search._examined <= 2000
     # x^2 + y^2 and x^2 + 2 y^2 are inequivalent over F_5 too.  The bracket
     # rows alone leave 625 columns; the xi relations cut that to 145.
     ea = canonical_extension(quadratic_form_algebra(1, 1, F5))
     eb = canonical_extension(quadratic_form_algebra(1, 2, F5))
-    engine = _SearchEngine(ea, eb)
-    assert list(engine.run()) == []
-    assert engine._examined <= 200
+    search = engine(ea, eb)
+    assert list(search.run()) == []
+    assert search._examined <= 200
     # [b2, b1] = b2, [b3, b1] = 2 b3: the rows of the pairs (d, j), j < d,
     # carry the pruning.  Trying all of F_5^3 per depth examined 4,625
     # columns; without those rows the solver leaves 1,425, with them 185.
     e = canonical_extension(LeibnizAlgebra.from_structure(
         F5, 3, {(1, 0): (0, 1, 0), (2, 0): (0, 0, 2)}))
-    engine = _SearchEngine(e, e)
-    assert sum(1 for _ in engine.run()) == 16
-    assert engine._examined <= 250
+    search = engine(e, e)
+    assert sum(1 for _ in search.run()) == 16
+    assert search._examined <= 250
 
 
 def test_group_axiom_check_rejects_incomplete_autoclinism_sets():
@@ -560,19 +601,19 @@ def test_autoclinisms_of_abelian_algebra_form_gl():
 # -- invariants and bounds ------------------------------------------------------------
 
 
-def test_invariants_fields_and_key():
-    inv = IsoclinismInvariants.from_algebra(paper_g2(FQ))
-    assert inv.g_dim == 3 and inv.q_dim == 2
-    assert inv.commutator_dim == 1 and inv.c_radical_dim == 0
-    assert inv.search_key() == (2, 1, 0, inv.q_center_dim,
-                                inv.q_commutator_dim, inv.q_annihilator_dim)
-    # recorded-only fields stay out of the key
+def test_datum_fields_and_key():
+    e = canonical_extension(paper_g2(FQ))
+    d = IsoclinismDatum.of(e)
+    assert d == IsoclinismDatum(FQ, e.q.structure, 1, commutator_map(e).coord_table)
+    q = e.q
+    assert d.key == (2, 1, 0, lie_center(q).dim, lie_commutator_of(q).dim,
+                     annihilator_ideal(q).dim)
+    assert d.key is d.key
+    # the totals' dimensions and Lie-centers stay out of the datum
     g = paper_g1(F3)
     fat = direct_product(g, LeibnizAlgebra.abelian(F3, 3))
-    k1 = IsoclinismInvariants.from_algebra(g)
-    k2 = IsoclinismInvariants.from_algebra(fat)
-    assert k1.search_key() == k2.search_key()
-    assert k1.g_dim != k2.g_dim and k1.g_center_dim != k2.g_center_dim
+    assert g.dim != fat.dim and lie_center(g).dim != lie_center(fat).dim
+    assert datum(g) == datum(fat)
 
 
 def test_key_equality_is_necessary(suite):
@@ -583,8 +624,7 @@ def test_key_equality_is_necessary(suite):
         e2 = exts[rng.randrange(len(exts))]
         w = search_isoclinism(e1, e2)
         if w is not None:
-            assert (IsoclinismInvariants.from_extension(e1).search_key()
-                    == IsoclinismInvariants.from_extension(e2).search_key())
+            assert IsoclinismDatum.of(e1).key == IsoclinismDatum.of(e2).key
             assert check_witness(e1, e2, w).ok
 
 
@@ -789,14 +829,14 @@ def classify_searching_every_pair(algebras):
     searched.  Returns the classes as (representative, members, witnesses)
     and the pairs searched, as pairs of algebras."""
     exts = [canonical_extension(a) for a in algebras]
-    keys = [IsoclinismInvariants.from_extension(e).search_key() for e in exts]
+    keys = [IsoclinismDatum.of(e).key for e in exts]
     classes, searched = [], []
     for idx, e in enumerate(exts):
         for rep, members, witnesses in classes:
             if keys[rep] != keys[idx]:
                 continue
             searched.append((algebras[rep], algebras[idx]))
-            w = next(_SearchEngine(exts[rep], e).witnesses(), None)
+            w = next(iter(engine_witnesses(exts[rep], e)), None)
             if w is not None:
                 members.append(idx)
                 witnesses[idx] = w
@@ -807,11 +847,31 @@ def classify_searching_every_pair(algebras):
 
 
 def datum(alg):
-    """The isoclinism datum of alg: the field, the bracket of q = g/Z_Lie(g),
-    dim [g, g]_Lie and the commutator map in Lie-commutator coordinates."""
-    e = canonical_extension(alg)
-    return (alg.field, e.q.structure, lie_commutator_of(alg).dim,
-            commutator_map(e).coord_table)
+    """The isoclinism datum of alg's canonical extension."""
+    return IsoclinismDatum.of(canonical_extension(alg))
+
+
+def count_engines_and_keys(monkeypatch):
+    """Record the data pair of every engine built and the datum of every key
+    computed, from here on."""
+    engines, keyed = [], []
+
+    class CountingEngine(_SearchEngine):
+        def __init__(self, d1, d2):
+            engines.append((d1, d2))
+            super().__init__(d1, d2)
+
+    key = IsoclinismDatum.key.func
+
+    def counting_key(self):
+        keyed.append(self)
+        return key(self)
+
+    counted = cached_property(counting_key)
+    counted.__set_name__(IsoclinismDatum, "key")
+    monkeypatch.setattr(iso, "_SearchEngine", CountingEngine)
+    monkeypatch.setattr(IsoclinismDatum, "key", counted)
+    return engines, keyed
 
 
 def test_classify_reuses_equal_inputs(suite, monkeypatch):
@@ -825,28 +885,22 @@ def test_classify_reuses_equal_inputs(suite, monkeypatch):
     expected, searched = classify_searching_every_pair(algebras)
     assert len(searched) > len(set(searched))
 
-    built, engines = [], []
+    built = []
 
     def counting_extension(alg):
         built.append(alg)
         return canonical_extension(alg)
 
-    class CountingEngine(_SearchEngine):
-        def __init__(self, e1, e2):
-            engines.append((e1.g, e2.g))
-            super().__init__(e1, e2)
-
     monkeypatch.setattr(iso, "canonical_extension", counting_extension)
-    monkeypatch.setattr(iso, "_SearchEngine", CountingEngine)
+    engines, _ = count_engines_and_keys(monkeypatch)
     result = classify(algebras)
 
     assert [(cls.representative, cls.members, cls.witnesses)
             for cls in result.classes] == expected
     assert built == list(dict.fromkeys(algebras))
     # one engine per distinct datum pair, fewer than the distinct algebra pairs
-    engine_data = [(datum(a), datum(b)) for a, b in engines]
-    assert len(engine_data) == len(set(engine_data)) < len(set(searched))
-    assert set(engine_data) == {(datum(a), datum(b)) for a, b in searched}
+    assert len(engines) == len(set(engines)) < len(set(searched))
+    assert set(engines) == {(datum(a), datum(b)) for a, b in searched}
     rep = algebras.index(base[16])
     copies = [idx for idx in range(rep + 1, len(algebras)) if algebras[idx] == base[16]]
     assert len(copies) == 3
@@ -870,28 +924,15 @@ def test_classify_searches_each_datum_pair_once(suite, monkeypatch):
     pairs = {(datum(a), datum(b)) for a, b in searched}
     assert len(data) < len(distinct) and len(pairs) < len(set(searched))
 
-    keyed, engines = [], []
-    from_extension = IsoclinismInvariants.from_extension.__func__
-
-    def counting_key(cls, e):
-        keyed.append(e.g)
-        return from_extension(cls, e)
-
-    class CountingEngine(_SearchEngine):
-        def __init__(self, e1, e2):
-            engines.append((e1.g, e2.g))
-            super().__init__(e1, e2)
-
-    monkeypatch.setattr(IsoclinismInvariants, "from_extension", classmethod(counting_key))
-    monkeypatch.setattr(iso, "_SearchEngine", CountingEngine)
+    engines, keyed = count_engines_and_keys(monkeypatch)
     result = classify(algebras)
 
     assert [(cls.representative, cls.members, cls.witnesses)
             for cls in result.classes] == expected
-    assert [datum(g) for g in keyed] == data
-    engine_data = [(datum(a), datum(b)) for a, b in engines]
-    assert len(engine_data) == len(set(engine_data)) and set(engine_data) == pairs
-    rebuilt = 0
+    # one key per datum, one engine per datum pair
+    assert len(keyed) == len(set(keyed)) and set(keyed) == set(data)
+    assert len(engines) == len(set(engines)) and set(engines) == pairs
+    algebra_pairs, data_pairs = set(), set()
     for cls in result.classes:
         rep = result.extensions[cls.representative]
         for member, w in cls.witnesses.items():
@@ -900,8 +941,43 @@ def test_classify_searches_each_datum_pair_once(suite, monkeypatch):
             assert (w.xi.domain, w.xi.codomain) == (lie_commutator_of(rep.g),
                                                     lie_commutator_of(e.g))
             assert check_witness(rep, e, w).ok
-            rebuilt += (rep.g, e.g) not in engines and member != cls.representative
-    assert rebuilt > 0
+            if member != cls.representative:
+                algebra_pairs.add((rep.g, e.g))
+                data_pairs.add((datum(rep.g), datum(e.g)))
+    # some witnesses are built from the search of another pair of algebras
+    assert len(algebra_pairs) > len(data_pairs)
+
+
+def test_datum_is_shared_and_keyed_once(monkeypatch):
+    # g, g x F and F^2 x g have equal data, and classify interns them: one
+    # datum object, one key computation, one search per pair of data.  The
+    # witnesses of P.g and its products are built from one search's matrices,
+    # each on its own pair's quotients and Lie-commutators.
+    g = paper_g2(F3)
+    a1, a2 = LeibnizAlgebra.abelian(F3, 1), LeibnizAlgebra.abelian(F3, 2)
+    h = change_basis(g, Matrix.from_rows(F3, [(1, 1, 0), (0, 2, 0), (1, 0, 1)]))
+    algebras = [g, direct_product(g, a1), direct_product(a2, g),
+                h, direct_product(h, a1), direct_product(a2, h)]
+    dg, dh = datum(g), datum(h)
+    assert [datum(a) for a in algebras] == [dg] * 3 + [dh] * 3 and dg != dh
+    assert dg.key is dg.key
+
+    engines, keyed = count_engines_and_keys(monkeypatch)
+    result = classify(algebras)
+    assert [cls.members for cls in result.classes] == [list(range(6))]
+    assert keyed == [dg, dh] and engines == [(dg, dg), (dg, dh)]
+    assert engines[0][0] is engines[0][1] is engines[1][0] is keyed[0]
+    rep = result.extensions[0]
+    witnesses = result.classes[0].witnesses
+    for member, w in witnesses.items():
+        e = result.extensions[member]
+        assert (w.eta.source, w.eta.target) == (rep.q, e.q)
+        assert (w.xi.domain, w.xi.codomain) == (lie_commutator_of(rep.g),
+                                                lie_commutator_of(e.g))
+        assert check_witness(rep, e, w).ok
+    assert witnesses[4].eta.matrix == witnesses[5].eta.matrix == witnesses[3].eta.matrix
+    assert witnesses[4].xi.domain == witnesses[3].xi.domain
+    assert witnesses[4].xi.codomain != witnesses[5].xi.codomain
 
 
 def test_classify_commutes_with_permuting_its_input(suite):

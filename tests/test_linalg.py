@@ -9,7 +9,6 @@ from leibalg.linalg import (
     LinearMap,
     Matrix,
     bilinear,
-    full_subspace,
     image,
     intersect,
     kernel,
@@ -245,9 +244,10 @@ def test_linear_map_compose_inverse():
 
 
 def test_zero_and_full_subspaces():
+    full = span(F3, 3, Matrix.identity(F3, 3).entries)
     assert zero_subspace(F3, 3).dim == 0
-    assert full_subspace(F3, 3).dim == 3
-    assert zero_subspace(F3, 3).is_subspace_of(full_subspace(F3, 3))
+    assert full.dim == 3 and full.pivots == (0, 1, 2)
+    assert zero_subspace(F3, 3).is_subspace_of(full)
 
 
 def test_fraction_entries_stay_exact():

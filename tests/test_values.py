@@ -33,7 +33,7 @@ from leibalg.extensions import (
 from leibalg.fields import Field, FieldError
 from leibalg.homology import check_sequence_tail, is_stem_cover_candidate
 from leibalg.isoclinism import (
-    IsoclinismInvariants,
+    IsoclinismDatum,
     check_witness,
     classify,
     identity_witness,
@@ -84,7 +84,7 @@ def one_of_each():
         e, validate_extension(e), commutator_map(e), backward.iso, backward,
         diagonal_pullback(e, e, eta), product_with_abelian(e, LeibnizAlgebra.abelian(F3, 1)),
         quotient_extension_by_alpha(e, zero_subspace(F3, g.dim)),
-        witness, check_witness(e, e, witness), IsoclinismInvariants.from_extension(e),
+        witness, check_witness(e, e, witness), IsoclinismDatum.of(e),
         is_isoclinic_homomorphism(backward.iso), classes.classes[0], classes,
         sequence.junctions[0], sequence, is_stem_cover_candidate(e),
     ]
@@ -179,7 +179,7 @@ def test_construction_checks_reject_bad_shapes():
         AlgebraMorphism(g, g, Matrix.identity(Field(5), 2))
     with pytest.raises(MorphismError, match="bracket"):
         AlgebraMorphism(g, g, Matrix.from_rows(F3, [(0, 1), (1, 0)]))
-    space = linalg.full_subspace(F3, 2)
+    space = linalg.span(F3, 2, Matrix.identity(F3, 2).entries)
     with pytest.raises(LinalgError, match="shape"):
         LinearMap(space, space, Matrix.identity(F3, 1))
     ident = AlgebraMorphism.identity
