@@ -20,11 +20,15 @@ d, except the one on the pair (d, d), is affine in column d because the
 bracket is bilinear, and so is every condition that keeps the forced xi
 consistent, except at most one relation through C1(d, d); column d is drawn
 from the solutions of that linear system, found with one RREF.  Each
-solution is then checked only for rank and for the two conditions that are
-quadratic in it, both on the pair (d, d).  The solutions are walked in
-lexicographic order, so the first witness found is the lexicographically
-first one, and any concurrent evaluation of branches must preserve that
-(the implementation here is sequential).
+solution is then checked for rank, for the two conditions that are
+quadratic in it, both on the pair (d, d), and, below the last column, for
+the ranks of its multiplication operators x -> [x, v] and x -> [v, x] in q2,
+which must be those of b_d in q1.  That filter drops no witness: an
+invertible bracket-preserving eta has [eta x, eta b_d] = eta [x, b_d], so
+it conjugates the operators of b_d into those of eta b_d.  The solutions are
+walked in lexicographic order, so the first witness found is the
+lexicographically first one, and any concurrent evaluation of branches must
+preserve that (the implementation here is sequential).
 
 The engine yields the (eta, xi) matrices, which are functions of the two
 data alone; _witness builds them into a witness on a given pair of
@@ -39,6 +43,7 @@ from __future__ import annotations
 import itertools
 import os
 from functools import cached_property
+from operator import mul
 
 from ._value import value_class
 from .algebra import (
@@ -63,6 +68,7 @@ from .linalg import (
     intersect,
     kernel,
     rref,
+    rref_rows,
     subspace_sum,
 )
 
@@ -143,6 +149,30 @@ class IsoclinismDatum:
         q = LeibnizAlgebra(self.field, m, self.structure)
         return (m, self.d, m - Matrix(self.field, len(rows), m, rows).rank(),
                 lie_center(q).dim, lie_commutator_of(q).dim, annihilator_ideal(q).dim)
+
+    @cached_property
+    def ranks(self):
+        """(rank of x -> [x, b_d], rank of x -> [b_d, x]) for each basis
+        vector b_d of q, computed once per datum."""
+        m, s = len(self.structure), self.structure
+        return tuple((len(rref_rows(self.field, [[s[a][d][t] for a in range(m)]
+                                                 for t in range(m)], m)),
+                      len(rref_rows(self.field, [[s[d][a][t] for a in range(m)]
+                                                 for t in range(m)], m)))
+                     for d in range(m))
+
+    @cached_property
+    def operators(self):
+        """The multiplication operators of the basis vectors, for the bracket
+        of q and for C, computed once per datum: a pair (left, right) per
+        map T, where x -> T(x, u) has the entry u . left[t][a] in row t and
+        column a, and x -> T(u, x) the entry u . right[t][a]."""
+        m = len(self.structure)
+        return tuple((tuple(tuple(tuple(table[a][s][t] for s in range(m)) for a in range(m))
+                            for t in range(width)),
+                      tuple(tuple(tuple(table[s][a][t] for s in range(m)) for a in range(m))
+                            for t in range(width)))
+                     for table, width in ((self.structure, m), (self.table, self.d)))
 
 
 def _squares(d1, d2, cols):
@@ -243,7 +273,14 @@ class _SearchEngine:
     when it holds (see _residual), checked at the first depth d where every
     column it reads is set.  The constraints affine in col_d are solved for
     together (see _solutions); only the ones quadratic in col_d, both on the
-    pair (d, d), and rank are checked per candidate.
+    pair (d, d), rank and the operator ranks are checked per candidate.
+
+    The operator-rank filter (_admits) drops a column v at depth d < m - 1
+    unless x -> [x, v] and x -> [v, x] in q2 have the ranks of x -> [x, b_d]
+    and x -> [b_d, x] in q1.  It is sound for run(): every invertible
+    bracket-preserving eta satisfies L_{eta b} = eta L_b eta^-1, so it drops
+    only columns that no assignment run() yields can hold.  Every
+    elimination runs on plain int rows mod p through linalg.rref_rows.
     """
 
     def __init__(self, d1, d2):
@@ -259,6 +296,8 @@ class _SearchEngine:
         self.c1_table = d1.table
         # a constraint names its bilinear map by index: the bracket of q2, or C2
         self.tables = (d2.structure, d2.table)
+        self.coeffs = d2.operators
+        self.ranks = d1.ranks
         # _operators of the column set at each depth, for the deeper _solutions
         self._ops = [None] * self.m
         self.affine_at = [[] for _ in range(self.m)]
@@ -331,36 +370,14 @@ class _SearchEngine:
                 if v:
                     out[t] += c * v
         p = self.p
-        return tuple([v % p for v in out])
+        return [v % p for v in out]
 
-    def _operators(self, table, u):
-        """The matrices of x -> T(x, u) and x -> T(u, x), T the bilinear map
-        with structure tensor `table`, as lists of rows reduced mod p."""
-        m, p = self.m, self.p
-        width = len(table[0][0])
-        left = [[0] * m for _ in range(width)]
-        right = [[0] * m for _ in range(width)]
-        for s, us in enumerate(u):
-            if us:
-                for a in range(m):
-                    for t, w in enumerate(table[a][s]):
-                        if w:
-                            left[t][a] += us * w
-                    for t, w in enumerate(table[s][a]):
-                        if w:
-                            right[t][a] += us * w
-        return ([[v % p for v in row] for row in left],
-                [[v % p for v in row] for row in right])
-
-    @staticmethod
-    def _reduce(row, echelon, p, width):
-        row = list(row)
-        for piv, r in echelon:
-            c = row[piv]
-            if c:
-                for t in range(piv, width):
-                    row[t] = (row[t] - c * r[t]) % p
-        return row
+    def _operator(self, side, u):
+        """The matrix of x -> T(x, u) or x -> T(u, x), as a list of rows
+        reduced mod p, from one side of IsoclinismDatum.operators of T: the
+        sum of u_s times the operator of b_s."""
+        p = self.p
+        return [[sum(map(mul, u, cs)) % p for cs in row] for row in side]
 
     def _solutions(self, cols):
         """Candidates for the next column, in lexicographic order.
@@ -396,10 +413,10 @@ class _SearchEngine:
         free = list(range(m))
         exprs = []
         if rows:
-            red, pivots = rref(Matrix(self.field, len(rows), m + 1, tuple(map(tuple, rows))))
+            pivots = rref_rows(self.field, rows, m + 1)
             if pivots and pivots[-1] == m:
                 return
-            for row, c in zip(red.entries, pivots):
+            for row, c in zip(rows, pivots):
                 k = m - 1 - c
                 free.remove(k)
                 exprs.append((k, row[m], [(m - 1 - c2, row[c2]) for c2 in range(c + 1, m)
@@ -415,36 +432,47 @@ class _SearchEngine:
     def run(self):
         """Yield full eta column assignments in lexicographic order.
 
-        Each column is one of _solutions, kept if it raises the rank and
-        every constraint in square_at of its depth holds.  Every yielded
-        assignment is an invertible bracket-preserving matrix whose xi
-        constraint system is consistent; injectivity of the derived xi is
-        left to the caller.
+        Each column is one of _solutions, kept if it raises the rank, every
+        constraint in square_at of its depth holds and, below the last depth,
+        its multiplication operators for the bracket of q2 have the ranks of
+        those of b_depth in q1.  Every yielded assignment is an invertible
+        bracket-preserving matrix whose xi constraint system is consistent;
+        injectivity of the derived xi is left to the caller.
         """
         if not self.feasible:
             return
         cols = []
 
-        def descend(depth, rank_rows):
+        def descend(depth, echelon):
             if depth == self.m:
                 yield tuple(cols)
                 return
             for v in self._solutions(cols):
                 self._examined += 1
-                red = self._reduce(v, rank_rows, self.p, self.m)
-                piv = next((t for t in range(self.m) if red[t]), None)
-                if piv is None:
+                rows = echelon + [v]  # the RREF of the columns so far, and v
+                if len(rref_rows(self.field, rows, self.m)) == depth:
                     continue
                 cols.append(v)
-                if not any(any(self._residual(cols, c)) for c in self.square_at[depth]):
-                    if depth + 1 < self.m:
-                        self._ops[depth] = [self._operators(table, v) for table in self.tables]
-                    inv = pow(red[piv], self.p - 2, self.p)
-                    norm = [x * inv % self.p for x in red]
-                    yield from descend(depth + 1, rank_rows + [(piv, norm)])
+                if (not any(any(self._residual(cols, c)) for c in self.square_at[depth])
+                        and self._admits(depth, v)):
+                    yield from descend(depth + 1, rows)
                 cols.pop()
 
         yield from descend(0, [])
+
+    def _admits(self, depth, v):
+        """The operator-rank filter on a column set below the last depth; the
+        column's operators are kept for the deeper _solutions."""
+        if depth + 1 == self.m:
+            return True
+        bracket = []
+        for side, rank in zip(self.coeffs[0], self.ranks[depth]):
+            op = self._operator(side, v)
+            if len(rref_rows(self.field, list(op), self.m)) != rank:
+                return False
+            bracket.append(op)
+        self._ops[depth] = bracket, [self._operator(side, v) for side in self.coeffs[1]]
+        return True
 
     def witnesses(self):
         """The (eta, xi) matrices of the witnesses, in lexicographic eta
@@ -644,19 +672,21 @@ def classify(algebras, max_gl=None) -> Classification:
     and equal data are one object, so the key is computed once per datum.
     The search runs once per pair of data, and every witness is built on its
     own pair's quotients and Lie-commutators from the matrices that search
-    found, so every class, member and witness is the one a search of this
-    very pair would give.
+    found, once per representative and distinct algebra, so every class,
+    member and witness is the one a search of this very pair would give.
     """
     algebras = tuple(algebras)
-    seen, interned = {}, {}  # distinct algebra -> (extension, datum); datum -> itself
-    for a in algebras:
+    seen, interned = {}, {}  # distinct algebra -> (extension, datum, first index); datum -> itself
+    for idx, a in enumerate(algebras):
         if a not in seen:
             e = canonical_extension(a)
             d = IsoclinismDatum.of(e)
-            seen[a] = e, interned.setdefault(d, d)
+            seen[a] = e, interned.setdefault(d, d), idx
     exts = tuple(seen[a][0] for a in algebras)
     data = tuple(seen[a][1] for a in algebras)
+    first = tuple(seen[a][2] for a in algebras)
     searched = {}  # (datum of rep, datum of input) -> first witness's matrices or None
+    built = {}  # (rep, first index of the input's algebra) -> witness
     classes = []
     for idx, e in enumerate(exts):
         for cls in classes:
@@ -668,8 +698,10 @@ def classify(algebras, max_gl=None) -> Classification:
             if pair not in searched:
                 searched[pair] = _first_witness(*pair)
             if searched[pair] is not None:
+                if (rep, first[idx]) not in built:
+                    built[rep, first[idx]] = _witness(exts[rep], e, searched[pair])
                 cls.members.append(idx)
-                cls.witnesses[idx] = _witness(exts[rep], e, searched[pair])
+                cls.witnesses[idx] = built[rep, first[idx]]
                 break
         else:
             classes.append(IsoclinismClass(idx, [idx], {idx: identity_witness(e)}))

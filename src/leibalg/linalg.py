@@ -128,22 +128,39 @@ def rref(m: Matrix):
     Pivot rows are scaled to a leading one and every other row is cleared in
     the pivot column, so equal row spaces give equal matrices.
     """
-    field, p = m.field, m.field.p
-    rows = [list(r) for r in m.entries]
+    rows = list(m.entries)
+    pivots = rref_rows(m.field, rows, m.ncols)
+    return Matrix(m.field, m.nrows, m.ncols, tuple(map(tuple, rows))), pivots
+
+
+def rref_rows(field, rows, ncols):
+    """Bring a list of rows over field to the reduced row echelon form of
+    rref, in place, and return the pivot columns.
+
+    The items of the list are rearranged and rebound to new lists; the row
+    objects themselves are never written, so a caller may pass rows it keeps
+    using, tuples included.  This is the one elimination: rref runs it on a
+    matrix's rows, and the isoclinism search on its plain int rows mod p.
+    """
+    p, n = field.p, len(rows)
     pivots = []
-    for c in range(m.ncols):
+    for c in range(ncols):
         r = len(pivots)
-        if r == m.nrows:
+        if r == n:
             break
-        pr = next((i for i in range(r, m.nrows) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, n):
+            if rows[pr][c]:
+                break
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        if rows[r][c] != 1:
-            inv = field.inv(rows[r][c])
-            rows[r] = [field.mul(v, inv) for v in rows[r]]
-        prow = rows[r]
-        for i, row in enumerate(rows):
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        if prow[c] != 1:
+            inv = field.inv(prow[c])
+            prow = [v * inv for v in prow] if p is None else [v * inv % p for v in prow]
+        rows[r] = prow
+        for i in range(n):
+            row = rows[i]
             f = row[c]
             if f and i != r:
                 if p is None:
@@ -151,7 +168,7 @@ def rref(m: Matrix):
                 else:
                     rows[i] = [(a - f * b) % p for a, b in zip(row, prow)]
         pivots.append(c)
-    return Matrix(field, m.nrows, m.ncols, tuple(map(tuple, rows))), pivots
+    return pivots
 
 
 def bilinear(field, table, x, y):

@@ -80,6 +80,27 @@ def change_basis(alg, p_mat):
     return h
 
 
+def random_gl(rng, field, n):
+    """A random invertible n x n matrix over F_p, drawn entry by entry."""
+    while True:
+        m = Matrix(field, n, n, tuple(tuple(rng.randrange(field.p) for _ in range(n))
+                                      for _ in range(n)))
+        if m.inverse() is not None:
+            return m
+
+
+# Seeds k for which P = random_gl(random.Random(k), F5, 4) puts the first
+# column of the lexicographically first witness from g1 x g1 (or g1 x g2) to
+# P.(g1 x g1) late in lexicographic order: 420th and 387th of the 625 vectors
+# of F_5^4, the two latest among seeds 0-399.  The search walks every earlier
+# first column, so these are the slow strata of the q-dim-4 pairs.
+LATE_GL_SEEDS = (183, 384)
+
+
+def late_gl(seed):
+    return random_gl(random.Random(seed), F5, 4)
+
+
 def fixed_gl(field, n):
     """One fixed P in GL(n) over every field: lower times upper
     unitriangular, so det P = 1."""

@@ -29,9 +29,11 @@ from conftest import (  # noqa: E402
     F3,
     F5,
     FQ,
+    LATE_GL_SEEDS,
     algebra_suite,
     change_basis,
     construction_snapshots,
+    late_gl,
     nilpotent_n2,
     paper_g1,
     paper_g2,
@@ -56,6 +58,11 @@ COMMANDS = [
     ("isoclinic", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
     ("isoclinic", "docs/square_11.json", "docs/square_12.json"),
     ("isoclinic", "docs/g1xg1.json", "docs/g1xg1_moved.json"),
+    ("isoclinic", "docs/g1xg1.json", "docs/g1xg1_late0.json"),
+    ("isoclinic", "docs/g1xg2.json", "docs/g1xg1_late0.json"),
+    ("isoclinic", "docs/g1xg1.json", "docs/g1xg1_late1.json"),
+    ("isoclinic", "docs/g1xg2.json", "docs/g1xg1_late1.json"),
+    ("isoclinic", "docs/g1xg1.json", "docs/g1xn2_moved.json"),
     ("isoclinic", *G1, "--field", "3", "--witness", "docs/witness_ok.json"),
     ("isoclinic", *G1, "--witness", "docs/witness_ok_q.json"),
     ("isoclinic", *G1, "--field", "3", "--witness", "docs/witness_scaled.json"),
@@ -95,7 +102,13 @@ def documents():
         "square_12": quadratic_form_algebra(1, 2),
         "g1xg1": g1xg1,
         "g1xg1_moved": moved,
+        "g1xg2": direct_product(paper_g1(F5), paper_g2(F5)),
+        "g1xn2_moved": change_basis(direct_product(paper_g1(F5), nilpotent_n2(F5)),
+                                    late_gl(LATE_GL_SEEDS[0])),
     }
+    # q-dim-4 searches whose first witness comes late in lexicographic order
+    for k, seed in enumerate(LATE_GL_SEEDS):
+        algebras[f"g1xg1_late{k}"] = change_basis(g1xg1, late_gl(seed))
     batch = list(dict.fromkeys(algebra_suite()))[:14]  # distinct, in suite order
     batch += [batch[0], batch[6]]  # copies: classify reuses equal inputs
     algebras.update({f"batch/a{k:02d}": alg for k, alg in enumerate(batch)})

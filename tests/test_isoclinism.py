@@ -65,12 +65,15 @@ from conftest import (
     F3,
     F5,
     FQ,
+    LATE_GL_SEEDS,
     change_basis,
     generated_algebras,
+    late_gl,
     lie_r2,
     nilpotent_n2,
     paper_g1,
     paper_g2,
+    random_gl,
 )
 
 
@@ -203,14 +206,6 @@ def test_engine_matches_brute_force_on_random_pairs(suite):
         oracle = sorted(brute_force_witness_columns(e1, e2))
         engine = sorted(eta_columns(w) for w in engine_witnesses(e1, e2))
         assert engine == oracle
-
-
-def random_gl(rng, field, n):
-    while True:
-        m = Matrix(field, n, n, tuple(tuple(rng.randrange(field.p) for _ in range(n))
-                                      for _ in range(n)))
-        if m.inverse() is not None:
-            return m
 
 
 def test_engine_matches_brute_force_at_q_dim_3(suite):
@@ -530,13 +525,14 @@ def test_autoclinisms_of_g1_squared_over_f5_in_closed_form():
 
 def test_search_commutes_with_change_of_basis_over_f5():
     # the witnesses from g to P.g are P composed with the autoclinisms of g,
-    # so the search returns the least of those
+    # so the search returns the least of those; the late P put that witness's
+    # first column far down the lexicographic order
     g = direct_product(paper_g1(F5), paper_g1(F5))
     e = canonical_extension(g)
     autos = [Matrix.from_columns(F5, cols) for cols in g1_squared_automorphisms(F5)]
     rng = random.Random(77)
-    for _ in range(3):
-        p_mat = random_gl(rng, F5, 4)
+    drawn = [random_gl(rng, F5, 4) for _ in range(3)]
+    for p_mat in drawn + [late_gl(seed) for seed in LATE_GL_SEEDS]:
         eh = canonical_extension(change_basis(g, p_mat))
         w = search_isoclinism(e, eh)
         assert w is not None and check_witness(e, eh, w).ok
@@ -545,27 +541,31 @@ def test_search_commutes_with_change_of_basis_over_f5():
 
 def test_engine_work_over_f5():
     # Deterministic guard on pruning: each column is drawn from the solutions
-    # of its linear constraints.  Enumerating all p^m candidates per depth
-    # examined 725,625 columns here; solving for them examines 1,681.
+    # of its linear constraints, and below the last depth it must give the
+    # operators x -> [x, v] and x -> [v, x] the ranks those of b_d have.
+    # Enumerating all p^m candidates per depth examined 725,625 columns here;
+    # solving for them examines 1,681, and the operator-rank filter 897.
     e = canonical_extension(direct_product(paper_g1(F5), paper_g1(F5)))
     search = engine(e, e)
     assert sum(1 for _ in search.run()) == 32
-    assert search._examined <= 2000
+    assert search._examined <= 897
     # x^2 + y^2 and x^2 + 2 y^2 are inequivalent over F_5 too.  The bracket
-    # rows alone leave 625 columns; the xi relations cut that to 145.
+    # rows alone leave 625 columns; the xi relations cut that to 145.  The
+    # quotient is abelian, so the operator ranks prune nothing.
     ea = canonical_extension(quadratic_form_algebra(1, 1, F5))
     eb = canonical_extension(quadratic_form_algebra(1, 2, F5))
     search = engine(ea, eb)
     assert list(search.run()) == []
-    assert search._examined <= 200
+    assert search._examined <= 145
     # [b2, b1] = b2, [b3, b1] = 2 b3: the rows of the pairs (d, j), j < d,
     # carry the pruning.  Trying all of F_5^3 per depth examined 4,625
-    # columns; without those rows the solver leaves 1,425, with them 185.
+    # columns; without those rows the solver leaves 1,425, with them 185,
+    # and with the operator ranks 161.
     e = canonical_extension(LeibnizAlgebra.from_structure(
         F5, 3, {(1, 0): (0, 1, 0), (2, 0): (0, 0, 2)}))
     search = engine(e, e)
     assert sum(1 for _ in search.run()) == 16
-    assert search._examined <= 250
+    assert search._examined <= 161
 
 
 def test_group_axiom_check_rejects_incomplete_autoclinism_sets():
@@ -891,13 +891,26 @@ def test_classify_reuses_equal_inputs(suite, monkeypatch):
         built.append(alg)
         return canonical_extension(alg)
 
+    witnessed = []
+    witness = iso._witness
+
+    def counting_witness(e1, e2, matrices):
+        witnessed.append((e1.g, e2.g))
+        return witness(e1, e2, matrices)
+
     monkeypatch.setattr(iso, "canonical_extension", counting_extension)
+    monkeypatch.setattr(iso, "_witness", counting_witness)
     engines, _ = count_engines_and_keys(monkeypatch)
     result = classify(algebras)
 
     assert [(cls.representative, cls.members, cls.witnesses)
             for cls in result.classes] == expected
     assert built == list(dict.fromkeys(algebras))
+    # one witness per (representative, distinct algebra), fewer than members
+    joined = {(cls.representative, algebras[idx]) for cls in result.classes
+              for idx in cls.members if idx != cls.representative}
+    assert len(witnessed) == len(set(witnessed)) == len(joined)
+    assert len(joined) < sum(len(cls.members) - 1 for cls in result.classes)
     # one engine per distinct datum pair, fewer than the distinct algebra pairs
     assert len(engines) == len(set(engines)) < len(set(searched))
     assert set(engines) == {(datum(a), datum(b)) for a, b in searched}
