@@ -154,12 +154,9 @@ class IsoclinismDatum:
     def ranks(self):
         """(rank of x -> [x, b_d], rank of x -> [b_d, x]) for each basis
         vector b_d of q, computed once per datum."""
-        m, s = len(self.structure), self.structure
-        return tuple((len(rref_rows(self.field, [[s[a][d][t] for a in range(m)]
-                                                 for t in range(m)], m)),
-                      len(rref_rows(self.field, [[s[d][a][t] for a in range(m)]
-                                                 for t in range(m)], m)))
-                     for d in range(m))
+        m = len(self.structure)
+        return tuple(tuple(len(rref_rows(self.field, [[cs[d] for cs in row] for row in side], m))
+                           for side in self.operators[0]) for d in range(m))
 
     @cached_property
     def operators(self):
