@@ -295,7 +295,8 @@ class _SearchEngine:
         self.tables = (d2.structure, d2.table)
         self.coeffs = d2.operators
         self.ranks = d1.ranks
-        # _operators of the column set at each depth, for the deeper _solutions
+        # the operators of the column set at each depth (see _admits), for
+        # the deeper _solutions
         self._ops = [None] * self.m
         self.affine_at = [[] for _ in range(self.m)]
         self.square_at = [[] for _ in range(self.m)]

@@ -91,8 +91,8 @@ def random_gl(rng, field, n):
 
 # Seeds k for which P = random_gl(random.Random(k), F5, 4) puts the first
 # column of the lexicographically first witness from g1 x g1 (or g1 x g2) to
-# P.(g1 x g1) late in lexicographic order: 420th and 387th of the 625 vectors
-# of F_5^4, the two latest among seeds 0-399.  The search walks every earlier
+# P.(g1 x g1) late in lexicographic order: at positions 420 and 387, counting
+# from 0, of the 625 vectors of F_5^4, the two latest among seeds 0-399.  The search walks every earlier
 # first column, so these are the slow strata of the q-dim-4 pairs.
 LATE_GL_SEEDS = (183, 384)
 
