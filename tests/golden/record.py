@@ -82,6 +82,18 @@ COMMANDS = [
     ("classify", "docs/shared"),
     ("classify", "docs/shared_bad", "--field", "3"),
     ("invariants", "docs/missing.json"),
+    # argument handling: usage errors and global flags around the command
+    (),
+    ("bogus",),
+    ("isoclinic", "catalog:paper_g1"),
+    ("isoclinic", *G1, "--field", "3", "--search", "--witness", "docs/witness_ok.json"),
+    ("--format", "xml", "invariants", "catalog:paper_g2"),
+    ("invariants", "catalog:paper_g2", "--format", "xml"),
+    ("--field", "3", "invariants", "catalog:paper_g2", "--field", "5"),
+    ("extension", "product", "catalog:paper_g1", "--field", "3", "--abelian-dim", "-1"),
+    ("extension", "backward", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
+    ("extension", "pullback", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
+    ("isoclinic", *G1, "--field", "5", "--max-gl", "3"),
 ]
 
 
