@@ -274,15 +274,15 @@ class AlgebraMorphism:
 
     @property
     def is_injective(self):
-        return self.kernel_space().dim == 0
+        return self.matrix.rank() == self.source.dim
 
     @property
     def is_surjective(self):
-        return self.image_space().dim == self.target.dim
+        return self.matrix.rank() == self.target.dim
 
     @property
     def is_bijective(self):
-        return self.is_injective and self.is_surjective
+        return self.matrix.rank() == self.source.dim == self.target.dim
 
     def inverse(self) -> "AlgebraMorphism":
         inv = self.matrix.inverse()

@@ -12,7 +12,8 @@ An <algebra> argument is either a path to an algebra document (JSON) or a
 built-in reference catalog:<name>.  Global flags may appear before or after
 the subcommand: --format text|json, --field p (instantiate catalog entries
 over F_p / reduce rational documents mod p), --max-gl N (search size bound,
-also settable via LEIBALG_MAX_GL), --seed N (recorded in reports).
+also settable via LEIBALG_MAX_GL), --seed N (recorded in reports).  A value
+given after the subcommand wins over one given before it.
 
 Exit codes: 0 success; 2 validation failed; 3 no witness found; 4 witness
 rejected; 64 usage error (including a search larger than the GL bound);
@@ -95,91 +96,60 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _global_flags(parser, suppress):
-    sup = argparse.SUPPRESS
-
-    def dflt(value):
-        return sup if suppress else value
-
-    parser.add_argument("--format", choices=("text", "json"), default=dflt("text"),
-                        help="report rendering (default text)")
-    parser.add_argument("--seed", type=int, default=dflt(None),
-                        help="seed recorded in reports")
-    parser.add_argument("--max-gl", type=int, dest="max_gl", default=dflt(None),
-                        help="largest |GL(n, F_p)| the search may enumerate")
-    parser.add_argument("--field", type=int, default=dflt(None), metavar="P",
-                        help="odd prime: build catalog entries over F_p and "
-                             "reduce rational documents mod p")
-
-
 def build_parser() -> _Parser:
-    parser = _Parser(prog="leibalg",
+    # The global flags, declared once.  Every leaf shares these action objects
+    # with the top level, so none of them has a default: a flag given after
+    # the command overrides one given before it, and main supplies the
+    # defaults in the namespace it parses into.
+    flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--format", choices=("text", "json"),
+                       help="report rendering (default text)")
+    flags.add_argument("--seed", type=int, help="seed recorded in reports")
+    flags.add_argument("--max-gl", type=int, dest="max_gl",
+                       help="largest |GL(n, F_p)| the search may enumerate")
+    flags.add_argument("--field", type=int, metavar="P",
+                       help="odd prime: build catalog entries over F_p and "
+                            "reduce rational documents mod p")
+    parser = _Parser(prog="leibalg", parents=[flags],
                      description="Exact invariants, Lie-central extensions and "
                                  "Lie-isoclinism for finite-dimensional Leibniz algebras.")
-    _global_flags(parser, suppress=False)
-    sub = parser.add_subparsers(dest="command", metavar="<command>")
-    sub.required = True
+    sub = parser.add_subparsers(dest="command", metavar="<command>", required=True)
 
-    p = sub.add_parser("validate", help="check the Leibniz identity")
-    p.add_argument("algebra")
-    _global_flags(p, suppress=True)
-    p.set_defaults(handler=cmd_validate)
+    def leaf(group, name, help, handler, *positionals):
+        p = group.add_parser(name, help=help, parents=[flags])
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("invariants", help="relative invariants and stem data")
-    p.add_argument("algebra")
-    _global_flags(p, suppress=True)
-    p.set_defaults(handler=cmd_invariants)
+    def branch(name, help, dest):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest=dest, metavar=f"<{dest}>", required=True)
 
-    p = sub.add_parser("isoclinic", help="decide Lie-isoclinism of two algebras")
-    p.add_argument("first")
-    p.add_argument("second")
-    mode = p.add_mutually_exclusive_group()
+    leaf(sub, "validate", "check the Leibniz identity", cmd_validate, "algebra")
+    leaf(sub, "invariants", "relative invariants and stem data", cmd_invariants, "algebra")
+    mode = leaf(sub, "isoclinic", "decide Lie-isoclinism of two algebras", cmd_isoclinic,
+                "first", "second").add_mutually_exclusive_group()
     mode.add_argument("--search", action="store_true",
                       help="search for a witness (default)")
     mode.add_argument("--witness", metavar="FILE",
                       help="check the witness stored in FILE instead of searching")
-    _global_flags(p, suppress=True)
-    p.set_defaults(handler=cmd_isoclinic)
+    leaf(sub, "classify", "partition a directory of algebra documents", cmd_classify,
+         "directory")
 
-    p = sub.add_parser("classify", help="partition a directory of algebra documents")
-    p.add_argument("directory")
-    _global_flags(p, suppress=True)
-    p.set_defaults(handler=cmd_classify)
+    ext = branch("extension", "build and validate Lie-central extensions", "construction")
+    leaf(ext, "canonical", "0 -> Z_Lie(g) -> g -> g/Z_Lie(g) -> 0", cmd_extension_canonical,
+         "algebra")
+    leaf(ext, "backward", "backward extension along a searched witness",
+         cmd_extension_searched, "first", "second")
+    leaf(ext, "pullback", "diagonal pullback along a searched witness",
+         cmd_extension_searched, "first", "second")
+    leaf(ext, "product", "product with an abelian algebra", cmd_extension_product,
+         "algebra").add_argument("--abelian-dim", type=int, default=1, dest="abelian_dim")
 
-    p = sub.add_parser("extension", help="build and validate Lie-central extensions")
-    ext = p.add_subparsers(dest="construction", metavar="<construction>")
-    ext.required = True
-    q = ext.add_parser("canonical", help="0 -> Z_Lie(g) -> g -> g/Z_Lie(g) -> 0")
-    q.add_argument("algebra")
-    _global_flags(q, suppress=True)
-    q.set_defaults(handler=cmd_extension_canonical)
-    q = ext.add_parser("backward", help="backward extension along a searched witness")
-    q.add_argument("first")
-    q.add_argument("second")
-    _global_flags(q, suppress=True)
-    q.set_defaults(handler=cmd_extension_backward)
-    q = ext.add_parser("pullback", help="diagonal pullback along a searched witness")
-    q.add_argument("first")
-    q.add_argument("second")
-    _global_flags(q, suppress=True)
-    q.set_defaults(handler=cmd_extension_pullback)
-    q = ext.add_parser("product", help="product with an abelian algebra")
-    q.add_argument("algebra")
-    q.add_argument("--abelian-dim", type=int, default=1, dest="abelian_dim")
-    _global_flags(q, suppress=True)
-    q.set_defaults(handler=cmd_extension_product)
-
-    p = sub.add_parser("catalog", help="built-in example algebras")
-    cat = p.add_subparsers(dest="action", metavar="<action>")
-    cat.required = True
-    q = cat.add_parser("list", help="list entries")
-    _global_flags(q, suppress=True)
-    q.set_defaults(handler=cmd_catalog_list)
-    q = cat.add_parser("show", help="print an entry as an algebra document")
-    q.add_argument("name")
-    _global_flags(q, suppress=True)
-    q.set_defaults(handler=cmd_catalog_show)
-
+    cat = branch("catalog", "built-in example algebras", "action")
+    leaf(cat, "list", "list entries", cmd_catalog_list)
+    leaf(cat, "show", "print an entry as an algebra document", cmd_catalog_show, "name")
     return parser
 
 
@@ -366,24 +336,18 @@ def cmd_invariants(args):
 
 def cmd_isoclinic(args):
     from .algebra import AlgebraMorphism, lie_commutator_of
-    from .documents import algebra_hash, matrix_from_json
-    from .extensions import canonical_extension
+    from .documents import matrix_from_json
     from .isoclinism import IsoclinismWitness, check_witness, search_isoclinism
     from .linalg import LinearMap
 
-    field = _target_field(args)
-    a = load_algebra(args.first, field)
-    b = load_algebra(args.second, field)
-    inputs = {"first": algebra_hash(a), "second": algebra_hash(b)}
-    e1 = canonical_extension(a)
-    e2 = canonical_extension(b)
+    e1, e2, inputs = _load_pair(args)
     if args.witness:
         doc = _read_json(args.witness)
         if not isinstance(doc, dict) or "eta" not in doc or "xi" not in doc:
             raise DocumentError("witness document needs 'eta' and 'xi' matrices")
         com1 = lie_commutator_of(e1.g)
         com2 = lie_commutator_of(e2.g)
-        f = a.field
+        f = e1.g.field
         eta_mat = matrix_from_json(f, doc["eta"], e2.q.dim, e1.q.dim)
         xi_mat = matrix_from_json(f, doc["xi"], com2.dim, com1.dim)
         try:
@@ -451,68 +415,55 @@ def cmd_classify(args):
     return EXIT_OK
 
 
+def _load_pair(args):
+    """The canonical extensions of the first and second algebras, and their
+    inputs block."""
+    from .documents import algebra_hash
+    from .extensions import canonical_extension
+
+    field = _target_field(args)
+    a = load_algebra(args.first, field)
+    b = load_algebra(args.second, field)
+    inputs = {"first": algebra_hash(a), "second": algebra_hash(b)}
+    return canonical_extension(a), canonical_extension(b), inputs
+
+
+def _emit_extension(args, inputs, payload):
+    valid = payload["valid"]
+    emit(args, "extension", inputs, "ok" if valid else "invalid", payload)
+    return EXIT_OK if valid else EXIT_INVALID
+
+
 def cmd_extension_canonical(args):
     from .documents import algebra_hash
     from .extensions import canonical_extension
 
     alg = load_algebra(args.algebra, _target_field(args))
-    e = canonical_extension(alg)
-    payload = extension_payload(e, "canonical")
-    status = "ok" if payload["valid"] else "invalid"
-    emit(args, "extension", {"algebra": algebra_hash(alg)}, status, payload)
-    return EXIT_OK if payload["valid"] else EXIT_INVALID
+    return _emit_extension(args, {"algebra": algebra_hash(alg)},
+                           extension_payload(canonical_extension(alg), "canonical"))
 
 
-def _searched_pair(args):
-    from .documents import algebra_hash
-    from .extensions import canonical_extension
-    from .isoclinism import search_isoclinism
+def cmd_extension_searched(args):
+    """extension backward|pullback: the construction along a searched witness."""
+    from .extensions import backward_extension, diagonal_pullback
+    from .isoclinism import is_isoclinic_homomorphism, search_isoclinism
 
-    field = _target_field(args)
-    a = load_algebra(args.first, field)
-    b = load_algebra(args.second, field)
-    e1 = canonical_extension(a)
-    e2 = canonical_extension(b)
-    inputs = {"first": algebra_hash(a), "second": algebra_hash(b)}
+    e1, e2, inputs = _load_pair(args)
     witness = search_isoclinism(e1, e2, max_gl=args.max_gl)
-    return e1, e2, witness, inputs
-
-
-def cmd_extension_backward(args):
-    from .extensions import backward_extension
-    from .isoclinism import is_isoclinic_homomorphism
-
-    e1, e2, witness, inputs = _searched_pair(args)
     if witness is None:
-        emit(args, "extension", inputs, "no_witness", {"construction": "backward"})
+        emit(args, "extension", inputs, "no_witness", {"construction": args.construction})
         return EXIT_NO_WITNESS
-    bw = backward_extension(e2, witness.eta)
-    payload = extension_payload(bw.extension, "backward")
+    if args.construction == "backward":
+        built = backward_extension(e2, witness.eta)
+        triples = {"iso_triple_isoclinic": bool(is_isoclinic_homomorphism(built.iso))}
+    else:
+        built = diagonal_pullback(e1, e2, witness.eta)
+        triples = {"triples_isoclinic": [bool(is_isoclinic_homomorphism(t))
+                                         for t in (built.to_first, built.to_second)]}
+    payload = extension_payload(built.extension, args.construction)
     payload["witness"] = witness_payload(witness)
-    payload["iso_triple_isoclinic"] = bool(is_isoclinic_homomorphism(bw.iso))
-    status = "ok" if payload["valid"] else "invalid"
-    emit(args, "extension", inputs, status, payload)
-    return EXIT_OK if payload["valid"] else EXIT_INVALID
-
-
-def cmd_extension_pullback(args):
-    from .extensions import diagonal_pullback
-    from .isoclinism import is_isoclinic_homomorphism
-
-    e1, e2, witness, inputs = _searched_pair(args)
-    if witness is None:
-        emit(args, "extension", inputs, "no_witness", {"construction": "pullback"})
-        return EXIT_NO_WITNESS
-    pb = diagonal_pullback(e1, e2, witness.eta)
-    payload = extension_payload(pb.extension, "pullback")
-    payload["witness"] = witness_payload(witness)
-    payload["triples_isoclinic"] = [
-        bool(is_isoclinic_homomorphism(pb.to_first)),
-        bool(is_isoclinic_homomorphism(pb.to_second)),
-    ]
-    status = "ok" if payload["valid"] else "invalid"
-    emit(args, "extension", inputs, status, payload)
-    return EXIT_OK if payload["valid"] else EXIT_INVALID
+    payload.update(triples)
+    return _emit_extension(args, inputs, payload)
 
 
 def cmd_extension_product(args):
@@ -530,13 +481,9 @@ def cmd_extension_product(args):
     pr = product_with_abelian(e, abelian)
     payload = extension_payload(pr.extension, "product")
     payload["abelian_dim"] = args.abelian_dim
-    payload["triples_isoclinic"] = [
-        bool(is_isoclinic_homomorphism(pr.onto_original)),
-        bool(is_isoclinic_homomorphism(pr.from_original)),
-    ]
-    status = "ok" if payload["valid"] else "invalid"
-    emit(args, "extension", {"algebra": algebra_hash(alg)}, status, payload)
-    return EXIT_OK if payload["valid"] else EXIT_INVALID
+    payload["triples_isoclinic"] = [bool(is_isoclinic_homomorphism(t))
+                                    for t in (pr.onto_original, pr.from_original)]
+    return _emit_extension(args, {"algebra": algebra_hash(alg)}, payload)
 
 
 def cmd_catalog_list(args):
@@ -561,14 +508,11 @@ def cmd_catalog_show(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    defaults = argparse.Namespace(format="text", seed=None, max_gl=None, field=None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv, defaults)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SearchBoundError as exc:
+    except (UsageError, SearchBoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DocumentError, CatalogError, FieldError, AlgebraError, MorphismError,

@@ -49,7 +49,6 @@ from ._value import value_class
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
-    annihilator_ideal,
     lie_center,
     lie_commutator_of,
 )
@@ -141,14 +140,14 @@ class IsoclinismDatum:
     def key(self):
         """Invariants every isoclinic pair shares, computed once per datum:
         dim q, d, the dimension of the radical {x : C(x, y) = 0 for all y},
-        and the dimensions of the Lie-center, the Lie-commutator and the
-        annihilator ideal of q."""
+        and the dimensions of the Lie-center and the Lie-commutator of q (the
+        Lie-commutator is also the annihilator ideal)."""
         m = len(self.structure)
         rows = tuple(tuple(self.table[i][j][t] for i in range(m))
                      for j in range(m) for t in range(self.d))
         q = LeibnizAlgebra(self.field, m, self.structure)
         return (m, self.d, m - Matrix(self.field, len(rows), m, rows).rank(),
-                lie_center(q).dim, lie_commutator_of(q).dim, annihilator_ideal(q).dim)
+                lie_center(q).dim, lie_commutator_of(q).dim)
 
     @cached_property
     def ranks(self):

@@ -399,7 +399,7 @@ class LinearMap:
 
     @property
     def is_bijective(self):
-        return self.is_injective and self.is_surjective
+        return self.rank() == self.domain.dim == self.codomain.dim
 
     def inverse(self) -> "LinearMap":
         inv = self.matrix.inverse()

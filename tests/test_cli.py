@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import leibalg.cli as cli
 import leibalg.documents as documents
 import leibalg.errors as errors
@@ -493,6 +495,46 @@ def test_global_flags_before_subcommand(capsys):
                           "--format", "json", "--field", "3")
     assert rc1 == rc2 == EXIT_OK
     assert out1 == out2
+
+
+LEAF_COMMANDS = [
+    ("validate", "a.json"),
+    ("invariants", "a.json"),
+    ("isoclinic", "a.json", "b.json"),
+    ("classify", "docs"),
+    ("extension", "canonical", "a.json"),
+    ("extension", "backward", "a.json", "b.json"),
+    ("extension", "pullback", "a.json", "b.json"),
+    ("extension", "product", "a.json"),
+    ("catalog", "list"),
+    ("catalog", "show", "paper_g1"),
+]
+# flag -> (attribute, value given before the command, value given after it)
+GLOBAL_FLAGS = {"--format": ("format", "text", "json"), "--seed": ("seed", 1, 2),
+                "--max-gl": ("max_gl", 3, 4), "--field": ("field", 5, 7)}
+
+
+@pytest.mark.parametrize("command", LEAF_COMMANDS, ids=" ".join)
+def test_global_flags_around_every_leaf_command(command, monkeypatch):
+    """Each global flag is accepted before and after every leaf command, and
+    the value given after the command wins."""
+    seen = []
+    for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or EXIT_OK)
+
+    def parsed(*argv):
+        assert main(list(argv)) == EXIT_OK
+        return seen.pop()
+
+    defaults = parsed(*command)
+    assert [defaults[attr] for attr, _, _ in GLOBAL_FLAGS.values()] == ["text", None, None, None]
+    for flag, (attr, before, after) in GLOBAL_FLAGS.items():
+        assert parsed(flag, str(before), *command)[attr] == before
+        assert parsed(*command, flag, str(after))[attr] == after
+        both = parsed(flag, str(before), *command, flag, str(after))
+        assert both[attr] == after
+        assert {k: v for k, v in both.items() if k != attr} == \
+            {k: v for k, v in defaults.items() if k != attr}
 
 
 def test_seed_is_recorded(capsys):
