@@ -170,6 +170,19 @@ def load_algebra(ref: str, field: Field | None, check=True) -> LeibnizAlgebra:
     return parse_algebra(_read_text(ref), field, check)
 
 
+def _load_pair(args):
+    """The canonical extensions of the first and second algebras, and their
+    inputs block."""
+    from .documents import algebra_hash
+    from .extensions import canonical_extension
+
+    field = _target_field(args)
+    a = load_algebra(args.first, field)
+    b = load_algebra(args.second, field)
+    inputs = {"first": algebra_hash(a), "second": algebra_hash(b)}
+    return canonical_extension(a), canonical_extension(b), inputs
+
+
 def parse_algebra(text: str, field: Field | None, check=True) -> LeibnizAlgebra:
     """The algebra of a document's text, reduced to field when one is given."""
     from .documents import convert_field, parse_algebra_json
@@ -413,19 +426,6 @@ def cmd_classify(args):
     emit(args, "classify", inputs, "ok",
          {"count": len(classes), "classes": classes})
     return EXIT_OK
-
-
-def _load_pair(args):
-    """The canonical extensions of the first and second algebras, and their
-    inputs block."""
-    from .documents import algebra_hash
-    from .extensions import canonical_extension
-
-    field = _target_field(args)
-    a = load_algebra(args.first, field)
-    b = load_algebra(args.second, field)
-    inputs = {"first": algebra_hash(a), "second": algebra_hash(b)}
-    return canonical_extension(a), canonical_extension(b), inputs
 
 
 def _emit_extension(args, inputs, payload):
