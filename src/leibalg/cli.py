@@ -10,10 +10,10 @@ Commands
 
 An <algebra> argument is either a path to an algebra document (JSON) or a
 built-in reference catalog:<name>.  Global flags may appear before or after
-the subcommand: --format text|json, --field p (instantiate catalog entries
-over F_p / reduce rational documents mod p), --max-gl N (search size bound,
-also settable via LEIBALG_MAX_GL), --seed N (recorded in reports).  A value
-given after the subcommand wins over one given before it.
+the subcommand, and between the words of a two-word one: --format text|json,
+--field p (instantiate catalog entries over F_p / reduce rational documents
+mod p), --max-gl N (search size bound, also settable via LEIBALG_MAX_GL),
+--seed N (recorded in reports).  The value given last wins.
 
 Exit codes: 0 success; 2 validation failed; 3 no witness found; 4 witness
 rejected; 64 usage error (including a search larger than the GL bound);
@@ -53,15 +53,15 @@ _LAYER_NAMES = {
     "algebra": ("AlgebraMorphism", "LeibnizAlgebra", "annihilator_ideal",
                 "has_trivial_lie_commutator", "is_abelian", "lie_center",
                 "lie_commutator_of", "validate"),
+    "constructions": ("backward_extension", "diagonal_pullback", "is_isoclinic_homomorphism",
+                      "product_with_abelian"),
     "documents": ("algebra_hash", "canonical_json", "check_dim", "convert_field",
                   "matrix_from_json", "parse_algebra_json", "serialize_algebra",
                   "serialize_witness"),
-    "extensions": ("backward_extension", "canonical_extension", "diagonal_pullback",
-                   "product_with_abelian", "validate_extension"),
+    "extensions": ("canonical_extension", "validate_extension"),
     "fields": ("Field",),
     "homology": ("check_sequence_nine", "check_sequence_tail", "is_stem_cover_candidate"),
-    "isoclinism": ("IsoclinismWitness", "check_witness", "is_isoclinic_homomorphism",
-                   "search_isoclinism"),
+    "isoclinism": ("IsoclinismWitness", "check_witness", "search_isoclinism"),
     "linalg": ("LinearMap",),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
@@ -97,10 +97,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    # The global flags, declared once.  Every leaf shares these action objects
-    # with the top level, so none of them has a default: a flag given after
-    # the command overrides one given before it, and main supplies the
-    # defaults in the namespace it parses into.
+    # The global flags, declared once.  Every leaf, and the first word of each
+    # two-word command, shares these action objects with the top level, so
+    # none of them has a default: a flag given later overrides one given
+    # earlier, and main supplies the defaults in the namespace it parses into.
     flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--format", choices=("text", "json"),
                        help="report rendering (default text)")
@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
         return p
 
     def branch(name, help, dest):
-        return sub.add_parser(name, help=help).add_subparsers(
+        return sub.add_parser(name, help=help, parents=[flags]).add_subparsers(
             dest=dest, metavar=f"<{dest}>", required=True)
 
     leaf(sub, "validate", "check the Leibniz identity", cmd_validate, "algebra")
@@ -445,8 +445,8 @@ def cmd_extension_canonical(args):
 
 def cmd_extension_searched(args):
     """extension backward|pullback: the construction along a searched witness."""
-    from .extensions import backward_extension, diagonal_pullback
-    from .isoclinism import is_isoclinic_homomorphism, search_isoclinism
+    from .constructions import backward_extension, diagonal_pullback, is_isoclinic_homomorphism
+    from .isoclinism import search_isoclinism
 
     e1, e2, inputs = _load_pair(args)
     witness = search_isoclinism(e1, e2, max_gl=args.max_gl)
@@ -469,12 +469,12 @@ def cmd_extension_searched(args):
 def cmd_extension_product(args):
     from .algebra import LeibnizAlgebra
     from .documents import algebra_hash, check_dim
-    from .extensions import canonical_extension, product_with_abelian
-    from .isoclinism import is_isoclinic_homomorphism
+    from .constructions import is_isoclinic_homomorphism, product_with_abelian
+    from .extensions import canonical_extension
 
-    alg = load_algebra(args.algebra, _target_field(args))
     if args.abelian_dim < 0:
         raise UsageError("--abelian-dim must be non-negative")
+    alg = load_algebra(args.algebra, _target_field(args))
     check_dim(alg.dim + args.abelian_dim)
     e = canonical_extension(alg)
     abelian = LeibnizAlgebra.abelian(alg.field, args.abelian_dim)

@@ -36,6 +36,10 @@ extensions, re-checking the brackets.  Two algebras are isoclinic when their
 canonical extensions by the Lie-center are; classify() partitions a list of
 algebras by that relation, with one datum per distinct algebra, one search
 key per datum and one search per pair of data.
+
+Isoclinic homomorphisms of extensions and the witness algebra (composition,
+inverses, the autoclinism group) are in leibalg.constructions, which neither
+search nor classify needs.
 """
 
 from __future__ import annotations
@@ -46,30 +50,11 @@ from functools import cached_property
 from operator import mul
 
 from ._value import value_class
-from .algebra import (
-    AlgebraMorphism,
-    LeibnizAlgebra,
-    lie_center,
-    lie_commutator_of,
-)
-from .extensions import (
-    CentralExtension,
-    ExtensionMorphism,
-    canonical_extension,
-    commutator_map,
-)
+from .algebra import AlgebraMorphism, LeibnizAlgebra, lie_center, lie_commutator_of
+from .extensions import CentralExtension, canonical_extension, commutator_map
 from .errors import FieldError, IsoclinismError, SearchBoundError
 from .fields import Field
-from .linalg import (
-    LinearMap,
-    Matrix,
-    bilinear,
-    intersect,
-    kernel,
-    rref,
-    rref_rows,
-    subspace_sum,
-)
+from .linalg import LinearMap, Matrix, bilinear, kernel, rref, rref_rows
 
 
 MAX_GL_ENV = "LEIBALG_MAX_GL"
@@ -512,130 +497,12 @@ def _first_witness(d1, d2):
     return next(_SearchEngine(d1, d2).witnesses(), None)
 
 
-def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
-    """All witnesses from e to itself, in lexicographic eta order.
-
-    The group axioms are spot-checked: identity present, closure under
-    composition and inverse (exhaustively up to 256 witnesses, on a
-    deterministic sample beyond that).
-    """
-    _check_search_preconditions(e, e, max_gl)
-    d = IsoclinismDatum.of(e)
-    out = [_witness(e, e, found) for found in _SearchEngine(d, d).witnesses()]
-    if out:
-        _verify_group_axioms(e, out)
-    return out
-
-
-def _verify_group_axioms(e, witnesses):
-    """The identity, inverses and composites of the witnesses' eta are among
-    them.  Each witness was verified when found and eta determines xi, so
-    membership of eta is all that is left to check."""
-    etas = [w.eta.matrix for w in witnesses]
-    keys = {m.entries for m in etas}
-    if Matrix.identity(e.g.field, e.q.dim).entries not in keys:
-        raise IsoclinismError("autoclinism set misses the identity")
-    if len(etas) > 256:
-        etas = etas[::len(etas) // 16]
-    for a in etas:
-        if a.inverse().entries not in keys:
-            raise IsoclinismError("autoclinism set is not closed under inverse")
-        for b in etas:
-            if (b @ a).entries not in keys:
-                raise IsoclinismError("autoclinism set is not closed under composition")
-
-
-def algebras_isoclinic(a: LeibnizAlgebra, b: LeibnizAlgebra,
-                       max_gl=None) -> IsoclinismWitness | None:
-    """Witness between the canonical central extensions of two algebras."""
-    return search_isoclinism(canonical_extension(a), canonical_extension(b), max_gl)
-
-
-def compose_witnesses(w1: IsoclinismWitness, w2: IsoclinismWitness) -> IsoclinismWitness:
-    """w2 after w1 (componentwise composition)."""
-    return IsoclinismWitness(w2.eta.compose(w1.eta), w2.xi.compose(w1.xi))
-
-
-def invert_witness(w: IsoclinismWitness) -> IsoclinismWitness:
-    return IsoclinismWitness(w.eta.inverse(), w.xi.inverse())
-
-
 def identity_witness(e: CentralExtension) -> IsoclinismWitness:
     eta = AlgebraMorphism.identity(e.q)
     xi = derive_xi(e, e, eta)
     if xi is None:
         raise IsoclinismError("identity witness derivation failed")
     return IsoclinismWitness(eta, xi)
-
-
-@value_class
-class IsoclinicHomReport:
-    """Result of the isoclinic-homomorphism test for an extension triple.
-
-    A triple (alpha, beta, gamma) is isoclinic exactly when gamma is an
-    isomorphism and Ker(beta) meets the Lie-commutator of the source total
-    trivially; beta_prime is then the (injective) restriction of beta to the
-    Lie-commutators.
-    """
-
-    is_isoclinic: bool
-    reasons: tuple
-    beta_prime: LinearMap | None
-
-    def __bool__(self):
-        return self.is_isoclinic
-
-
-def is_isoclinic_homomorphism(triple: ExtensionMorphism) -> IsoclinicHomReport:
-    reasons = []
-    if not triple.gamma.is_bijective:
-        reasons.append("gamma is not an isomorphism")
-    com1 = lie_commutator_of(triple.source.g)
-    com2 = lie_commutator_of(triple.target.g)
-    meet = intersect(triple.beta.kernel_space(), com1)
-    if meet.dim != 0:
-        reasons.append("Ker(beta) meets the Lie-commutator nontrivially")
-    if reasons:
-        return IsoclinicHomReport(False, tuple(reasons), None)
-    cols = [com2.coords_of(triple.beta.apply(b)) for b in com1.basis]
-    f = triple.source.g.field
-    return IsoclinicHomReport(True, (), LinearMap(com1, com2,
-                                                  Matrix.from_columns(f, cols, nrows=com2.dim)))
-
-
-def triple_to_witness(triple: ExtensionMorphism) -> IsoclinismWitness:
-    """The witness (gamma, beta|) carried by an isoclinic triple."""
-    rep = is_isoclinic_homomorphism(triple)
-    if not rep:
-        raise IsoclinismError("triple is not isoclinic: " + "; ".join(rep.reasons))
-    if not rep.beta_prime.is_bijective:
-        raise IsoclinismError("restricted beta is not onto the target Lie-commutator")
-    return IsoclinismWitness(triple.gamma, rep.beta_prime)
-
-
-def is_isoclinic_algebra_hom(beta: AlgebraMorphism) -> bool:
-    """Algebra-level criterion: Ker(beta) misses [g,g]_Lie and
-    Im(beta) + Z_Lie(h) = h."""
-    com = lie_commutator_of(beta.source)
-    if intersect(beta.kernel_space(), com).dim != 0:
-        return False
-    cover = subspace_sum(beta.image_space(), lie_center(beta.target))
-    return cover.dim == beta.target.dim
-
-
-def induced_canonical_witness(e1: CentralExtension, e2: CentralExtension,
-                              w: IsoclinismWitness) -> IsoclinismWitness:
-    """Transport a witness between extensions to one between the canonical
-    extensions of their totals (same xi, induced eta on g/Z_Lie(g))."""
-    c1 = canonical_extension(e1.g)
-    c2 = canonical_extension(e2.g)
-    f = e1.g.field
-    m = c2.pi.matrix @ e2.section @ w.eta.matrix @ e1.pi.matrix
-    for z in lie_center(e1.g).basis:
-        if any(m.apply(z)):
-            raise IsoclinismError("induced map is not constant on Lie-center cosets")
-    eta_bar = AlgebraMorphism(c1.q, c2.q, m @ c1.section)
-    return IsoclinismWitness(eta_bar, w.xi)
 
 
 @value_class(frozen=False)

@@ -5,12 +5,8 @@ import pytest
 
 from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product, validate
 from leibalg.documents import serialize_algebra
-from leibalg.extensions import (
-    backward_extension,
-    canonical_extension,
-    diagonal_pullback,
-    product_with_abelian,
-)
+from leibalg.constructions import backward_extension, diagonal_pullback, product_with_abelian
+from leibalg.extensions import canonical_extension
 from leibalg.fields import Field
 from leibalg.linalg import Matrix, kernel
 

@@ -91,6 +91,8 @@ COMMANDS = [
     ("invariants", "catalog:paper_g2", "--format", "xml"),
     ("--field", "3", "invariants", "catalog:paper_g2", "--field", "5"),
     ("extension", "product", "catalog:paper_g1", "--field", "3", "--abelian-dim", "-1"),
+    ("extension", "product", "docs/missing.json", "--abelian-dim", "-1"),
+    ("extension", "--field", "3", "canonical", "catalog:paper_g2"),
     ("extension", "backward", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
     ("extension", "pullback", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
     ("isoclinic", *G1, "--field", "5", "--max-gl", "3"),

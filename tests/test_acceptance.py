@@ -31,19 +31,22 @@ from leibalg.algebra import (
     subalgebra,
     subalgebra_closure,
 )
-from leibalg.extensions import canonical_extension, diagonal_pullback
-from leibalg.homology import check_sequence_nine, check_sequence_tail, theta_image
-from leibalg.isoclinism import (
-    IsoclinismWitness,
+from leibalg.constructions import (
     algebras_isoclinic,
-    check_witness,
-    classify,
     compose_witnesses,
-    derive_xi,
-    identity_witness,
+    diagonal_pullback,
     invert_witness,
     is_isoclinic_algebra_hom,
     is_isoclinic_homomorphism,
+)
+from leibalg.extensions import canonical_extension
+from leibalg.homology import check_sequence_nine, check_sequence_tail, theta_image
+from leibalg.isoclinism import (
+    IsoclinismWitness,
+    check_witness,
+    classify,
+    derive_xi,
+    identity_witness,
     search_isoclinism,
 )
 from leibalg.documents import canonical_json, serialize_algebra
@@ -232,7 +235,7 @@ def test_criterion_6_diagonal_pullback(classified):
 
 def test_criterion_7_homology_exactness(suite, rng):
     extensions = [canonical_extension(alg) for alg in suite]
-    from leibalg.extensions import central_extension_from_ideal
+    from leibalg.constructions import central_extension_from_ideal
     for alg in suite:
         z = lie_center(alg)
         if z.dim > 1:

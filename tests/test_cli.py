@@ -517,7 +517,7 @@ GLOBAL_FLAGS = {"--format": ("format", "text", "json"), "--seed": ("seed", 1, 2)
 @pytest.mark.parametrize("command", LEAF_COMMANDS, ids=" ".join)
 def test_global_flags_around_every_leaf_command(command, monkeypatch):
     """Each global flag is accepted before and after every leaf command, and
-    the value given after the command wins."""
+    between the two words of a two-word one, and the value given last wins."""
     seen = []
     for name in [name for name in vars(cli) if name.startswith("cmd_")]:
         monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or EXIT_OK)
@@ -535,6 +535,11 @@ def test_global_flags_around_every_leaf_command(command, monkeypatch):
         assert both[attr] == after
         assert {k: v for k, v in both.items() if k != attr} == \
             {k: v for k, v in defaults.items() if k != attr}
+        if command[0] in ("extension", "catalog"):
+            first, rest = command[0], command[1:]
+            assert parsed(first, flag, str(before), *rest)[attr] == before
+            assert parsed(flag, str(before), first, flag, str(after), *rest)[attr] == after
+            assert parsed(first, flag, str(before), *rest, flag, str(after))[attr] == after
 
 
 def test_seed_is_recorded(capsys):

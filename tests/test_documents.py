@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +238,22 @@ def test_content_hash_frozen():
         "sha256:a03dd325f8bb3533e4e842b6582bf6025f3a0b28504cee0d339be0fed8957861")
     assert algebra_hash(paper_g1(F3)) == content_hash(doc)
     assert algebra_hash(paper_g1(F5)) != algebra_hash(paper_g1(F3))
+
+
+def test_content_hash_is_hashlib_sha256_on_the_golden_documents():
+    """content_hash takes its SHA-256 from CPython's built-in module, not from
+    hashlib; the digests must be hashlib's on every stored document."""
+    docs = Path(__file__).resolve().parent / "golden" / "docs"
+    unparsed = []
+    for path in sorted(docs.rglob("*.json")):
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            unparsed.append(path.name)
+            continue
+        expected = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+        assert content_hash(doc) == "sha256:" + expected, path.name
+    assert unparsed == ["m_bad.json", "m_bad_copy.json"]  # docs/shared_bad's truncated copies
 
 
 def test_hash_distinguishes_structure(suite):

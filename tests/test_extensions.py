@@ -11,18 +11,20 @@ from leibalg.algebra import (
     lie_center,
     lie_commutator_of,
 )
+from leibalg.constructions import (
+    ExtensionMorphism,
+    backward_extension,
+    central_extension_from_ideal,
+    diagonal_pullback,
+    product_with_abelian,
+    quotient_extension_by_alpha,
+)
 from leibalg.extensions import (
     CentralExtension,
     ExtensionError,
-    ExtensionMorphism,
-    backward_extension,
     canonical_extension,
-    central_extension_from_ideal,
     commutator_map,
-    diagonal_pullback,
     is_stem_extension,
-    product_with_abelian,
-    quotient_extension_by_alpha,
     validate_extension,
 )
 from leibalg.isoclinism import IsoclinismDatum, search_isoclinism

@@ -22,20 +22,14 @@ from leibalg.algebra import (
     lie_commutator_of,
     validate,
 )
-from leibalg.extensions import (
+from leibalg.constructions import (
     backward_extension,
-    canonical_extension,
     diagonal_pullback,
-    product_with_abelian,
-    validate_extension,
-)
-from leibalg.isoclinism import (
-    IsoclinismDatum,
-    IsoclinismWitness,
-    check_witness,
     is_isoclinic_homomorphism,
-    search_isoclinism,
+    product_with_abelian,
 )
+from leibalg.extensions import canonical_extension, validate_extension
+from leibalg.isoclinism import IsoclinismDatum, IsoclinismWitness, check_witness, search_isoclinism
 from leibalg.linalg import LinearMap, Matrix
 
 from conftest import (

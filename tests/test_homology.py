@@ -6,7 +6,8 @@ from leibalg.algebra import (
     lie_commutator_of,
     liezation,
 )
-from leibalg.extensions import canonical_extension, central_extension_from_ideal
+from leibalg.constructions import central_extension_from_ideal
+from leibalg.extensions import canonical_extension
 from leibalg.homology import (
     NOT_STEM,
     STEM,

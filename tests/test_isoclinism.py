@@ -18,13 +18,21 @@ from leibalg.algebra import (
     subalgebra,
     subalgebra_closure,
 )
-from leibalg.extensions import (
+from leibalg.constructions import (
+    _verify_group_axioms,
+    algebras_isoclinic,
     backward_extension,
-    canonical_extension,
     central_extension_from_ideal,
-    commutator_map,
+    compose_witnesses,
     diagonal_pullback,
+    enumerate_autoclinisms,
+    induced_canonical_witness,
+    invert_witness,
+    is_isoclinic_algebra_hom,
+    is_isoclinic_homomorphism,
+    triple_to_witness,
 )
+from leibalg.extensions import canonical_extension, commutator_map
 from leibalg.fields import FieldError
 from leibalg.isoclinism import (
     DEFAULT_MAX_GL,
@@ -34,22 +42,13 @@ from leibalg.isoclinism import (
     IsoclinismWitness,
     SearchBoundError,
     _SearchEngine,
-    _verify_group_axioms,
-    algebras_isoclinic,
     check_witness,
     classify,
-    compose_witnesses,
     derive_xi,
-    enumerate_autoclinisms,
     gl_order,
     identity_witness,
-    induced_canonical_witness,
-    invert_witness,
-    is_isoclinic_algebra_hom,
-    is_isoclinic_homomorphism,
     resolve_max_gl,
     search_isoclinism,
-    triple_to_witness,
 )
 from leibalg.linalg import (
     LinearMap,
@@ -668,7 +667,7 @@ def test_backward_triple_is_isoclinic():
 
 
 def test_zero_triple_is_not_isoclinic():
-    from leibalg.extensions import ExtensionMorphism
+    from leibalg.constructions import ExtensionMorphism
     e1, _ = paper_pair()
     zero = ExtensionMorphism(
         e1, e1,

@@ -18,12 +18,14 @@ import pytest
 import leibalg
 import leibalg.cli as cli
 import leibalg.errors as errors
+from leibalg import documents
 from leibalg.algebra import LeibnizAlgebra
 from leibalg.documents import canonical_json, serialize_algebra
 
 from conftest import F3, F5, nilpotent_n2, paper_g1, paper_g2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 LAYERS = ("_value", "algebra", "documents", "extensions", "fields", "homology",
           "isoclinism", "linalg")
@@ -97,6 +99,54 @@ def test_classify_loads_no_homology(tmp_path):
     assert "leibalg.homology" not in modules and "fractions" not in modules
 
 
+# Every command, run from tests/golden; only the three that build a
+# construction along a triple load leibalg.constructions.
+G1 = ("catalog:paper_g1", "catalog:paper_g2", "--field", "3")
+COMMANDS = {
+    ("catalog", "list"): False,
+    ("catalog", "show", "paper_g1"): False,
+    ("validate", "docs/g1xg1.json"): False,
+    ("invariants", "catalog:paper_g2"): False,
+    ("isoclinic", *G1): False,
+    ("isoclinic", *G1, "--witness", "docs/witness_ok.json"): False,
+    ("classify", "docs/shared", "--field", "3"): False,
+    ("extension", "canonical", "catalog:paper_g2"): False,
+    ("extension", "backward", *G1): True,
+    ("extension", "pullback", *G1): True,
+    ("extension", "product", "catalog:paper_g1"): True,
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_no_command_loads_openssl_and_only_constructions_load_constructions(argv):
+    rc, modules = modules_after(*argv, cwd=GOLDEN)
+    assert rc == cli.EXIT_OK
+    assert not {"hashlib", "_hashlib"} & modules
+    assert ("leibalg.constructions" in modules) == COMMANDS[argv]
+
+
+def test_hash_falls_back_to_hashlib():
+    """Without CPython's built-in SHA-2 module documents hashes through
+    hashlib, with the same digests, here of every golden algebra document."""
+    paths, algebras = [], []
+    for path in sorted((GOLDEN / "docs").rglob("*.json")):
+        try:
+            algebras.append(documents.parse_algebra_json(path.read_text(encoding="utf-8")))
+        except documents.DocumentError:
+            continue  # a witness, a truncated document or one that is not Leibniz
+        paths.append(str(path))
+    code = ("import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from leibalg import documents\n"
+            "hashes = [documents.algebra_hash(documents.parse_algebra_json(\n"
+            "    open(path, encoding='utf-8').read())) for path in sys.argv[1:]]\n"
+            "print(json.dumps([documents.sha256.__module__, 'hashlib' in sys.modules, hashes]))\n")
+    module, loaded, hashes = json.loads(fresh(code, *paths))
+    assert module == "_hashlib" and loaded
+    assert documents.sha256.__module__ in ("_sha2", "_sha256")
+    assert len(hashes) > 40 and hashes == [documents.algebra_hash(a) for a in algebras]
+
+
 # -- the import surface --------------------------------------------------------
 
 
@@ -134,6 +184,7 @@ def test_exceptions_are_reexported_by_their_layers():
         "algebra": ("AlgebraError", "MorphismError"),
         "documents": ("DocumentError",),
         "extensions": ("ExtensionError",),
+        "constructions": ("ExtensionError", "IsoclinismError"),
         "isoclinism": ("IsoclinismError", "SearchBoundError"),
         "catalog": ("CatalogError",),
         "cli": ("AlgebraError", "CatalogError", "DocumentError", "ExtensionError",

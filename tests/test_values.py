@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from leibalg import algebra, extensions, fields, homology, isoclinism, linalg
+from leibalg import algebra, constructions, extensions, fields, homology, isoclinism, linalg
 from leibalg.algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -19,26 +19,23 @@ from leibalg.algebra import (
     subalgebra,
     validate,
 )
-from leibalg.extensions import (
-    ExtensionError,
+from leibalg.constructions import (
     ExtensionMorphism,
     backward_extension,
-    canonical_extension,
-    commutator_map,
     diagonal_pullback,
+    is_isoclinic_homomorphism,
     product_with_abelian,
     quotient_extension_by_alpha,
+)
+from leibalg.extensions import (
+    ExtensionError,
+    canonical_extension,
+    commutator_map,
     validate_extension,
 )
 from leibalg.fields import Field, FieldError
 from leibalg.homology import check_sequence_tail, is_stem_cover_candidate
-from leibalg.isoclinism import (
-    IsoclinismDatum,
-    check_witness,
-    classify,
-    identity_witness,
-    is_isoclinic_homomorphism,
-)
+from leibalg.isoclinism import IsoclinismDatum, check_witness, classify, identity_witness
 from leibalg.linalg import (
     LinalgError,
     LinearMap,
@@ -51,12 +48,12 @@ from leibalg.linalg import (
 from conftest import F3, FQ, nilpotent_n2, paper_g1, paper_g2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = (fields, linalg, algebra, extensions, isoclinism, homology)
+MODULES = (fields, linalg, algebra, extensions, constructions, isoclinism, homology)
 MUTABLE = {"IsoclinismClass", "Classification"}
 
 
 def value_classes():
-    """Every class of the six modules that declares annotated fields."""
+    """Every class of the seven modules that declares annotated fields."""
     return {name: obj for mod in MODULES for name, obj in vars(mod).items()
             if isinstance(obj, type) and obj.__module__ == mod.__name__
             and "__annotations__" in obj.__dict__}
