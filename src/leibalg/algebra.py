@@ -32,13 +32,12 @@ from .linalg import (
     QuotientStructure,
     Subspace,
     bilinear,
+    canonical,
+    combine,
     image,
     kernel,
     quotient,
     span,
-    vec_add,
-    vec_is_zero,
-    vec_zero,
 )
 
 
@@ -67,13 +66,13 @@ class LeibnizAlgebra:
     def from_structure(cls, field, dim, entries, basis_names=()):
         """entries: {(i, j): vector} or full nested sequence."""
         if isinstance(entries, dict):
-            tensor = [[list(vec_zero(field, dim)) for _ in range(dim)] for _ in range(dim)]
+            tensor = [[(0,) * dim for _ in range(dim)] for _ in range(dim)]
             for (i, j), vec in entries.items():
                 if not (0 <= i < dim and 0 <= j < dim):
                     raise AlgebraError(f"bracket index ({i}, {j}) out of range for dim {dim}")
                 if len(vec) != dim:
                     raise AlgebraError(f"bracket value for ({i}, {j}) must have {dim} coordinates")
-                tensor[i][j] = list(vec)
+                tensor[i][j] = vec
         else:
             tensor = entries
         c = tuple(
@@ -84,7 +83,7 @@ class LeibnizAlgebra:
 
     @classmethod
     def abelian(cls, field, dim):
-        z = vec_zero(field, dim)
+        z = (field.zero,) * dim
         return cls(field, dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
     def bracket_basis(self, i, j):
@@ -99,7 +98,9 @@ class LeibnizAlgebra:
 
     def symmetric_bracket(self, x, y):
         # bracket(x, y) checks both lengths
-        return vec_add(self.field, self.bracket(x, y), bilinear(self.field, self.structure, y, x))
+        f = self.field
+        return combine(f, self.dim, ((1, self.bracket(x, y)),
+                                     (1, bilinear(f, self.structure, y, x))))
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -164,7 +165,7 @@ def validate(alg: LeibnizAlgebra) -> ValidationReport:
         for t, c in ik:  # [[b_i, b_k], b_j]
             for r, w in s[t][j]:
                 out[r] += c * w
-        res = tuple(map(f.of, out))
+        res = canonical(f, out)
         if any(res):
             bad.append(Violation((i, j, k), res))
     return ValidationReport(not bad, tuple(bad))
@@ -225,8 +226,7 @@ def annihilator_ideal(alg: LeibnizAlgebra) -> Subspace:
 
 
 def is_abelian(alg: LeibnizAlgebra) -> bool:
-    return all(vec_is_zero(alg.field, alg.bracket_basis(i, j))
-               for i in range(alg.dim) for j in range(alg.dim))
+    return not any(any(v) for row in alg.structure for v in row)
 
 
 def has_trivial_lie_commutator(alg: LeibnizAlgebra) -> bool:
@@ -308,13 +308,12 @@ def quotient_algebra(alg: LeibnizAlgebra, ideal: Subspace, basis_names=()) -> Qu
         raise AlgebraError("quotient by a subspace that is not a two-sided ideal")
     qs = quotient(ideal)
     f = alg.field
-    names = tuple(basis_names) if basis_names else tuple(
-        alg.basis_names[c] for c in qs.coset_coords)
-    tensor = tuple(
-        tuple(qs.project(alg.bracket(qs.section.column(i), qs.section.column(j)))
-              for j in range(qs.dim))
-        for i in range(qs.dim)
-    )
+    coset = qs.coset_coords
+    names = tuple(basis_names) if basis_names else tuple(alg.basis_names[c] for c in coset)
+    # the section lifts the quotient basis to the unit vectors at the coset
+    # coordinates, whose brackets are entries of the structure tensor
+    tensor = tuple(tuple(qs.projection.apply(alg.structure[a][b]) for b in coset)
+                   for a in coset)
     q_alg = LeibnizAlgebra(f, qs.dim, tensor, names)
     proj = AlgebraMorphism(alg, q_alg, qs.projection)  # construction re-checks brackets
     return QuotientAlgebra(q_alg, proj, qs)
@@ -330,13 +329,13 @@ def direct_product(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
         raise AlgebraError("direct product over different fields")
     f = a.field
     n = a.dim + b.dim
-    z = vec_zero(f, n)
+    z = (f.zero,) * n
 
     def emb_a(v):
-        return tuple(v) + vec_zero(f, b.dim)
+        return tuple(v) + (f.zero,) * b.dim
 
     def emb_b(v):
-        return vec_zero(f, a.dim) + tuple(v)
+        return (f.zero,) * a.dim + tuple(v)
 
     tensor = []
     for i in range(n):

@@ -177,10 +177,11 @@ def _load_pair(args):
     from .extensions import canonical_extension
 
     field = _target_field(args)
-    a = load_algebra(args.first, field)
-    b = load_algebra(args.second, field)
-    inputs = {"first": algebra_hash(a), "second": algebra_hash(b)}
-    return canonical_extension(a), canonical_extension(b), inputs
+    # a reference given twice is loaded, hashed and extended once
+    algebras = [load_algebra(ref, field) for ref in dict.fromkeys((args.first, args.second))]
+    hashes = [algebra_hash(a) for a in algebras]
+    extensions = [canonical_extension(a) for a in algebras]
+    return extensions[0], extensions[-1], {"first": hashes[0], "second": hashes[-1]}
 
 
 def parse_algebra(text: str, field: Field | None, check=True) -> LeibnizAlgebra:

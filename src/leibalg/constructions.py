@@ -17,7 +17,9 @@ the module.
 
 Searching and classifying use none of this, so `isoclinic` and `classify`
 never import it: leibalg.extensions and leibalg.isoclinism keep only what
-they run, and a command without a bytecode cache compiles less.
+they run, and a command without a bytecode cache compiles less.  For the
+same reason the functions here that need leibalg.isoclinism import it where
+they run: `extension product` runs no search and does not load it.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ from .algebra import (
 )
 from .errors import ExtensionError, IsoclinismError
 from .extensions import CentralExtension, canonical_extension
-from .isoclinism import (
-    IsoclinismDatum,
-    IsoclinismWitness,
-    _check_search_preconditions,
-    _SearchEngine,
-    _witness,
-    search_isoclinism,
-)
 from .linalg import LinearMap, Matrix, Subspace, intersect, kernel, subspace_sum
 
 
@@ -90,8 +84,8 @@ def _fibre_product(a: LeibnizAlgebra, alpha: Matrix, b: LeibnizAlgebra, beta: Ma
     beta into a common space F: the kernel w of [alpha | -beta], the
     subalgebra of a x b on w and its projections onto a and onto b."""
     f = a.field
-    w = kernel(alpha.hstack(
-        Matrix(f, beta.nrows, beta.ncols, tuple(tuple(map(f.neg, row)) for row in beta.entries))))
+    w = kernel(alpha.hstack(Matrix.from_rows(f, [[-v for v in row] for row in beta.entries],
+                                             beta.ncols)))
     sub = subalgebra(direct_product(a, b), w)
     total, rows = sub.algebra, sub.inclusion.matrix.entries
     return (w, total, AlgebraMorphism(total, a, Matrix(f, a.dim, w.dim, rows[:a.dim])),
@@ -281,6 +275,8 @@ def is_isoclinic_homomorphism(triple: ExtensionMorphism) -> IsoclinicHomReport:
 
 def triple_to_witness(triple: ExtensionMorphism) -> IsoclinismWitness:
     """The witness (gamma, beta|) carried by an isoclinic triple."""
+    from .isoclinism import IsoclinismWitness
+
     rep = is_isoclinic_homomorphism(triple)
     if not rep:
         raise IsoclinismError("triple is not isoclinic: " + "; ".join(rep.reasons))
@@ -303,6 +299,8 @@ def induced_canonical_witness(e1: CentralExtension, e2: CentralExtension,
                               w: IsoclinismWitness) -> IsoclinismWitness:
     """Transport a witness between extensions to one between the canonical
     extensions of their totals (same xi, induced eta on g/Z_Lie(g))."""
+    from .isoclinism import IsoclinismWitness
+
     c1 = canonical_extension(e1.g)
     c2 = canonical_extension(e2.g)
     m = c2.pi.matrix @ e2.section @ w.eta.matrix @ e1.pi.matrix
@@ -320,6 +318,8 @@ def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
     composition and inverse (exhaustively up to 256 witnesses, on a
     deterministic sample beyond that).
     """
+    from .isoclinism import IsoclinismDatum, _check_search_preconditions, _SearchEngine, _witness
+
     _check_search_preconditions(e, e, max_gl)
     d = IsoclinismDatum.of(e)
     out = [_witness(e, e, found) for found in _SearchEngine(d, d).witnesses()]
@@ -349,13 +349,19 @@ def _verify_group_axioms(e, witnesses):
 def algebras_isoclinic(a: LeibnizAlgebra, b: LeibnizAlgebra,
                        max_gl=None) -> IsoclinismWitness | None:
     """Witness between the canonical central extensions of two algebras."""
+    from .isoclinism import search_isoclinism
+
     return search_isoclinism(canonical_extension(a), canonical_extension(b), max_gl)
 
 
 def compose_witnesses(w1: IsoclinismWitness, w2: IsoclinismWitness) -> IsoclinismWitness:
     """w2 after w1 (componentwise composition)."""
+    from .isoclinism import IsoclinismWitness
+
     return IsoclinismWitness(w2.eta.compose(w1.eta), w2.xi.compose(w1.xi))
 
 
 def invert_witness(w: IsoclinismWitness) -> IsoclinismWitness:
+    from .isoclinism import IsoclinismWitness
+
     return IsoclinismWitness(w.eta.inverse(), w.xi.inverse())

@@ -3,7 +3,9 @@
 Scalars are kept as plain Python values: `int` residues in [0, p) for a
 prime field, `fractions.Fraction` (lowest terms, positive denominator,
 which Fraction guarantees) for the rationals.  A Field instance supplies
-the arithmetic so that matrices never need to know which case they are in.
+canonical values, inverses and per-scalar arithmetic.  The library's vector
+code adds and multiplies the plain values and canonicalises each computed
+vector once through linalg.canonical.
 
 `fractions` (and the `decimal` module it loads) is imported on first
 rational use: work over F_p with integer scalars never needs it.

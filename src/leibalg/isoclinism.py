@@ -54,7 +54,7 @@ from .algebra import AlgebraMorphism, LeibnizAlgebra, lie_center, lie_commutator
 from .extensions import CentralExtension, canonical_extension, commutator_map
 from .errors import FieldError, IsoclinismError, SearchBoundError
 from .fields import Field
-from .linalg import LinearMap, Matrix, bilinear, kernel, rref, rref_rows
+from .linalg import LinearMap, Matrix, bilinear, combine, kernel, rref, rref_rows
 
 
 MAX_GL_ENV = "LEIBALG_MAX_GL"
@@ -344,15 +344,9 @@ class _SearchEngine:
         quadratic, reduced mod p: zero exactly when the constraint holds."""
         k, linear, quadratic = constraint
         table = self.tables[k]
-        out = [0] * len(table[0][0])
-        vecs = [(c, cols[t]) for c, t in linear]
-        vecs += [(c, bilinear(self.field, table, cols[i], cols[j])) for c, i, j in quadratic]
-        for c, vec in vecs:
-            for t, v in enumerate(vec):
-                if v:
-                    out[t] += c * v
-        p = self.p
-        return [v % p for v in out]
+        terms = [(c, cols[t]) for c, t in linear]
+        terms += [(c, bilinear(self.field, table, cols[i], cols[j])) for c, i, j in quadratic]
+        return combine(self.field, len(table[0][0]), terms)
 
     def _operator(self, side, u):
         """The matrix of x -> T(x, u) or x -> T(u, x), as a list of rows

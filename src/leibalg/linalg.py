@@ -5,13 +5,17 @@ leans on one fact: a subspace is stored as the reduced row echelon basis of
 its span, so equality of subspaces is equality of tuples.  Matrices act on
 column vectors: y = M @ x with M of shape (codomain dim, domain dim).
 
+Scalars are canonical at rest: every stored vector and matrix entry is an
+int in [0, p) or a Fraction.  A computed vector accumulates in plain ints
+(Fractions over Q) and goes through `canonical` once: `combine` sums scaled
+vectors (matrix products too), `Matrix.apply` and `bilinear` contract, and
+no loop canonicalises scalar by scalar.
+
 Dense and small on purpose: input algebras are capped at documents.MAX_DIM
 dimensions, and the default GL bound keeps searched quotients at dim <= 4.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from ._value import value_class
 from .errors import LinalgError
@@ -75,25 +79,21 @@ class Matrix:
         """M @ x for a coordinate tuple x of length ncols."""
         if len(vec) != self.ncols:
             raise LinalgError("vector length mismatch")
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        # only nonzero pairs are multiplied: over Q a product of Fractions,
+        # even by zero, costs far more than the test
+        support = [(j, x) for j, x in enumerate(vec) if x]
+        return canonical(self.field, [sum([row[j] * x for j, x in support if row[j]])
+                                      for row in self.entries])
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.ncols != other.nrows:
             raise LinalgError("matmul shape/field mismatch")
-        of = self.field.of
-        cols = other.transpose().entries
-        return Matrix(self.field, self.nrows, other.ncols,
-                      tuple(tuple(of(sum(map(mul, row, col))) for col in cols)
+        # row i of the product sums the rows of other scaled by row i of self
+        f = self.field
+        return Matrix(f, self.nrows, other.ncols,
+                      tuple(combine(f, other.ncols, zip(row, other.entries))
                             for row in self.entries))
 
     def hstack(self, other):
@@ -171,6 +171,26 @@ def rref_rows(field, rows, ncols):
     return pivots
 
 
+def canonical(field, values):
+    """The canonical scalars of a list of plain ints (Fractions over Q)."""
+    p = field.p
+    if p is None:
+        zero = field.zero
+        return tuple([v or zero for v in values])
+    return tuple([v % p for v in values])
+
+
+def combine(field, n, terms):
+    """The canonical sum of c v over the (c, v) terms, v of length n."""
+    out = [0] * n
+    for c, vec in terms:
+        if c:
+            for t, v in enumerate(vec):
+                if v:
+                    out[t] += c * v
+    return canonical(field, out)
+
+
 def bilinear(field, table, x, y):
     """sum of x_i y_j table[i][j]: a structure tensor (table[i][j] a coordinate
     tuple) contracted with two coordinate vectors.
@@ -186,28 +206,7 @@ def bilinear(field, table, x, y):
                     for t, wt in enumerate(w):
                         if wt:
                             out[t] += c * wt
-    p = field.p
-    if p is None:
-        zero = field.zero
-        return tuple([v or zero for v in out])
-    return tuple([v % p for v in out])
-
-
-def vec_zero(field, n):
-    return tuple(field.zero for _ in range(n))
-
-
-def vec_add(field, a, b):
-    return tuple(field.add(x, y) for x, y in zip(a, b))
-
-
-def vec_scale(field, c, a):
-    return tuple(field.mul(c, x) for x in a)
-
-
-def vec_is_zero(field, a):
-    z = field.zero
-    return all(x == z for x in a)
+    return canonical(field, out)
 
 
 @value_class
@@ -234,31 +233,24 @@ class Subspace:
         v = tuple(f.of(x) for x in vec)
         if len(v) != self.ambient_dim:
             raise LinalgError("vector/ambient mismatch")
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if c:
-                v = tuple(f.sub(a, f.mul(c, b)) for a, b in zip(v, row))
-        return v
+        # the basis rows vanish on each other's pivots, so the coefficient of
+        # each row is v's own entry at its pivot
+        return combine(f, len(v), [(1, v)] + [(-v[piv], row)
+                                              for row, piv in zip(self.basis, self.pivots)])
 
     def contains(self, vec):
-        return vec_is_zero(self.field, self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def coords_of(self, vec):
         """Coordinates of vec in the canonical basis; raises if not a member."""
         f = self.field
         v = tuple(f.of(x) for x in vec)
-        coords = tuple(v[piv] for piv in self.pivots)
-        if not vec_is_zero(f, self.reduce(v)):
+        if any(self.reduce(v)):
             raise LinalgError("vector not in subspace")
-        return coords
+        return tuple(v[piv] for piv in self.pivots)
 
     def vector_from_coords(self, coords):
-        f = self.field
-        out = vec_zero(f, self.ambient_dim)
-        for c, row in zip(coords, self.basis):
-            if c:
-                out = vec_add(f, out, vec_scale(f, c, row))
-        return out
+        return combine(self.field, self.ambient_dim, zip(coords, self.basis))
 
     def is_subspace_of(self, other):
         return all(other.contains(v) for v in self.basis)
@@ -295,7 +287,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.field != b.field or a.ambient_dim != b.ambient_dim:
         raise LinalgError("subspace intersection mismatch")
     f, n = a.field, a.ambient_dim
-    rows = [u + u for u in a.basis] + [w + vec_zero(f, n) for w in b.basis]
+    rows = [u + u for u in a.basis] + [w + (f.zero,) * n for w in b.basis]
     if not rows:
         return zero_subspace(f, n)
     m, pivots = rref(Matrix(f, len(rows), 2 * n, tuple(rows)))
@@ -305,17 +297,16 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """{x : M @ x = 0} as a subspace of F^ncols."""
-    f = m.field
     red, pivots = rref(m)
-    free = [j for j in range(m.ncols) if j not in pivots]
     basis = []
-    for fc in free:
-        v = [f.zero] * m.ncols
-        v[fc] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(red.entries[i][fc])
-        basis.append(tuple(v))
-    return span(f, m.ncols, basis)
+    for fc in range(m.ncols):
+        if fc not in pivots:
+            v = [0] * m.ncols
+            v[fc] = 1
+            for row, pc in zip(red.entries, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return span(m.field, m.ncols, basis)
 
 
 def image(m: Matrix) -> Subspace:
@@ -350,20 +341,15 @@ class QuotientStructure:
 def quotient(ideal: Subspace) -> QuotientStructure:
     f, n = ideal.field, ideal.ambient_dim
     coset = tuple(j for j in range(n) if j not in ideal.pivots)
-    cols = []
-    for i in range(n):
-        e = [f.zero] * n
-        e[i] = f.one
-        red = ideal.reduce(tuple(e))
-        cols.append(tuple(red[c] for c in coset))
-    proj = Matrix.from_columns(f, cols, nrows=len(coset))
-    sec_cols = []
-    for c in coset:
-        e = [f.zero] * n
-        e[c] = f.one
-        sec_cols.append(tuple(e))
-    sec = Matrix.from_columns(f, sec_cols, nrows=n)
-    return QuotientStructure(f, n, ideal, coset, proj, sec)
+    # e_c for a coset coordinate c is its own remainder; e_piv leaves minus
+    # the basis row with pivot piv, which vanishes on the other pivots
+    row_at = dict(zip(ideal.pivots, ideal.basis))
+    one, zero = f.one, f.zero
+    proj = tuple(canonical(f, [-row_at[j][c] if j in row_at else one if j == c else zero
+                               for j in range(n)]) for c in coset)
+    sec = tuple(tuple(one if i == c else zero for c in coset) for i in range(n))
+    return QuotientStructure(f, n, ideal, coset, Matrix(f, len(coset), n, proj),
+                             Matrix(f, n, len(coset), sec))
 
 
 @value_class

@@ -27,7 +27,7 @@ from leibalg.algebra import (
     validate,
 )
 from leibalg.fields import Field
-from leibalg.linalg import Matrix, span, vec_add
+from leibalg.linalg import Matrix, span
 
 from conftest import (
     F3,
@@ -221,7 +221,7 @@ def squares_ideal(alg):
     gens = [alg.bracket_basis(i, i) for i in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            v = vec_add(alg.field, alg.basis_vector(i), alg.basis_vector(j))
+            v = tuple(map(alg.field.add, alg.basis_vector(i), alg.basis_vector(j)))
             gens.append(alg.bracket(v, v))
     return ideal_closure(alg, gens)
 

@@ -262,6 +262,33 @@ def test_classify_parses_each_distinct_text_once(capsys, monkeypatch):
                 assert hashed == []
 
 
+def test_a_repeated_reference_is_loaded_once(capsys, monkeypatch, tmp_path):
+    # one path given twice is parsed, hashed and extended once; a byte copy
+    # under another path is loaded twice and gives the same report
+    import leibalg.extensions as extensions
+
+    monkeypatch.delenv(MAX_GL_ENV, raising=False)
+    doc = GOLDEN / "docs" / "g1xg1.json"
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(doc.read_bytes())
+    parsed, hashed, extended = [], [], []
+    monkeypatch.setattr(documents, "parse_algebra_json",
+                        counting(parsed, documents.parse_algebra_json))
+    monkeypatch.setattr(documents, "algebra_hash", counting(hashed, documents.algebra_hash))
+    monkeypatch.setattr(extensions, "canonical_extension",
+                        counting(extended, extensions.canonical_extension))
+    for command in (("isoclinic",), ("extension", "backward"), ("extension", "pullback")):
+        for fmt in ((), ("--format", "json")):
+            reports = []
+            for second, loads in ((doc, 1), (copy, 2)):
+                for calls in (parsed, hashed, extended):
+                    calls.clear()
+                reports.append(run(capsys, *command, str(doc), str(second), *fmt))
+                assert (len(parsed), len(hashed), len(extended)) == (loads,) * 3
+            assert reports[0] == reports[1]
+            assert reports[0][0] == EXIT_OK
+
+
 def test_extension_payload_computes_theta_image_once(capsys, monkeypatch):
     # check_sequence_nine and the stem report both read the theta image
     prop = CentralExtension.__dict__["_theta_image"]

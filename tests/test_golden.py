@@ -4,10 +4,13 @@ constructions must rebuild the matrices and algebras of
 tests/golden/constructions.json.
 
 The cases, their input documents and the constructions are written by
-tests/golden/record.py.
+tests/golden/record.py.  tests/golden/replay.py replays the cases without
+pytest, so that every supported Python can run them.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,11 @@ def test_constructions_match_golden():
     assert list(built) == list(recorded)
     for label, snapshot in recorded.items():
         assert built[label] == snapshot, label
+
+
+def test_replay_script_runs_on_the_standard_library_alone():
+    # -I -S: no site-packages (pytest included), no PYTHONPATH, no user site
+    proc = subprocess.run([sys.executable, "-I", "-S", str(GOLDEN / "replay.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == f"{len(CASES)} golden cases replayed, 0 differ\n"

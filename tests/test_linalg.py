@@ -9,6 +9,7 @@ from leibalg.linalg import (
     LinearMap,
     Matrix,
     bilinear,
+    combine,
     image,
     intersect,
     kernel,
@@ -16,8 +17,6 @@ from leibalg.linalg import (
     rref,
     span,
     subspace_sum,
-    vec_add,
-    vec_scale,
     zero_subspace,
 )
 
@@ -107,25 +106,36 @@ def test_matmul_commutes_with_reduction_mod_p():
             assert over_p == Matrix.from_rows(fp, over_q.entries, ncols=m)
 
 
+def _fold(f, k, terms):
+    """sum of c v over the terms, one Field operation per scalar."""
+    out = (f.zero,) * k
+    for c, v in terms:
+        out = tuple(map(f.add, out, (f.mul(c, w) for w in v)))
+    return out
+
+
 def test_bilinear_matches_the_defining_sum():
-    # sum of x_i y_j T[i][j] against a term-by-term fold, entries canonical;
-    # entries no term reaches are the field zero, a Fraction over Q
+    # bilinear, combine and Matrix.apply against term-by-term folds, entries
+    # canonical; entries no term reaches are the field zero, a Fraction over Q
     rng = random.Random(117)
     for f in (F3, Field.prime(LARGEST_PRIME), FQ):
         for _ in range(20):
             n, k = rng.randint(1, 4), rng.randint(0, 4)
             table = [[random_vector(rng, f, k) for _ in range(n)] for _ in range(n)]
             x, y = random_vector(rng, f, n), random_vector(rng, f, n)
-            expected = tuple(f.zero for _ in range(k))
-            for i in range(n):
-                for j in range(n):
-                    expected = vec_add(f, expected, vec_scale(f, f.mul(x[i], y[j]), table[i][j]))
-            out = bilinear(f, table, x, y)
-            assert out == expected
-            assert all(type(v) is type(f.zero) for v in out)
-            if f.is_finite:
-                assert all(0 <= v < f.p for v in out)
+            terms = [(f.mul(x[i], y[j]), table[i][j]) for i in range(n) for j in range(n)]
+            m = Matrix(f, k, n, tuple(random_vector(rng, f, n) for _ in range(k)))
+            for out, expected in (
+                    (bilinear(f, table, x, y), _fold(f, k, terms)),
+                    (combine(f, k, terms), _fold(f, k, terms)),
+                    (m.apply(x), _fold(f, k, zip(x, m.columns()))),
+                    (m.apply(x), (m @ Matrix.from_columns(f, [x])).column(0))):
+                assert out == expected
+                assert all(type(v) is type(f.zero) for v in out)
+                if f.is_finite:
+                    assert all(0 <= v < f.p for v in out)
     assert bilinear(F3, (), (), ()) == ()
+    assert combine(FQ, 2, []) == (FQ.zero, FQ.zero)
 
 
 def test_matmul_mismatch_raises():
@@ -173,10 +183,26 @@ def test_subspace_equality_is_syntactic():
 
 def test_coords_round_trip_and_rejection():
     s = span(F3, 3, [(1, 0, 2), (0, 1, 1)])
-    v = vec_add(F3, s.basis[0], vec_scale(F3, 2, s.basis[1]))
+    v = tuple(map(F3.add, s.basis[0], (F3.mul(2, b) for b in s.basis[1])))
     assert s.vector_from_coords(s.coords_of(v)) == v
     with pytest.raises(LinalgError):
         s.coords_of((0, 0, 1))
+
+
+def test_coords_and_reduce_over_q_take_strings_and_fractions():
+    s = span(FQ, 3, [("1/2", 0, 1), (0, Fraction(2, 3), 1)])
+    assert s.basis == ((1, 0, 2), (0, 1, Fraction(3, 2)))
+    # 1/3 b_1 - 1/2 b_2, given partly as strings
+    v = ("1/3", Fraction(-1, 2), "-1/12")
+    assert s.coords_of(v) == (Fraction(1, 3), Fraction(-1, 2))
+    assert s.vector_from_coords(s.coords_of(v)) == tuple(map(FQ.of, v))
+    assert s.reduce(v) == (0, 0, 0) and s.contains(v)
+    rest = s.reduce(("1/3", 0, 0))
+    assert rest == (0, 0, Fraction(-2, 3))
+    assert all(type(c) is Fraction for c in s.reduce(v) + rest)
+    assert not s.contains(("1/3", 0, 0))
+    with pytest.raises(LinalgError):
+        s.coords_of(("1/3", 0, 0))
 
 
 def test_grassmann_dimension_formula():
@@ -227,9 +253,14 @@ def test_quotient_structure_laws():
             qs = quotient(ideal)
             assert qs.projection @ qs.section == Matrix.identity(field, n - ideal.dim)
             assert kernel(qs.projection) == ideal
+            # column i is the remainder of e_i modulo the ideal, read at the
+            # coset coordinates
+            for i in range(n):
+                red = ideal.reduce(tuple(field.one if j == i else field.zero for j in range(n)))
+                assert qs.projection.column(i) == tuple(red[c] for c in qs.coset_coords)
             v = random_vector(rng, field, n)
             for z in ideal.basis:
-                assert qs.project(vec_add(field, v, z)) == qs.project(v)
+                assert qs.project(tuple(map(field.add, v, z))) == qs.project(v)
 
 
 # -- linear maps between subspaces --------------------------------------------

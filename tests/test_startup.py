@@ -99,21 +99,23 @@ def test_classify_loads_no_homology(tmp_path):
     assert "leibalg.homology" not in modules and "fractions" not in modules
 
 
-# Every command, run from tests/golden; only the three that build a
-# construction along a triple load leibalg.constructions.
+# Every command, run from tests/golden, with whether it loads
+# leibalg.constructions and leibalg.isoclinism: only the three that build a
+# construction along a triple load the first, and of those only the two that
+# search load the second.
 G1 = ("catalog:paper_g1", "catalog:paper_g2", "--field", "3")
 COMMANDS = {
-    ("catalog", "list"): False,
-    ("catalog", "show", "paper_g1"): False,
-    ("validate", "docs/g1xg1.json"): False,
-    ("invariants", "catalog:paper_g2"): False,
-    ("isoclinic", *G1): False,
-    ("isoclinic", *G1, "--witness", "docs/witness_ok.json"): False,
-    ("classify", "docs/shared", "--field", "3"): False,
-    ("extension", "canonical", "catalog:paper_g2"): False,
-    ("extension", "backward", *G1): True,
-    ("extension", "pullback", *G1): True,
-    ("extension", "product", "catalog:paper_g1"): True,
+    ("catalog", "list"): (False, False),
+    ("catalog", "show", "paper_g1"): (False, False),
+    ("validate", "docs/g1xg1.json"): (False, False),
+    ("invariants", "catalog:paper_g2"): (False, False),
+    ("isoclinic", *G1): (False, True),
+    ("isoclinic", *G1, "--witness", "docs/witness_ok.json"): (False, True),
+    ("classify", "docs/shared", "--field", "3"): (False, True),
+    ("extension", "canonical", "catalog:paper_g2"): (False, False),
+    ("extension", "backward", *G1): (True, True),
+    ("extension", "pullback", *G1): (True, True),
+    ("extension", "product", "catalog:paper_g1"): (True, False),
 }
 
 
@@ -122,7 +124,7 @@ def test_no_command_loads_openssl_and_only_constructions_load_constructions(argv
     rc, modules = modules_after(*argv, cwd=GOLDEN)
     assert rc == cli.EXIT_OK
     assert not {"hashlib", "_hashlib"} & modules
-    assert ("leibalg.constructions" in modules) == COMMANDS[argv]
+    assert ("leibalg.constructions" in modules, "leibalg.isoclinism" in modules) == COMMANDS[argv]
 
 
 def test_hash_falls_back_to_hashlib():
