@@ -14,9 +14,13 @@ The "Lie-" invariants measure the failure of antisymmetry:
   * the squares [x, x] span the annihilator ideal, and dividing by it gives
     the largest Lie quotient (the liezation).
 
-Each algebra computes its Lie-commutator and its Lie-center once, on first
-request, and keeps them: the structure tensor is an immutable tuple, so they
-cannot go stale.
+They all come from the symmetric bracket, and each algebra keeps it as one
+tensor, _symmetric[i][j] = [b_i, b_j] + [b_j, b_i], computed on first
+request.  Every symmetric bracket is a contraction of it, the Lie-commutator
+(which is also the annihilator ideal) is the ideal its entries generate, and
+the Lie-center is its radical (linalg.radical).  The tensor, the
+Lie-commutator and the Lie-center are computed once and kept: the structure
+tensor is an immutable tuple, so they cannot go stale.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ from .linalg import (
     Subspace,
     bilinear,
     canonical,
-    combine,
     image,
     kernel,
     quotient,
+    radical,
     span,
 )
 
@@ -91,16 +95,17 @@ class LeibnizAlgebra:
 
     def bracket(self, x, y):
         """[x, y] for coordinate tuples x, y (bilinear tensor contraction)."""
+        return self._contract(self.structure, x, y)
+
+    def symmetric_bracket(self, x, y):
+        """[x, y] + [y, x], one contraction of the symmetric tensor."""
+        return self._contract(self._symmetric, x, y)
+
+    def _contract(self, table, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise AlgebraError(f"bracket of vectors of lengths {len(x)} and {len(y)} "
                                f"in an algebra of dim {self.dim}")
-        return bilinear(self.field, self.structure, x, y)
-
-    def symmetric_bracket(self, x, y):
-        # bracket(x, y) checks both lengths
-        f = self.field
-        return combine(f, self.dim, ((1, self.bracket(x, y)),
-                                     (1, bilinear(f, self.structure, y, x))))
+        return bilinear(self.field, table, x, y)
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -108,22 +113,20 @@ class LeibnizAlgebra:
         return tuple(v)
 
     @cached_property
+    def _symmetric(self) -> tuple:
+        s, f = self.structure, self.field
+        return tuple(tuple(canonical(f, [a + b for a, b in zip(s[i][j], s[j][i])])
+                           for j in range(self.dim)) for i in range(self.dim))
+
+    @cached_property
     def _lie_commutator(self) -> Subspace:
-        # the symmetric bracket is symmetric, so basis pairs i <= j suffice
-        basis = [self.basis_vector(i) for i in range(self.dim)]
-        return ideal_closure(self, [self.symmetric_bracket(u, v)
-                                    for i, u in enumerate(basis) for v in basis[i:]])
+        # the symmetric tensor is symmetric, so entries i <= j suffice
+        return ideal_closure(self, [row[j] for i, row in enumerate(self._symmetric)
+                                    for j in range(i, self.dim)])
 
     @cached_property
     def _lie_center(self) -> Subspace:
-        rows = []
-        for j in range(self.dim):
-            # row block: z |-> [b_j, z] + [z, b_j], column i = [b_j, b_i] + [b_i, b_j]
-            cols = [self.symmetric_bracket(self.basis_vector(j), self.basis_vector(i))
-                    for i in range(self.dim)]
-            for r in range(self.dim):
-                rows.append(tuple(c[r] for c in cols))
-        return kernel(Matrix(self.field, len(rows), self.dim, tuple(rows)))
+        return radical(self.field, self._symmetric)
 
 
 @value_class
@@ -247,10 +250,11 @@ class AlgebraMorphism:
             raise MorphismError("morphism matrix shape mismatch")
         if self.source.field != self.target.field or self.matrix.field != self.source.field:
             raise MorphismError("morphism field mismatch")
+        cols = self.matrix.columns()
         for i in range(self.source.dim):
             for j in range(self.source.dim):
                 lhs = self.matrix.apply(self.source.bracket_basis(i, j))
-                rhs = self.target.bracket(self.matrix.column(i), self.matrix.column(j))
+                rhs = self.target.bracket(cols[i], cols[j])
                 if lhs != rhs:
                     raise MorphismError(f"bracket not preserved on basis pair ({i}, {j})")
 

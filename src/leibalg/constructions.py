@@ -37,7 +37,7 @@ from .algebra import (
     subalgebra,
 )
 from .errors import ExtensionError, IsoclinismError
-from .extensions import CentralExtension, canonical_extension
+from .extensions import CentralExtension, _by_ideal, canonical_extension
 from .linalg import LinearMap, Matrix, Subspace, intersect, kernel, subspace_sum
 
 
@@ -232,10 +232,7 @@ def central_extension_from_ideal(g: LeibnizAlgebra, n_space: Subspace) -> Centra
     Lie-centrality is NOT enforced here; run validate_extension on the result
     (useful for exercising the validator on non-central candidates).
     """
-    sub = subalgebra(g, n_space)
-    quot = quotient_algebra(g, n_space)
-    return CentralExtension(sub.algebra, g, quot.algebra, sub.inclusion,
-                            quot.projection, quot.structure.section)
+    return _by_ideal(g, n_space, ())
 
 
 @value_class

@@ -48,9 +48,6 @@ class CentralExtension:
     pi: AlgebraMorphism
     section: Matrix  # (g.dim x q.dim), pi . section = id
 
-    def lift(self, q_vec):
-        return self.section.apply(q_vec)
-
     @cached_property
     def _commutator_map(self) -> "CommutatorMap":
         lifts = [self.section.column(j) for j in range(self.q.dim)]
@@ -100,8 +97,14 @@ def validate_extension(e: CentralExtension) -> ExtensionReport:
 def canonical_extension(g: LeibnizAlgebra) -> CentralExtension:
     """0 -> Z_Lie(g) -> g -> g/Z_Lie(g) -> 0."""
     z = lie_center(g)
-    sub = subalgebra(g, z, basis_names=tuple(f"z{i + 1}" for i in range(z.dim)))
-    quot = quotient_algebra(g, z)
+    return _by_ideal(g, z, tuple(f"z{i + 1}" for i in range(z.dim)))
+
+
+def _by_ideal(g, space, basis_names):
+    """0 -> space -> g -> g/space -> 0 for a bracket-closed ideal of g, the
+    kernel's basis named basis_names (the subalgebra default when empty)."""
+    sub = subalgebra(g, space, basis_names)
+    quot = quotient_algebra(g, space)
     return CentralExtension(sub.algebra, g, quot.algebra, sub.inclusion,
                             quot.projection, quot.structure.section)
 

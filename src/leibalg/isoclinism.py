@@ -54,7 +54,7 @@ from .algebra import AlgebraMorphism, LeibnizAlgebra, lie_center, lie_commutator
 from .extensions import CentralExtension, canonical_extension, commutator_map
 from .errors import FieldError, IsoclinismError, SearchBoundError
 from .fields import Field
-from .linalg import LinearMap, Matrix, bilinear, combine, kernel, rref, rref_rows
+from .linalg import LinearMap, Matrix, bilinear, combine, kernel, radical, rref, rref_rows
 
 
 MAX_GL_ENV = "LEIBALG_MAX_GL"
@@ -128,10 +128,8 @@ class IsoclinismDatum:
         and the dimensions of the Lie-center and the Lie-commutator of q (the
         Lie-commutator is also the annihilator ideal)."""
         m = len(self.structure)
-        rows = tuple(tuple(self.table[i][j][t] for i in range(m))
-                     for j in range(m) for t in range(self.d))
         q = LeibnizAlgebra(self.field, m, self.structure)
-        return (m, self.d, m - Matrix(self.field, len(rows), m, rows).rank(),
+        return (m, self.d, radical(self.field, self.table).dim,
                 lie_center(q).dim, lie_commutator_of(q).dim)
 
     @cached_property
@@ -492,11 +490,10 @@ def _first_witness(d1, d2):
 
 
 def identity_witness(e: CentralExtension) -> IsoclinismWitness:
-    eta = AlgebraMorphism.identity(e.q)
-    xi = derive_xi(e, e, eta)
-    if xi is None:
-        raise IsoclinismError("identity witness derivation failed")
-    return IsoclinismWitness(eta, xi)
+    """(id, id): the identity satisfies the square for eta = id, and eta
+    determines xi, so this is the witness derive_xi would give."""
+    return IsoclinismWitness(AlgebraMorphism.identity(e.q),
+                             LinearMap.identity(lie_commutator_of(e.g)))
 
 
 @value_class(frozen=False)

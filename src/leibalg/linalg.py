@@ -309,6 +309,17 @@ def kernel(m: Matrix) -> Subspace:
     return span(m.field, m.ncols, basis)
 
 
+def radical(field, table) -> Subspace:
+    """{x : table(x, y) = 0 for all y} for a bilinear map on F^m given by its
+    tensor (table[i][j] a coordinate tuple): the kernel of the rows (j, t),
+    each (table[i][j][t])_i.  With no rows (m = 0 or values of width 0) it is
+    all of F^m."""
+    m = len(table)
+    rows = tuple(tuple(row[j][t] for row in table)
+                 for j in range(m) for t in range(len(table[0][j])))
+    return kernel(Matrix(field, len(rows), m, rows))
+
+
 def image(m: Matrix) -> Subspace:
     """Column space of M as a subspace of F^nrows."""
     return span(m.field, m.nrows, m.columns())

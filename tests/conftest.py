@@ -7,12 +7,13 @@ from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product, val
 from leibalg.documents import serialize_algebra
 from leibalg.constructions import backward_extension, diagonal_pullback, product_with_abelian
 from leibalg.extensions import canonical_extension
-from leibalg.fields import Field
+from leibalg.fields import MAX_PRIME, Field, _is_prime
 from leibalg.linalg import Matrix, kernel
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 FQ = Field.rationals()
+LARGEST_PRIME = next(p for p in range(MAX_PRIME, 2, -1) if _is_prime(p))
 
 SUITE_SEED = 424243
 SUITE_SIZE = 220

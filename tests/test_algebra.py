@@ -33,7 +33,10 @@ from conftest import (
     F3,
     F5,
     FQ,
+    LARGEST_PRIME,
     algebra_suite,
+    all_vectors,
+    brute_force_members,
     lie_r2,
     nilpotent_n2,
     paper_g1,
@@ -150,6 +153,24 @@ def test_symmetric_bracket():
     alg = paper_g1(FQ)
     assert alg.symmetric_bracket((1, 0), (0, 1)) == (Fraction(0), Fraction(1))
     assert alg.symmetric_bracket((1, 0), (1, 0)) == (Fraction(0), Fraction(2))
+    # against sums of brackets: the symmetric tensor is not the reference
+    rng = random.Random(22)
+    for f in (F3, Field.prime(LARGEST_PRIME), FQ):
+        for _ in range(15):
+            dim = rng.randint(0, 4)
+            table = {(i, j): random_vector(rng, f, dim)
+                     for i in range(dim) for j in range(dim) if rng.random() < 0.6}
+            alg = LeibnizAlgebra.from_structure(f, dim, table)
+            basis = [alg.basis_vector(i) for i in range(dim)]
+            for i, j in itertools.product(range(dim), repeat=2):
+                entry = alg._symmetric[i][j]
+                assert entry == tuple(map(f.add, alg.bracket(basis[i], basis[j]),
+                                          alg.bracket(basis[j], basis[i])))
+                assert all(type(c) is type(f.zero) for c in entry)
+            for _ in range(5):
+                x, y = random_vector(rng, f, dim), random_vector(rng, f, dim)
+                assert alg.symmetric_bracket(x, y) == tuple(
+                    map(f.add, alg.bracket(x, y), alg.bracket(y, x)))
 
 
 # -- invariants: the worked example, frozen -----------------------------------
@@ -197,13 +218,21 @@ def test_lie_algebra_has_full_center_and_trivial_commutator():
 # -- invariant structure properties --------------------------------------------
 
 
+def lie_central(alg, z):
+    """[b_j, z] + [z, b_j] = 0 for every j, summed from brackets."""
+    f = alg.field
+    return all(not any(map(f.add, alg.bracket(alg.basis_vector(j), z),
+                           alg.bracket(z, alg.basis_vector(j))))
+               for j in range(alg.dim))
+
+
 def test_lie_center_is_two_sided_ideal_random(suite):
     for alg in suite[:60]:
         z = lie_center(alg)
         assert is_ideal(alg, z)
-        for zb in z.basis:
-            for j in range(alg.dim):
-                assert not any(alg.symmetric_bracket(zb, alg.basis_vector(j)))
+        # exactly the Lie-central vectors of F_3^dim, dim <= 3, by enumeration
+        assert brute_force_members(z) == {
+            v for v in all_vectors(F3, alg.dim) if lie_central(alg, v)}
 
 
 def test_commutator_span_already_closed_random(suite):

@@ -334,6 +334,15 @@ def test_non_isoclinic_quadratic_forms():
     assert engine_witnesses(ea, eb) == []
 
 
+def test_identity_witness_is_the_derived_one(suite):
+    for alg in suite:
+        e = canonical_extension(alg)
+        eta = AlgebraMorphism.identity(e.q)
+        w = identity_witness(e)
+        assert w == IsoclinismWitness(eta, derive_xi(e, e, eta))
+        assert check_witness(e, e, w)
+
+
 def test_derive_xi_inconsistency():
     ea = canonical_extension(quadratic_form_algebra(1, 1))
     eb = canonical_extension(quadratic_form_algebra(1, 2))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibalg.fields import MAX_PRIME, Field, _is_prime
+from leibalg.fields import Field
 from leibalg.linalg import (
     LinalgError,
     LinearMap,
@@ -14,15 +14,21 @@ from leibalg.linalg import (
     intersect,
     kernel,
     quotient,
+    radical,
     rref,
     span,
     subspace_sum,
     zero_subspace,
 )
 
-from conftest import F3, FQ, all_vectors, brute_force_members, random_vector
-
-LARGEST_PRIME = next(p for p in range(MAX_PRIME, 2, -1) if _is_prime(p))
+from conftest import (
+    F3,
+    FQ,
+    LARGEST_PRIME,
+    all_vectors,
+    brute_force_members,
+    random_vector,
+)
 
 
 def random_matrix(rng, field, nrows, ncols):
@@ -241,6 +247,25 @@ def test_kernel_image_rank_nullity():
                 assert not any(a.apply(v))
             for v in im.basis:
                 assert a.hstack(Matrix.from_columns(field, [v])).rank() == a.rank()
+
+
+def test_radical_matches_enumeration():
+    # seeded tensors, neither symmetric nor dense, of every small shape
+    rng = random.Random(112)
+    dims = set()
+    for m in range(4):
+        for width in range(3):
+            for _ in range(8):
+                table = tuple(tuple(random_vector(rng, F3, width) if rng.random() < 0.5
+                                    else (0,) * width for _ in range(m)) for _ in range(m))
+                rad = radical(F3, table)
+                expected = {x for x in all_vectors(F3, m)
+                            if not any(any(bilinear(F3, table, x, y))
+                                       for y in all_vectors(F3, m))}
+                assert rad.ambient_dim == m
+                assert brute_force_members(rad) == expected
+                dims.add((rad.dim, m))
+    assert {(0, 0), (3, 3)} <= dims and any(0 < r < m for r, m in dims)
 
 
 def test_quotient_structure_laws():
