@@ -95,6 +95,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _check_value(self, action, value):
+        # quote the choices on every Python: argparse stopped quoting them in 3.13.x
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
 
 def build_parser() -> _Parser:
     # The global flags, declared once.  Every leaf, and the first word of each

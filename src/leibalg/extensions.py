@@ -3,7 +3,9 @@
 An extension 0 -> n --chi--> g --pi--> q -> 0 is Lie-central when the image
 of chi lies in the Lie-center of g, equivalently [chi(n), g]_Lie = 0.  The
 commutator map C(x, y) = [x^, y^] + [y^, x^] on lifts is then independent of
-the lifts and is the bilinear invariant that isoclinism matches up.
+the lifts and is the bilinear invariant that isoclinism matches up.  Its
+values span [g, g]_Lie, so each extension keeps C as one table in
+Lie-commutator coordinates, computed once from the section's columns.
 
 This module holds what every extension command reads: the extension itself,
 its validation, the canonical extension by the Lie-center, the commutator
@@ -37,8 +39,8 @@ class CentralExtension:
 
     Not validated at construction so that broken candidates can be fed to
     validate_extension; every constructor in this module produces valid ones.
-    The commutator map and the theta image are computed once, on first
-    request, and kept.
+    The commutator table and the theta image are computed once, on first
+    request, and kept; they take no part in equality.
     """
 
     n: LeibnizAlgebra
@@ -49,10 +51,10 @@ class CentralExtension:
     section: Matrix  # (g.dim x q.dim), pi . section = id
 
     @cached_property
-    def _commutator_map(self) -> "CommutatorMap":
-        lifts = [self.section.column(j) for j in range(self.q.dim)]
-        return CommutatorMap(self, tuple(
-            tuple(self.g.symmetric_bracket(x, y) for y in lifts) for x in lifts))
+    def _commutator_map(self) -> tuple:
+        com, lifts = lie_commutator_of(self.g), self.section.columns()
+        return tuple(tuple(com.coords_of(self.g.symmetric_bracket(x, y)) for y in lifts)
+                     for x in lifts)
 
     @cached_property
     def _theta_image(self) -> Subspace:
@@ -109,26 +111,10 @@ def _by_ideal(g, space, basis_names):
                             quot.projection, quot.structure.section)
 
 
-@value_class
-class CommutatorMap:
-    """C(x, y) = [x^, y^] + [y^, x^] on section lifts, tabulated on basis pairs.
-
-    Values live in the ambient of g and span [g, g]_Lie; C is symmetric and,
-    for a Lie-central extension, does not depend on the choice of lifts.
-    """
-
-    extension: CentralExtension
-    table: tuple  # table[i][j] = C(b_i, b_j) in g coordinates
-
-    @cached_property
-    def coord_table(self):
-        """coord_table[i][j] = coordinates of C(b_i, b_j) in [g, g]_Lie."""
-        com = lie_commutator_of(self.extension.g)
-        return tuple(tuple(com.coords_of(v) for v in row) for row in self.table)
-
-
-def commutator_map(e: CentralExtension) -> CommutatorMap:
-    """The commutator map of e, computed once per extension."""
+def commutator_map(e: CentralExtension) -> tuple:
+    """The commutator map of e, computed once per extension: table[i][j] is
+    C(b_i, b_j) = [s b_i, s b_j] + [s b_j, s b_i] in the coordinates of
+    [g, g]_Lie, s the section.  C is symmetric and spans [g, g]_Lie."""
     return e._commutator_map
 
 

@@ -8,11 +8,12 @@ totals that intertwines the commutator maps,
 
 Everything here reads each side through its isoclinism datum
 (IsoclinismDatum): the field, the bracket of q, d = dim [g, g]_Lie and the
-commutator map C in Lie-commutator coordinates.  Since the commutator-map
-values span the Lie-commutator, eta determines xi uniquely whenever a
-compatible xi exists: _xi_matrix reads it off one RREF of the commutator
-values, and check_witness compares in the same coordinates, so search only
-ever enumerates eta.
+commutator map C.  The datum holds the extension's own table of C in
+Lie-commutator coordinates, the one extensions.commutator_map computes and
+keeps, not a copy.  Since the commutator-map values span the Lie-commutator,
+eta determines xi uniquely whenever a compatible xi exists: _xi_matrix reads
+it off one RREF of the commutator values, and check_witness compares in the
+same coordinates, so search only ever enumerates eta.
 
 The search fixes the columns of eta one at a time, in lexicographic
 coordinate order.  Every bracket condition that becomes checkable at column
@@ -106,7 +107,8 @@ class IsoclinismDatum:
     """What Lie-isoclinism reads of a Lie-central extension.
 
     The field, the bracket of q, d = dim [g, g]_Lie and the commutator map in
-    Lie-commutator coordinates, table[i][j] = C(b_i, b_j).  The search, its
+    Lie-commutator coordinates, table[i][j] = C(b_i, b_j); of() takes the
+    table commutator_map keeps on the extension.  The search, its
     key and classify read nothing else, so the (eta, xi) matrices of every
     witness between two extensions are functions of their two data.
     """
@@ -118,8 +120,7 @@ class IsoclinismDatum:
 
     @classmethod
     def of(cls, e: CentralExtension) -> "IsoclinismDatum":
-        return cls(e.g.field, e.q.structure, lie_commutator_of(e.g).dim,
-                   commutator_map(e).coord_table)
+        return cls(e.g.field, e.q.structure, lie_commutator_of(e.g).dim, commutator_map(e))
 
     @cached_property
     def key(self):

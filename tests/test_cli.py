@@ -498,6 +498,14 @@ def test_no_arguments_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_invalid_construction_lists_the_choices_quoted(capsys):
+    # quoted on every Python, also where argparse itself prints them bare;
+    # the golden cases pin the same form for a bad command and a bad --format
+    assert run(capsys, "extension", "bogus") == (EXIT_USAGE, "", (
+        "usage error: argument <construction>: invalid choice: 'bogus' "
+        "(choose from 'canonical', 'backward', 'pullback', 'product')\n"))
+
+
 def test_max_gl_flag_enforced(capsys):
     rc, out, err = run(capsys, "isoclinic", "catalog:paper_g1",
                        "catalog:paper_g2", "--field", "3", "--max-gl", "10")

@@ -30,7 +30,18 @@ from leibalg.extensions import (
 from leibalg.isoclinism import IsoclinismDatum, search_isoclinism
 from leibalg.linalg import Matrix, bilinear, span, zero_subspace
 
-from conftest import F3, F5, FQ, lie_r2, nilpotent_n2, paper_g1, paper_g2, random_vector
+from conftest import (
+    F3,
+    F5,
+    FQ,
+    change_basis,
+    lie_r2,
+    nilpotent_n2,
+    paper_g1,
+    paper_g2,
+    random_gl,
+    random_vector,
+)
 
 
 def canonical_pair(field=FQ):
@@ -141,54 +152,84 @@ def test_validator_reports_chi_into_another_algebra():
 
 def test_commutator_map_fixture_values():
     e1, e2 = canonical_pair()
-    c1 = commutator_map(e1)
-    # q1 = g1 since Z_Lie(g1) = 0; values land in [g1,g1]_Lie = span{e2}
-    assert c1.table[0][0] == (Fraction(0), Fraction(2))
-    assert c1.table[0][1] == (Fraction(0), Fraction(1))
-    assert c1.table[1][1] == (Fraction(0), Fraction(0))
-    c2 = commutator_map(e2)
-    # q2 has coset representatives (a1, a3)
-    assert c2.table[0][0] == (Fraction(0), Fraction(0), Fraction(2))
-    assert c2.table[0][1] == (Fraction(0), Fraction(0), Fraction(1))
-    assert c2.table[1][1] == (Fraction(0), Fraction(0), Fraction(0))
+    # q1 = g1 since Z_Lie(g1) = 0; values land in [g1,g1]_Lie = span{e2}, and
+    # q2 has coset representatives (a1, a3), its values in span{a3}: both
+    # tables hold C in Lie-commutator coordinates, C(b1, b1) = 2, C(b1, b2) = 1
+    c1, c2 = commutator_map(e1), commutator_map(e2)
+    assert c1 == c2 == (((Fraction(2),), (Fraction(1),)), ((Fraction(1),), (Fraction(0),)))
+    com1, com2 = lie_commutator_of(e1.g), lie_commutator_of(e2.g)
+    assert com1.vector_from_coords(c1[0][0]) == (Fraction(0), Fraction(2))
+    assert com1.vector_from_coords(c1[0][1]) == (Fraction(0), Fraction(1))
+    assert com1.vector_from_coords(c1[1][1]) == (Fraction(0), Fraction(0))
+    assert com2.vector_from_coords(c2[0][0]) == (Fraction(0), Fraction(0), Fraction(2))
+    assert com2.vector_from_coords(c2[0][1]) == (Fraction(0), Fraction(0), Fraction(1))
+    assert com2.vector_from_coords(c2[1][1]) == (Fraction(0), Fraction(0), Fraction(0))
 
 
-def test_commutator_map_symmetric_bilinear(suite):
+@pytest.fixture(scope="module")
+def lifted(suite):
+    """Extensions over F_3 with their lifts.  First the canonical extensions
+    of the first 25 suite algebras, whose section columns are unit vectors.
+    Then, for the first 15 suite algebras with a nonzero quotient, a backward
+    extension along the eta that a random P: g -> P.g induces, and the
+    diagonal pullback of that backward extension and canonical(P.g) along the
+    same eta; their section columns need not be unit vectors."""
+    rng = random.Random(34)
+    out = [canonical_extension(g) for g in suite[:25]]
+    for g in [g for g in suite if canonical_extension(g).q.dim][:15]:
+        p = random_gl(rng, F3, g.dim)
+        e1, e2 = canonical_extension(g), canonical_extension(change_basis(g, p))
+        eta = AlgebraMorphism(e1.q, e2.q, e2.pi.matrix @ p @ e1.section)
+        bw = backward_extension(e2, eta).extension
+        out += [bw, diagonal_pullback(bw, e2, eta).extension]
+    assert all(validate_extension(e).ok for e in out)
+    return out
+
+
+def has_unit_lifts(e):
+    return all(sorted(c) == [0] * (len(c) - 1) + [1] for c in e.section.columns())
+
+
+def test_commutator_map_symmetric_bilinear(lifted):
     rng = random.Random(32)
-    for alg in suite[:25]:
-        e = canonical_extension(alg)
+    assert sum(not has_unit_lifts(e) for e in lifted) >= 20
+    for e in lifted:
         c = commutator_map(e)
+        assert len(c) == e.q.dim
+        assert all(len(v) == lie_commutator_of(e.g).dim for row in c for v in row)
         for _ in range(5):
             x = random_vector(rng, F3, e.q.dim)
             y = random_vector(rng, F3, e.q.dim)
-            xy = bilinear(F3, c.table, x, y)
-            assert xy == bilinear(F3, c.table, y, x)
+            xy = bilinear(F3, c, x, y)
+            assert xy == bilinear(F3, c, y, x)
             two_x = tuple((2 * t) % 3 for t in x)
-            assert bilinear(F3, c.table, two_x, y) == tuple((2 * t) % 3 for t in xy)
+            assert bilinear(F3, c, two_x, y) == tuple((2 * t) % 3 for t in xy)
 
 
-def test_commutator_map_independent_of_lift(suite):
+def test_commutator_map_independent_of_lift(lifted):
     rng = random.Random(33)
-    for alg in suite[:25]:
-        e = canonical_extension(alg)
+    checked = 0
+    for e in lifted:
         c = commutator_map(e)
         if e.n.dim == 0:
             continue
+        checked += not has_unit_lifts(e)
         for _ in range(5):
             x = random_vector(rng, F3, e.q.dim)
             y = random_vector(rng, F3, e.q.dim)
             shift = e.chi.apply(random_vector(rng, F3, e.n.dim))
-            lifted = tuple((a + s) % 3 for a, s in zip(e.section.apply(x), shift))
-            value = lie_commutator_of(alg).vector_from_coords(bilinear(F3, c.coord_table, x, y))
-            assert alg.symmetric_bracket(lifted, e.section.apply(y)) == value
+            lifted_x = tuple((a + s) % 3 for a, s in zip(e.section.apply(x), shift))
+            value = lie_commutator_of(e.g).vector_from_coords(bilinear(F3, c, x, y))
+            assert e.g.symmetric_bracket(lifted_x, e.section.apply(y)) == value
+    assert checked >= 10
 
 
 def test_commutator_values_span_lie_commutator(suite):
     for alg in suite[:40]:
         e = canonical_extension(alg)
-        table = commutator_map(e).table
-        values = [v for row in table for v in row]
-        assert span(F3, alg.dim, values) == lie_commutator_of(alg)
+        com = lie_commutator_of(alg)
+        values = [com.vector_from_coords(v) for row in commutator_map(e) for v in row]
+        assert span(F3, alg.dim, values) == com
 
 
 def test_commutator_radical_of_canonical_extension_is_zero(suite):
@@ -206,7 +247,7 @@ def test_derived_objects_are_computed_once_and_leave_equality_alone():
         e = canonical_extension(g)
         assert e.g is g and e.n.dim == lie_center(g).dim
         assert commutator_map(e) is commutator_map(e)
-        assert commutator_map(e).coord_table is commutator_map(e).coord_table
+        assert IsoclinismDatum.of(e).table is commutator_map(e)
         # the caches live beside the fields, which alone decide == and hash
         fresh = LeibnizAlgebra(g.field, g.dim, g.structure, g.basis_names)
         assert g == fresh and hash(g) == hash(fresh)

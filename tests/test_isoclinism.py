@@ -147,7 +147,8 @@ def rank_mod_p(p, rows):
 
 
 def brute_force_witness_columns(e1, e2, xi_injective=True):
-    """Enumerate GL(q1.dim, p) directly and test each candidate from scratch.
+    """Enumerate GL(q1.dim, p) directly and test each candidate from scratch,
+    yielding the eta columns of each witness in lexicographic order.
 
     Shares no code with the search engine: brackets and commutator values
     are contracted from the structure tensors here, and every rank comes
@@ -159,12 +160,11 @@ def brute_force_witness_columns(e1, e2, xi_injective=True):
     q1, q2 = e1.q, e2.q
     p, m = q1.field.p, q1.dim
     if m != q2.dim:
-        return []
+        return
     c1, c2 = commutator_table(e1), commutator_table(e2)
     pairs = [(i, j) for i in range(m) for j in range(m)]
     sources = [c1[i][j] for i, j in pairs]
     d1 = rank_mod_p(p, sources)
-    found = []
     for cols in itertools.product(itertools.product(range(p), repeat=m), repeat=m):
         if rank_mod_p(p, cols) != m:
             continue
@@ -176,8 +176,7 @@ def brute_force_witness_columns(e1, e2, xi_injective=True):
         if rank_mod_p(p, [u + v for u, v in zip(sources, images)]) != d1:
             continue
         if not xi_injective or rank_mod_p(p, images) == d1:
-            found.append(cols)
-    return found
+            yield cols
 
 
 def eta_columns(w):
@@ -266,7 +265,7 @@ def test_engine_run_matches_brute_force_on_square_conditions():
         F3, 4, {(0, 0): (0, 0, 1, 0), (1, 1): (0, 0, 0, 1)}))
     yielded = injective = 0
     for e1, e2 in [(ea, eb), (ea, ea), (eb, eb), (eb, ea), (er, er), (er, en), (ew, ea)]:
-        oracle = brute_force_witness_columns(e1, e2, xi_injective=False)
+        oracle = list(brute_force_witness_columns(e1, e2, xi_injective=False))
         assert list(engine(e1, e2).run()) == sorted(oracle)
         witnesses = [eta_columns(w) for w in engine_witnesses(e1, e2)]
         assert witnesses == sorted(brute_force_witness_columns(e1, e2))
@@ -424,9 +423,9 @@ def test_derive_xi_over_rationals_against_check_witness():
             cols = eta.matrix.columns()
             fits = set()
             for i, j in itertools.product(range(e1.q.dim), repeat=2):
-                u = com1.coords_of(c1.table[i][j])[0]
+                u = c1[i][j][0]
                 if u:
-                    v = com2.coords_of(bilinear(FQ, c2.table, cols[i], cols[j]))[0]
+                    v = bilinear(FQ, c2, cols[i], cols[j])[0]
                     xi = LinearMap(com1, com2, Matrix(FQ, 1, 1, ((v / u,),)))
                     if check_witness(e1, e2, IsoclinismWitness(eta, xi)).ok:
                         fits.add(xi)
@@ -611,7 +610,11 @@ def test_autoclinisms_of_abelian_algebra_form_gl():
 def test_datum_fields_and_key():
     e = canonical_extension(paper_g2(FQ))
     d = IsoclinismDatum.of(e)
-    assert d == IsoclinismDatum(FQ, e.q.structure, 1, commutator_map(e).coord_table)
+    assert d == IsoclinismDatum(FQ, e.q.structure, 1, commutator_map(e))
+    # the datum holds the extension's own table, in Lie-commutator coordinates
+    assert d.table is commutator_map(e)
+    com = lie_commutator_of(e.g)
+    assert com.vector_from_coords(d.table[0][1]) == e.g.symmetric_bracket(*e.section.columns())
     q = e.q
     assert d.key == (2, 1, 0, lie_center(q).dim, lie_commutator_of(q).dim)
     assert d.key is d.key
@@ -1018,3 +1021,37 @@ def test_classify_commutes_with_permuting_its_input(suite):
             for member, w in cls.witnesses.items():
                 assert check_witness(result.extensions[cls.representative],
                                      result.extensions[member], w).ok
+
+
+def brute_force_partition(algebras):
+    """classify's (representative, members) list, decided with no key: each
+    algebra joins the first class, in order of creation, whose representative
+    (earliest member) brute_force_witness_columns finds a witness to."""
+    exts = [canonical_extension(a) for a in algebras]
+    classes = []
+    for idx, e in enumerate(exts):
+        for rep, members in classes:
+            if next(brute_force_witness_columns(exts[rep], e), None) is not None:
+                members.append(idx)
+                break
+        else:
+            classes.append((idx, [idx]))
+    return classes
+
+
+def test_classify_matches_brute_force_partition():
+    # the generated F_3 batches (q-dim <= 3, |GL(3, F_3)| = 11,232) with P.g
+    # copies of two members, in shuffled order, so that classes have several
+    # members and a copy can be a representative.  12 batches of 7 make 3
+    # to 5 classes each, 53 in all, 24 of them with more than one member;
+    # the brute force takes about 3.7 s on a 2-core VM
+    sizes = Counter()
+    for seed in range(12):
+        rng = random.Random(seed)
+        algebras = generated_algebras(F3, seed)
+        algebras += [change_basis(g, random_gl(rng, F3, g.dim)) for g in algebras[:2]]
+        rng.shuffle(algebras)
+        expected = brute_force_partition(algebras)
+        assert [(cls.representative, cls.members) for cls in classify(algebras).classes] == expected
+        sizes.update(len(members) for _, members in expected)
+    assert sizes[1] >= 20 and sum(n for size, n in sizes.items() if size > 1) >= 20
