@@ -302,7 +302,7 @@ class QuotientAlgebra:
     structure: QuotientStructure
 
 
-def quotient_algebra(alg: LeibnizAlgebra, ideal: Subspace, basis_names=()) -> QuotientAlgebra:
+def quotient_algebra(alg: LeibnizAlgebra, ideal: Subspace) -> QuotientAlgebra:
     """alg / ideal with the induced bracket; errors if ideal is not two-sided.
 
     Checks afterwards that the projection intertwines the brackets, i.e. the
@@ -313,7 +313,7 @@ def quotient_algebra(alg: LeibnizAlgebra, ideal: Subspace, basis_names=()) -> Qu
     qs = quotient(ideal)
     f = alg.field
     coset = qs.coset_coords
-    names = tuple(basis_names) if basis_names else tuple(alg.basis_names[c] for c in coset)
+    names = tuple(alg.basis_names[c] for c in coset)
     # the section lifts the quotient basis to the unit vectors at the coset
     # coordinates, whose brackets are entries of the structure tensor
     tensor = tuple(tuple(qs.projection.apply(alg.structure[a][b]) for b in coset)

@@ -18,8 +18,8 @@ mod p), --max-gl N (search size bound, also settable via LEIBALG_MAX_GL),
 Exit codes: 0 success; 2 validation failed; 3 no witness found; 4 witness
 rejected; 64 usage error (including a search larger than the GL bound);
 65 malformed or inconsistent input data (a document that is not UTF-8
-included), and any other error the library raises (every class in
-leibalg.errors); 66 unreadable input file.
+included), and any other error the library raises (every LeibalgError);
+66 unreadable input file.
 
 Each command imports only the layers it runs: `catalog list` loads none.
 
@@ -35,17 +35,7 @@ import sys
 
 from . import __version__
 from .catalog import catalog_entry, catalog_names, describe
-from .errors import (
-    AlgebraError,
-    CatalogError,
-    DocumentError,
-    ExtensionError,
-    FieldError,
-    IsoclinismError,
-    LinalgError,
-    MorphismError,
-    SearchBoundError,
-)
+from .errors import DocumentError, LeibalgError, MorphismError, SearchBoundError
 
 # Layer names that `cli.<name>` resolves to the layer's current attribute.
 # The commands import them where they run, so loading cli loads no layer.
@@ -209,14 +199,6 @@ def _read_text(path):
             raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_json(path):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON in {path}: {exc}") from exc
-
-
 # -- payload builders -------------------------------------------------------
 
 
@@ -357,13 +339,13 @@ def cmd_invariants(args):
 
 def cmd_isoclinic(args):
     from .algebra import AlgebraMorphism, lie_commutator_of
-    from .documents import matrix_from_json
+    from .documents import matrix_from_json, read_json
     from .isoclinism import IsoclinismWitness, check_witness, search_isoclinism
     from .linalg import LinearMap
 
     e1, e2, inputs = _load_pair(args)
     if args.witness:
-        doc = _read_json(args.witness)
+        doc = read_json(_read_text(args.witness), args.witness)
         if not isinstance(doc, dict) or "eta" not in doc or "xi" not in doc:
             raise DocumentError("witness document needs 'eta' and 'xi' matrices")
         com1 = lie_commutator_of(e1.g)
@@ -523,8 +505,7 @@ def main(argv=None) -> int:
     except (UsageError, SearchBoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DocumentError, CatalogError, FieldError, AlgebraError, MorphismError,
-            LinalgError, ExtensionError, IsoclinismError) as exc:
+    except LeibalgError as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"data error: {message}", file=sys.stderr)
         return EXIT_DATA

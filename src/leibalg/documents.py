@@ -153,12 +153,24 @@ def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
     return alg
 
 
-def parse_algebra_json(text: str, check=True) -> LeibnizAlgebra:
+def read_json(text: str, source=None):
+    """The value of a JSON text, the one way leibalg reads JSON.  A text that
+    is not JSON raises DocumentError("invalid JSON[ in source]: ...")."""
+    where = f"invalid JSON in {source}" if source else "invalid JSON"
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
-    return algebra_from_document(doc, check=check)
+        raise DocumentError(f"{where}: {exc}") from exc
+    # the interpreter's words for these two differ between versions, so they
+    # are not quoted
+    except ValueError as exc:  # an integer literal past the int-string limit
+        raise DocumentError(f"{where}: a number has too many digits") from exc
+    except RecursionError as exc:  # arrays or objects nested past the recursion limit
+        raise DocumentError(f"{where}: values nested too deeply") from exc
+
+
+def parse_algebra_json(text: str, check=True) -> LeibnizAlgebra:
+    return algebra_from_document(read_json(text), check=check)
 
 
 def canonical_json(obj) -> str:

@@ -3,7 +3,7 @@
 For a Lie-central extension 0 -> n -> g -> q -> 0 the pieces that are finite
 dimensional without a free presentation are:
 
-* HL1 of an algebra, which is its liezation (algebra.liezation);
+* HL1 of an algebra, its liezation g/[g,g]_Lie, read as a quotient space;
 * the image of the connecting map theta, which equals n meet [g,g]_Lie
   (reported in n-coordinates through the injection chi);
 * the tail  n -> HL1(g) -> HL1(q) -> 0  of the six-term sequence;
@@ -19,15 +19,9 @@ property is not, and is_stem_cover_candidate says so explicitly.
 from __future__ import annotations
 
 from ._value import value_class
-from .algebra import lie_commutator_of, liezation
-from .extensions import CentralExtension, is_stem_extension
-from .linalg import (
-    LinearMap,
-    Matrix,
-    image,
-    kernel,
-    span,
-)
+from .algebra import lie_commutator_of
+from .extensions import CentralExtension
+from .linalg import LinearMap, Matrix, image, kernel, quotient, span
 
 
 @value_class
@@ -62,18 +56,16 @@ def theta_image(e: CentralExtension):
 
 
 def _induced_on_liezations(e: CentralExtension):
-    """The maps n -> HL1(g) and HL1(g) -> HL1(q) in liezation coordinates."""
-    lz_g = liezation(e.g)
-    lz_q = liezation(e.q)
-    proj_g = lz_g.projection.matrix
-    proj_q = lz_q.projection.matrix
-    a = proj_g @ e.chi.matrix
-    b0 = proj_q @ e.pi.matrix
-    for v in lz_g.structure.ideal.basis:
+    """HL1(g) and HL1(q) as the quotient spaces g/[g,g]_Lie and q/[q,q]_Lie,
+    and the maps n -> HL1(g) and HL1(g) -> HL1(q) in their coordinates."""
+    lz_g = quotient(lie_commutator_of(e.g))
+    lz_q = quotient(lie_commutator_of(e.q))
+    a = lz_g.projection @ e.chi.matrix
+    b0 = lz_q.projection @ e.pi.matrix
+    for v in lz_g.ideal.basis:
         if any(b0.apply(v)):
             raise AssertionError("pi does not descend to the liezations")
-    b = b0 @ lz_g.structure.section
-    return lz_g, lz_q, a, b
+    return lz_g, lz_q, a, b0 @ lz_g.section
 
 
 def check_sequence_tail(e: CentralExtension) -> SequenceReport:
@@ -82,12 +74,9 @@ def check_sequence_tail(e: CentralExtension) -> SequenceReport:
     im_a = image(a)
     ker_b = kernel(b)
     im_b = image(b)
-    middle = JunctionCheck("HL1(g)", lz_g.algebra.dim, im_a.dim, ker_b.dim,
-                           im_a == ker_b)
-    end = JunctionCheck("HL1(q)", lz_q.algebra.dim, im_b.dim, lz_q.algebra.dim,
-                        im_b.dim == lz_q.algebra.dim)
-    spaces = (("n", e.n.dim), ("HL1(g)", lz_g.algebra.dim),
-              ("HL1(q)", lz_q.algebra.dim))
+    middle = JunctionCheck("HL1(g)", lz_g.dim, im_a.dim, ker_b.dim, im_a == ker_b)
+    end = JunctionCheck("HL1(q)", lz_q.dim, im_b.dim, lz_q.dim, im_b.dim == lz_q.dim)
+    spaces = (("n", e.n.dim), ("HL1(g)", lz_g.dim), ("HL1(q)", lz_q.dim))
     return SequenceReport(middle.exact and end.exact, (middle, end), spaces)
 
 
@@ -140,8 +129,9 @@ class StemCoverReport:
 
 
 def is_stem_cover_candidate(e: CentralExtension) -> StemCoverReport:
+    # theta = chi^{-1}([g,g]_Lie) is all of n exactly when chi(n) lies in
+    # [g,g]_Lie, the annihilator ideal: when e is stem (is_stem_extension)
     theta = theta_image(e)
-    surj = theta.dim == e.n.dim
-    if not is_stem_extension(e):
-        return StemCoverReport(NOT_STEM, "not_applicable", e.n.dim, theta.dim, surj)
-    return StemCoverReport(STEM, UNDECIDABLE_COVER, e.n.dim, theta.dim, surj)
+    if theta.dim < e.n.dim:
+        return StemCoverReport(NOT_STEM, "not_applicable", e.n.dim, theta.dim, False)
+    return StemCoverReport(STEM, UNDECIDABLE_COVER, e.n.dim, theta.dim, True)

@@ -469,8 +469,14 @@ def _check_search_preconditions(e1, e2, max_gl):
     order = gl_order(max(e1.q.dim, e2.q.dim), e1.g.field.p)
     if order > bound:
         raise SearchBoundError(
-            f"|GL({max(e1.q.dim, e2.q.dim)}, F_{e1.g.field.p})| = {order} exceeds the "
-            f"bound {bound}; raise --max-gl or {MAX_GL_ENV} to override")
+            f"|GL({max(e1.q.dim, e2.q.dim)}, F_{e1.g.field.p})| = {_magnitude(order)} exceeds "
+            f"the bound {_magnitude(bound)}; raise --max-gl or {MAX_GL_ENV} to override")
+
+
+def _magnitude(n):
+    """n in decimal up to 64 bits, else roughly: a message stays one short
+    line, and str() refuses an int of more than 4,300 digits."""
+    return str(n) if n.bit_length() <= 64 else f"about 2^{n.bit_length()}"
 
 
 def search_isoclinism(e1: CentralExtension, e2: CentralExtension,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product, validate
+from leibalg.algebra import AlgebraMorphism, LeibnizAlgebra, direct_product, lie_center, validate
 from leibalg.documents import serialize_algebra
 from leibalg.constructions import backward_extension, diagonal_pullback, product_with_abelian
 from leibalg.extensions import canonical_extension
@@ -237,6 +237,13 @@ def construction_snapshots():
 def suite():
     """The shared random suite: >= 200 validated algebras over F_3, dim <= 3."""
     return algebra_suite()
+
+
+@pytest.fixture(scope="session")
+def quotient_suite(suite):
+    """The suite members that are not Lie algebras, in suite order: those
+    whose canonical extension has q = g/Z_Lie(g) != 0, 73 of the 220."""
+    return [g for g in suite if lie_center(g).dim < g.dim]
 
 
 @pytest.fixture

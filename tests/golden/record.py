@@ -96,7 +96,14 @@ COMMANDS = [
     ("extension", "backward", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
     ("extension", "pullback", "catalog:paper_g1", "catalog:abelian_2", "--field", "3"),
     ("isoclinic", *G1, "--field", "5", "--max-gl", "3"),
+    # integer literals past the int-string limit, and a GL order of 4,390 digits
+    ("validate", "docs/long_integer.json"),
+    ("isoclinic", "catalog:paper_g1", "catalog:paper_g1", "--field", "3",
+     "--witness", "docs/witness_long_integer.json"),
+    ("isoclinic", "docs/q_squares_28.json", "docs/q_squares_28.json", "--field", "1048573"),
 ]
+
+LONG = "1" * 5000  # past CPython's 4,300-digit int-string limit
 
 
 def quadratic_form_algebra(d1, d2, field=F3):
@@ -119,6 +126,9 @@ def documents():
         "g1xg2": direct_product(paper_g1(F5), paper_g2(F5)),
         "g1xn2_moved": change_basis(direct_product(paper_g1(F5), nilpotent_n2(F5)),
                                     late_gl(LATE_GL_SEEDS[0])),
+        # [b_i, b_i] = z for i < 27: q = g/Z_Lie(g) has dimension 27
+        "q_squares_28": LeibnizAlgebra.from_structure(
+            FQ, 28, {(i, i): (0,) * 27 + (1,) for i in range(27)}),
     }
     # q-dim-4 searches whose first witness comes late in lexicographic order
     for k, seed in enumerate(LATE_GL_SEEDS):
@@ -143,6 +153,9 @@ def documents():
     }
     for name, doc in witnesses.items():
         out[f"docs/witness_{name}.json"] = canonical_json(doc)
+    out["docs/long_integer.json"] = canonical_json(serialize_algebra(
+        LeibnizAlgebra.from_structure(F3, 1, {(0, 0): (1,)}))).replace("[1]", f"[{LONG}]")
+    out["docs/witness_long_integer.json"] = f'{{"eta":[[{LONG}]],"xi":[[1]]}}\n'
     return out
 
 

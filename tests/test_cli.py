@@ -479,11 +479,12 @@ def test_every_library_error_has_an_exit_code(capsys, monkeypatch):
 
     codes = {errors.SearchBoundError: EXIT_USAGE}
     codes.update((cls, EXIT_DATA) for cls in (
-        errors.FieldError, errors.LinalgError, errors.AlgebraError, errors.MorphismError,
-        errors.DocumentError, errors.ExtensionError, errors.IsoclinismError,
-        errors.CatalogError))
+        errors.LeibalgError, errors.FieldError, errors.LinalgError, errors.AlgebraError,
+        errors.MorphismError, errors.DocumentError, errors.ExtensionError,
+        errors.IsoclinismError, errors.CatalogError))
     assert set(codes) == {value for value in vars(errors).values()
                           if isinstance(value, type) and issubclass(value, Exception)}
+    assert all(issubclass(cls, errors.LeibalgError) for cls in codes)
     for cls, code in codes.items():
         monkeypatch.setattr(cli, "cmd_validate", raising(cls(f"bad {cls.__name__}")))
         rc, out, err = run(capsys, "validate", "catalog:paper_g1")

@@ -186,6 +186,8 @@ def test_malformed_json_text():
         parse_algebra_json("{not json")
     with pytest.raises(DocumentError):
         parse_algebra_json('"just a string"')
+    with pytest.raises(DocumentError, match="^invalid JSON: values nested too deeply$"):
+        parse_algebra_json("[" * 100_000)
 
 
 def test_parse_reports_leibniz_violation_with_triple():
@@ -253,7 +255,10 @@ def test_content_hash_is_hashlib_sha256_on_the_golden_documents():
             continue
         expected = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
         assert content_hash(doc) == "sha256:" + expected, path.name
-    assert unparsed == ["m_bad.json", "m_bad_copy.json"]  # docs/shared_bad's truncated copies
+    # docs/shared_bad's truncated copies, and two documents holding an
+    # integer literal past the int-string limit
+    assert unparsed == ["long_integer.json", "m_bad.json", "m_bad_copy.json",
+                        "witness_long_integer.json"]
 
 
 def test_hash_distinguishes_structure(suite):

@@ -167,16 +167,16 @@ def test_commutator_map_fixture_values():
 
 
 @pytest.fixture(scope="module")
-def lifted(suite):
+def lifted(quotient_suite):
     """Extensions over F_3 with their lifts.  First the canonical extensions
-    of the first 25 suite algebras, whose section columns are unit vectors.
-    Then, for the first 15 suite algebras with a nonzero quotient, a backward
+    of the first 25 suite algebras with a nonzero quotient, whose section
+    columns are unit vectors.  Then, for the first 15 of them, a backward
     extension along the eta that a random P: g -> P.g induces, and the
     diagonal pullback of that backward extension and canonical(P.g) along the
     same eta; their section columns need not be unit vectors."""
     rng = random.Random(34)
-    out = [canonical_extension(g) for g in suite[:25]]
-    for g in [g for g in suite if canonical_extension(g).q.dim][:15]:
+    out = [canonical_extension(g) for g in quotient_suite[:25]]
+    for g in quotient_suite[:15]:
         p = random_gl(rng, F3, g.dim)
         e1, e2 = canonical_extension(g), canonical_extension(change_basis(g, p))
         eta = AlgebraMorphism(e1.q, e2.q, e2.pi.matrix @ p @ e1.section)
@@ -224,17 +224,17 @@ def test_commutator_map_independent_of_lift(lifted):
     assert checked >= 10
 
 
-def test_commutator_values_span_lie_commutator(suite):
-    for alg in suite[:40]:
+def test_commutator_values_span_lie_commutator(quotient_suite):
+    for alg in quotient_suite[:40]:
         e = canonical_extension(alg)
         com = lie_commutator_of(alg)
         values = [com.vector_from_coords(v) for row in commutator_map(e) for v in row]
         assert span(F3, alg.dim, values) == com
 
 
-def test_commutator_radical_of_canonical_extension_is_zero(suite):
+def test_commutator_radical_of_canonical_extension_is_zero(quotient_suite):
     # for e_g the radical is pi(Z_Lie(g)) = 0
-    for alg in suite[:40]:
+    for alg in quotient_suite[:40]:
         assert IsoclinismDatum.of(canonical_extension(alg)).key[2] == 0
 
 
@@ -361,8 +361,8 @@ def test_stem_examples():
     assert is_stem_extension(eN)
 
 
-def test_stem_iff_kernel_inside_annihilator(suite):
-    for alg in suite[:30]:
+def test_stem_iff_kernel_inside_annihilator(quotient_suite):
+    for alg in quotient_suite[:30]:
         e = canonical_extension(alg)
         expected = e.chi.image_space().is_subspace_of(annihilator_ideal(alg))
         assert is_stem_extension(e) == expected

@@ -1,9 +1,9 @@
 """A fixed-seed mutation fuzz of the CLI, in process.
 
 Catalog documents and a witness document are mutated at random (a key
-dropped, a value replaced by one of a fixed set of wrong values, a list
-entry repeated, the text truncated, a character inserted, a byte made
-invalid UTF-8) and sent through `cli.main`.  Whatever the input, every run
+dropped, a value replaced by one of a fixed set of wrong values or by a
+5,000-digit integer literal, a list entry repeated, the text truncated, a
+character inserted, a byte made invalid UTF-8) and sent through `cli.main`.  Whatever the input, every run
 must end with an exit code from README's table and at most one line on
 stderr, never with a traceback.  The search bound is lowered so that a
 mutated pair cannot start a long search.
@@ -26,6 +26,7 @@ EXIT_CODES = {0, 2, 3, 4, 64, 65, 66}
 BOUND = ("--max-gl", "20000")  # admits GL(3, F_3), refuses GL(3, F_5)
 WRONG = (None, True, False, -1, 0, 1, 2, 3, 5, 7, 65, 2**64, 1.5, "", "x", "1/2", "1/0",
          "a\nb", [], {}, [0], [[1]], {"p": 3}, {"p": 4}, "Q")
+LONG = "1" * 5000  # an integer literal past CPython's int-string limit
 
 
 def paths(node, prefix=()):
@@ -42,7 +43,7 @@ def paths(node, prefix=()):
 def mutate(rng, doc) -> bytes:
     """One random mutation of doc, as the bytes of a file."""
     text = canonical_json(doc)
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         return text[:rng.randrange(len(text))].encode()
     if kind == 1:
@@ -62,9 +63,11 @@ def mutate(rng, doc) -> bytes:
         del parent[last]
     elif kind == 4 and isinstance(parent, list):
         parent.insert(last, parent[last])
+    elif kind == 6:
+        parent[last] = LONG
     else:
         parent[last] = rng.choice(WRONG)
-    return json.dumps(doc).encode()
+    return json.dumps(doc).replace(f'"{LONG}"', LONG).encode()
 
 
 def test_mutated_documents_end_in_a_documented_exit_code(tmp_path, capsys):
@@ -78,7 +81,7 @@ def test_mutated_documents_end_in_a_documented_exit_code(tmp_path, capsys):
     first.write_text(canonical_json(serialize_algebra(g1)), encoding="utf-8")
     second.write_text(canonical_json(serialize_algebra(g2)), encoding="utf-8")
     mutated = tmp_path / "mutated.json"
-    codes = set()
+    codes, errors = set(), set()
     for _ in range(RUNS):
         if rng.random() < 0.25:
             mutated.write_bytes(mutate(rng, serialize_witness(witness)))
@@ -99,5 +102,7 @@ def test_mutated_documents_end_in_a_documented_exit_code(tmp_path, capsys):
         assert rc in EXIT_CODES, (argv, err)
         assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
         codes.add(rc)
+        errors.add(err)
     # the mutations reach both the success paths and the error paths
     assert {0, 4, 65} <= codes
+    assert any(err.endswith("a number has too many digits\n") for err in errors)

@@ -69,8 +69,8 @@ def test_theta_image_fixtures():
     assert tn.basis == ((1,),)  # all of n
 
 
-def test_theta_lives_inside_n(suite):
-    for alg in suite[:40]:
+def test_theta_lives_inside_n(quotient_suite):
+    for alg in quotient_suite[:40]:
         e = canonical_extension(alg)
         theta = theta_image(e)
         assert theta.ambient_dim == e.n.dim
@@ -90,8 +90,8 @@ def test_sequence_tail_fixtures():
     assert check_sequence_tail(abelian).ok
 
 
-def test_sequence_tail_on_random_extensions(suite, rng):
-    exts = [canonical_extension(a) for a in suite[:40]]
+def test_sequence_tail_on_random_extensions(suite, quotient_suite, rng):
+    exts = [canonical_extension(a) for a in quotient_suite[:40]]
     exts += sub_center_extensions(suite, rng, 15)
     for e in exts:
         report = check_sequence_tail(e)
@@ -100,8 +100,8 @@ def test_sequence_tail_on_random_extensions(suite, rng):
             assert junction.exact
 
 
-def test_sequence_nine_on_random_extensions(suite, rng):
-    exts = [canonical_extension(a) for a in suite[:40]]
+def test_sequence_nine_on_random_extensions(suite, quotient_suite, rng):
+    exts = [canonical_extension(a) for a in quotient_suite[:40]]
     exts += sub_center_extensions(suite, rng, 15)
     for e in exts:
         report = check_sequence_nine(e)
@@ -111,10 +111,10 @@ def test_sequence_nine_on_random_extensions(suite, rng):
         assert head.image_dim == theta_image(e).dim
 
 
-def test_commutator_dimension_identity(suite, rng):
+def test_commutator_dimension_identity(suite, quotient_suite, rng):
     # dim [g,g]_Lie = dim theta + dim [q,q]_Lie, the numeric shadow of
     # exactness
-    exts = [canonical_extension(a) for a in suite[:40]]
+    exts = [canonical_extension(a) for a in quotient_suite[:40]]
     exts += sub_center_extensions(suite, rng, 15)
     for e in exts:
         com_g = lie_commutator_of(e.g).dim
@@ -148,9 +148,9 @@ def test_stem_report_fixtures():
     assert rn.theta_surjective
 
 
-def test_stem_report_consistency(suite, rng):
+def test_stem_report_consistency(suite, quotient_suite, rng):
     from leibalg.extensions import is_stem_extension
-    exts = [canonical_extension(a) for a in suite[:30]]
+    exts = [canonical_extension(a) for a in quotient_suite[:30]]
     exts += sub_center_extensions(suite, rng, 10)
     for e in exts:
         report = is_stem_cover_candidate(e)

@@ -625,9 +625,9 @@ def test_datum_fields_and_key():
     assert datum(g) == datum(fat)
 
 
-def test_key_equality_is_necessary(suite):
+def test_key_equality_is_necessary(quotient_suite):
     rng = random.Random(72)
-    exts = [canonical_extension(a) for a in suite[:40]]
+    exts = [canonical_extension(a) for a in quotient_suite[:40]]
     for _ in range(25):
         e1 = exts[rng.randrange(len(exts))]
         e2 = exts[rng.randrange(len(exts))]
@@ -754,11 +754,11 @@ def test_pullback_graph_carries_the_witness(suite):
     assert span(F3, e1.g.dim, images1) == com1
 
 
-def test_witness_compatibilities(suite):
+def test_witness_compatibilities(quotient_suite):
     # pi2(xi(c)) = eta(pi1(c)) on the Lie-commutator, and xi carries the
     # kernel part of the commutator onto the kernel part of the target
     rng = random.Random(75)
-    exts = [canonical_extension(a) for a in suite[:60]]
+    exts = [canonical_extension(a) for a in quotient_suite[:60]]
     checked = 0
     for _ in range(40):
         e1 = exts[rng.randrange(len(exts))]
@@ -822,8 +822,8 @@ def test_classify_is_deterministic(suite):
                for x, y in zip(a.classes, b.classes))
 
 
-def test_classify_respects_pairwise_search(suite):
-    sample = suite[:25]
+def test_classify_respects_pairwise_search(quotient_suite):
+    sample = quotient_suite[:25]
     result = classify(sample)
     for i in range(len(sample)):
         for j in range(i + 1, len(sample)):
@@ -883,14 +883,14 @@ def count_engines_and_keys(monkeypatch):
     return engines, keyed
 
 
-def test_classify_reuses_equal_inputs(suite, monkeypatch):
-    # suite[16] represents a class and its lexicographically first
+def test_classify_reuses_equal_inputs(quotient_suite, monkeypatch):
+    # base[4] represents a class and its lexicographically first
     # autoclinism swaps two columns, so its copies must not get the identity
-    base = suite[:20]
+    base = quotient_suite[:20]
     algebras = (base[:10] + [base[4], base[0], base[16]] + base[10:]
-                + [base[16], base[1], base[15], base[4], base[16], base[7]])
-    e16 = canonical_extension(base[16])
-    assert search_isoclinism(e16, e16).eta != AlgebraMorphism.identity(e16.q)
+                + [base[16], base[1], base[15], base[4], base[16], base[7], base[4]])
+    e4 = canonical_extension(base[4])
+    assert search_isoclinism(e4, e4).eta != AlgebraMorphism.identity(e4.q)
     expected, searched = classify_searching_every_pair(algebras)
     assert len(searched) > len(set(searched))
 
@@ -923,13 +923,13 @@ def test_classify_reuses_equal_inputs(suite, monkeypatch):
     # one engine per distinct datum pair, fewer than the distinct algebra pairs
     assert len(engines) == len(set(engines)) < len(set(searched))
     assert set(engines) == {(datum(a), datum(b)) for a, b in searched}
-    rep = algebras.index(base[16])
-    copies = [idx for idx in range(rep + 1, len(algebras)) if algebras[idx] == base[16]]
+    rep = algebras.index(base[4])
+    copies = [idx for idx in range(rep + 1, len(algebras)) if algebras[idx] == base[4]]
     assert len(copies) == 3
     for idx in copies:
         cls = result.classes[result.class_of(idx)]
         assert cls.representative == rep
-        assert cls.witnesses[idx].eta != AlgebraMorphism.identity(e16.q)
+        assert cls.witnesses[idx].eta != AlgebraMorphism.identity(e4.q)
 
 
 def test_classify_searches_each_datum_pair_once(suite, monkeypatch):
