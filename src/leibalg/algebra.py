@@ -37,6 +37,7 @@ from .linalg import (
     Subspace,
     bilinear,
     canonical,
+    combine,
     image,
     kernel,
     quotient,
@@ -178,15 +179,18 @@ def ideal_closure(alg: LeibnizAlgebra, vectors) -> Subspace:
     """Smallest two-sided ideal containing the given vectors or subspace."""
     if isinstance(vectors, Subspace):
         vectors = vectors.basis
-    space = span(alg.field, alg.dim, vectors)
+    f, n, s = alg.field, alg.dim, alg.structure
+    # zero vectors span nothing, and most brackets of a small algebra vanish
+    space = span(f, n, [v for v in vectors if any(v)])
     while True:
         extra = []
         for v in space.basis:
-            for j in range(alg.dim):
-                e = alg.basis_vector(j)
-                extra.append(alg.bracket(v, e))
-                extra.append(alg.bracket(e, v))
-        bigger = span(alg.field, alg.dim, list(space.basis) + extra)
+            # [v, b_j] and [b_j, v], read straight off the structure tensor
+            support = [(i, c) for i, c in enumerate(v) if c]
+            for j in range(n):
+                extra.append(combine(f, n, [(c, s[i][j]) for i, c in support]))
+                extra.append(combine(f, n, [(c, s[j][i]) for i, c in support]))
+        bigger = span(f, n, list(space.basis) + [w for w in extra if any(w)])
         if bigger.dim == space.dim:
             return space
         space = bigger
@@ -311,16 +315,23 @@ def quotient_algebra(alg: LeibnizAlgebra, ideal: Subspace) -> QuotientAlgebra:
     if not is_ideal(alg, ideal):
         raise AlgebraError("quotient by a subspace that is not a two-sided ideal")
     qs = quotient(ideal)
-    f = alg.field
-    coset = qs.coset_coords
-    names = tuple(alg.basis_names[c] for c in coset)
-    # the section lifts the quotient basis to the unit vectors at the coset
-    # coordinates, whose brackets are entries of the structure tensor
-    tensor = tuple(tuple(qs.projection.apply(alg.structure[a][b]) for b in coset)
-                   for a in coset)
-    q_alg = LeibnizAlgebra(f, qs.dim, tensor, names)
+    q_alg = induced_quotient(alg, qs)
     proj = AlgebraMorphism(alg, q_alg, qs.projection)  # construction re-checks brackets
     return QuotientAlgebra(q_alg, proj, qs)
+
+
+def induced_quotient(alg: LeibnizAlgebra, qs: QuotientStructure) -> LeibnizAlgebra:
+    """The algebra on F^n / qs.ideal with the bracket induced through qs's
+    section, its basis named after the coset coordinates; unchecked, so
+    qs.ideal must be a two-sided ideal of alg.
+
+    The section lifts the quotient basis to the unit vectors at the coset
+    coordinates, whose brackets are entries of the structure tensor.
+    """
+    coset = qs.coset_coords
+    tensor = tuple(tuple(qs.projection.apply(alg.structure[a][b]) for b in coset)
+                   for a in coset)
+    return LeibnizAlgebra(alg.field, qs.dim, tensor, tuple(alg.basis_names[c] for c in coset))
 
 
 def liezation(alg: LeibnizAlgebra) -> QuotientAlgebra:

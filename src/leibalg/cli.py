@@ -399,13 +399,19 @@ def cmd_classify(args):
             "classify needs all inputs over one finite field; pass --field p "
             "to reduce rational documents")
     classification = classify_algebras(algebras, max_gl=args.max_gl)
+    payloads = {}  # id of a witness -> its payload: copies of an input share one witness
+
+    def payload(w):
+        if id(w) not in payloads:
+            payloads[id(w)] = witness_payload(w)
+        return payloads[id(w)]
+
     classes = []
     for cls in classification.classes:
         classes.append({
             "representative": names[cls.representative],
             "members": [names[i] for i in cls.members],
-            "witnesses": {names[i]: witness_payload(w)
-                          for i, w in sorted(cls.witnesses.items())},
+            "witnesses": {names[i]: payload(w) for i, w in sorted(cls.witnesses.items())},
         })
     hashes = {}  # distinct algebra -> its hash
     inputs = {}

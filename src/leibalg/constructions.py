@@ -315,11 +315,12 @@ def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
     composition and inverse (exhaustively up to 256 witnesses, on a
     deterministic sample beyond that).
     """
-    from .isoclinism import IsoclinismDatum, _check_search_preconditions, _SearchEngine, _witness
+    from .isoclinism import (IsoclinismDatum, _check_search_preconditions, _ends, _SearchEngine,
+                             _witness)
 
-    _check_search_preconditions(e, e, max_gl)
-    d = IsoclinismDatum.of(e)
-    out = [_witness(e, e, found) for found in _SearchEngine(d, d).witnesses()]
+    _check_search_preconditions(e.g.field, e.q.dim, max_gl)
+    d, ends = IsoclinismDatum.of(e), _ends(e)
+    out = [_witness(ends, ends, found) for found in _SearchEngine(d, d).witnesses()]
     if out:
         _verify_group_axioms(e, out)
     return out

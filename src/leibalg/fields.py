@@ -133,5 +133,32 @@ class Field:
     # -- serialization ------------------------------------------------------
 
     def scalar_to_json(self, a):
-        """JSON value for a scalar: int for F_p, canonical string for Q."""
-        return a if self.p is not None else str(a)
+        """JSON value for a scalar: int for F_p, canonical string for Q.
+
+        The string is str(a) written without the interpreter's int-string
+        limit: a residual's numerator and denominator can be far longer than
+        any input scalar."""
+        if self.p is not None:
+            return a
+        if a.denominator == 1:
+            return _decimal(a.numerator)
+        return f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
+
+
+# str() refuses an int of more digits than the interpreter's int-string limit
+# (4,300 by default; a limit set lower is still at least 640).  An int of at
+# most this many bits has at most 603 digits.
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size: an int past _STR_BITS is split at a
+    power of ten near half its digits and each half written the same way,
+    the low half padded with zeros to the split's width."""
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half of its bit_length * log10(2) digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")

@@ -32,11 +32,14 @@ lexicographically first one, and any concurrent evaluation of branches must
 preserve that (the implementation here is sequential).
 
 The engine yields the (eta, xi) matrices, which are functions of the two
-data alone; _witness builds them into a witness on a given pair of
-extensions, re-checking the brackets.  Two algebras are isoclinic when their
-canonical extensions by the Lie-center are; classify() partitions a list of
-algebras by that relation, with one datum per distinct algebra, one search
-key per datum and one search per pair of data.
+data alone; _witness builds them into a witness between two quotients and
+two Lie-commutators, re-checking the brackets.  Two algebras are isoclinic
+when their canonical extensions by the Lie-center are; classify() partitions
+a list of algebras by that relation.  It builds data, not extensions:
+canonical_datum reads each distinct algebra's datum, and the quotient q its
+witnesses start or end at, straight off the algebra's structure tensor, so
+no kernel subalgebra and no bracket-checked inclusion or projection is
+built.  There is one search key per datum and one search per pair of data.
 
 Isoclinic homomorphisms of extensions and the witness algebra (composition,
 inverses, the autoclinism group) are in leibalg.constructions, which neither
@@ -51,11 +54,17 @@ from functools import cached_property
 from operator import mul
 
 from ._value import value_class
-from .algebra import AlgebraMorphism, LeibnizAlgebra, lie_center, lie_commutator_of
+from .algebra import (
+    AlgebraMorphism,
+    LeibnizAlgebra,
+    induced_quotient,
+    lie_center,
+    lie_commutator_of,
+)
 from .extensions import CentralExtension, canonical_extension, commutator_map
 from .errors import FieldError, IsoclinismError, SearchBoundError
 from .fields import Field
-from .linalg import LinearMap, Matrix, bilinear, combine, kernel, radical, rref, rref_rows
+from .linalg import LinearMap, Matrix, bilinear, combine, kernel, quotient, radical, rref, rref_rows
 
 
 MAX_GL_ENV = "LEIBALG_MAX_GL"
@@ -155,6 +164,24 @@ class IsoclinismDatum:
                      for table, width in ((self.structure, m), (self.table, self.d)))
 
 
+def canonical_datum(g: LeibnizAlgebra):
+    """(q, IsoclinismDatum.of(canonical_extension(g))), q = g/Z_Lie(g) the
+    extension's quotient algebra, built without the extension.
+
+    The section lifts the basis of q to the unit vectors at the coset
+    coordinates of Z_Lie(g), so q is algebra.induced_quotient and
+    C(b_i, b_j) is the symmetric tensor's entry there, read in
+    Lie-commutator coordinates.  That entry lies in the Lie-commutator,
+    which its entries generate, so its coordinates are its values at the
+    canonical basis's pivots.
+    """
+    qs = quotient(lie_center(g))
+    q = induced_quotient(g, qs)
+    coset, sym, pivots = qs.coset_coords, g._symmetric, lie_commutator_of(g).pivots
+    table = tuple(tuple(tuple(sym[a][b][t] for t in pivots) for b in coset) for a in coset)
+    return q, IsoclinismDatum(g.field, q.structure, len(pivots), table)
+
+
 def _squares(d1, d2, cols):
     """(i, j, C1(b_i, b_j), C2(eta b_i, eta b_j)) for i <= j, both values in
     Lie-commutator coordinates, eta the map with columns cols."""
@@ -184,12 +211,18 @@ def _xi_matrix(d1, d2, cols):
     return Matrix.from_columns(d1.field, [r[d1.d:] for r in red.entries[:d1.d]], nrows=d2.d)
 
 
-def _witness(e1, e2, matrices) -> IsoclinismWitness:
-    """The witness from e1 to e2 with the given (eta, xi) matrices, built on
-    e1's and e2's own quotients and Lie-commutators."""
+def _ends(e: CentralExtension):
+    """(q, [g, g]_Lie) of an extension: where its witnesses start or end."""
+    return e.q, lie_commutator_of(e.g)
+
+
+def _witness(ends1, ends2, matrices) -> IsoclinismWitness:
+    """The witness with the given (eta, xi) matrices from the quotient and
+    Lie-commutator ends1 to ends2 (see _ends); AlgebraMorphism re-checks
+    that eta preserves the brackets."""
+    (q1, com1), (q2, com2) = ends1, ends2
     eta, xi = matrices
-    return IsoclinismWitness(AlgebraMorphism(e1.q, e2.q, eta),
-                             LinearMap(lie_commutator_of(e1.g), lie_commutator_of(e2.g), xi))
+    return IsoclinismWitness(AlgebraMorphism(q1, q2, eta), LinearMap(com1, com2, xi))
 
 
 def derive_xi(e1: CentralExtension, e2: CentralExtension, eta: AlgebraMorphism):
@@ -459,17 +492,22 @@ class _SearchEngine:
                 yield Matrix.from_columns(self.field, columns, nrows=self.m), xi
 
 
-def _check_search_preconditions(e1, e2, max_gl):
-    if e1.g.field != e2.g.field:
+def _check_same_field(f1, f2):
+    if f1 != f2:
         raise FieldError("extensions live over different fields")
-    if not e1.g.field.is_finite:
+
+
+def _check_search_preconditions(field, dim, max_gl):
+    """Refuse a search over GL(dim, field) unless field is finite and the
+    group's order is within the bound (see resolve_max_gl)."""
+    if not field.is_finite:
         raise FieldError("isoclinism search requires a finite field "
                          "(witness checking over Q is still available)")
     bound = resolve_max_gl(max_gl)
-    order = gl_order(max(e1.q.dim, e2.q.dim), e1.g.field.p)
+    order = gl_order(dim, field.p)
     if order > bound:
         raise SearchBoundError(
-            f"|GL({max(e1.q.dim, e2.q.dim)}, F_{e1.g.field.p})| = {_magnitude(order)} exceeds "
+            f"|GL({dim}, F_{field.p})| = {_magnitude(order)} exceeds "
             f"the bound {_magnitude(bound)}; raise --max-gl or {MAX_GL_ENV} to override")
 
 
@@ -482,12 +520,13 @@ def _magnitude(n):
 def search_isoclinism(e1: CentralExtension, e2: CentralExtension,
                       max_gl=None) -> IsoclinismWitness | None:
     """Lexicographically first witness of Lie-isoclinism, or None."""
-    _check_search_preconditions(e1, e2, max_gl)
+    _check_same_field(e1.g.field, e2.g.field)
+    _check_search_preconditions(e1.g.field, max(e1.q.dim, e2.q.dim), max_gl)
     d1, d2 = IsoclinismDatum.of(e1), IsoclinismDatum.of(e2)
     if d1.key != d2.key:
         return None
     found = _first_witness(d1, d2)
-    return None if found is None else _witness(e1, e2, found)
+    return None if found is None else _witness(_ends(e1), _ends(e2), found)
 
 
 def _first_witness(d1, d2):
@@ -499,8 +538,12 @@ def _first_witness(d1, d2):
 def identity_witness(e: CentralExtension) -> IsoclinismWitness:
     """(id, id): the identity satisfies the square for eta = id, and eta
     determines xi, so this is the witness derive_xi would give."""
-    return IsoclinismWitness(AlgebraMorphism.identity(e.q),
-                             LinearMap.identity(lie_commutator_of(e.g)))
+    return _identity_witness(_ends(e))
+
+
+def _identity_witness(ends) -> IsoclinismWitness:
+    q, com = ends
+    return IsoclinismWitness(AlgebraMorphism.identity(q), LinearMap.identity(com))
 
 
 @value_class(frozen=False)
@@ -513,8 +556,18 @@ class IsoclinismClass:
 @value_class(frozen=False)
 class Classification:
     algebras: tuple
-    extensions: tuple
     classes: list
+
+    @cached_property
+    def extensions(self) -> tuple:
+        """The canonical extension of each algebra, built on first request,
+        one shared object per distinct algebra; classify itself builds
+        none."""
+        built = {}
+        for a in self.algebras:
+            if a not in built:
+                built[a] = canonical_extension(a)
+        return tuple(built[a] for a in self.algebras)
 
     def class_of(self, index):
         for k, cls in enumerate(self.classes):
@@ -530,41 +583,46 @@ def classify(algebras, max_gl=None) -> Classification:
     representatives (earliest member) of the existing classes, grouped first
     by the invariant key so that only plausible pairs are searched.
 
-    Each distinct algebra gets one canonical extension, shared by its copies,
-    and equal data are one object, so the key is computed once per datum.
-    The search runs once per pair of data, and every witness is built on its
-    own pair's quotients and Lie-commutators from the matrices that search
-    found, once per representative and distinct algebra, so every class,
-    member and witness is the one a search of this very pair would give.
+    classify builds data, not extensions: each distinct algebra gets one
+    canonical_datum, its quotient q and the datum of its canonical extension,
+    shared by its copies, and equal data are one object, so the key is
+    computed once per datum.  The search runs once per pair of data, and
+    every witness is built on its own pair's quotients and Lie-commutators
+    from the matrices that search found, once per representative and
+    distinct algebra, so every class, member and witness is the one a search
+    of this very pair would give.  Classification.extensions builds the
+    extensions themselves when it is first read.
     """
     algebras = tuple(algebras)
-    seen, interned = {}, {}  # distinct algebra -> (extension, datum, first index); datum -> itself
+    seen, interned = {}, {}  # distinct algebra -> (its ends, datum, first index); datum -> itself
     for idx, a in enumerate(algebras):
         if a not in seen:
-            e = canonical_extension(a)
-            d = IsoclinismDatum.of(e)
-            seen[a] = e, interned.setdefault(d, d), idx
-    exts = tuple(seen[a][0] for a in algebras)
+            q, d = canonical_datum(a)
+            seen[a] = (q, lie_commutator_of(a)), interned.setdefault(d, d), idx
+    ends = tuple(seen[a][0] for a in algebras)
     data = tuple(seen[a][1] for a in algebras)
     first = tuple(seen[a][2] for a in algebras)
-    searched = {}  # (datum of rep, datum of input) -> first witness's matrices or None
+    # the data are interned, so a pair of ids names a pair of data
+    searched = {}  # (id of rep's datum, id of input's datum) -> first witness's matrices or None
     built = {}  # (rep, first index of the input's algebra) -> witness
     classes = []
-    for idx, e in enumerate(exts):
+    for idx in range(len(algebras)):
         for cls in classes:
             rep = cls.representative
-            pair = data[rep], data[idx]
-            if pair[0].key != pair[1].key:
+            d1, d2 = data[rep], data[idx]
+            if d1.key != d2.key:
                 continue
-            _check_search_preconditions(exts[rep], e, max_gl)
+            _check_same_field(d1.field, d2.field)
+            _check_search_preconditions(d1.field, d1.key[0], max_gl)
+            pair = id(d1), id(d2)
             if pair not in searched:
-                searched[pair] = _first_witness(*pair)
+                searched[pair] = _first_witness(d1, d2)
             if searched[pair] is not None:
                 if (rep, first[idx]) not in built:
-                    built[rep, first[idx]] = _witness(exts[rep], e, searched[pair])
+                    built[rep, first[idx]] = _witness(ends[rep], ends[idx], searched[pair])
                 cls.members.append(idx)
                 cls.witnesses[idx] = built[rep, first[idx]]
                 break
         else:
-            classes.append(IsoclinismClass(idx, [idx], {idx: identity_witness(e)}))
-    return Classification(algebras, exts, classes)
+            classes.append(IsoclinismClass(idx, [idx], {idx: _identity_witness(ends[idx])}))
+    return Classification(algebras, classes)

@@ -140,7 +140,8 @@ def rref_rows(field, rows, ncols):
     The items of the list are rearranged and rebound to new lists; the row
     objects themselves are never written, so a caller may pass rows it keeps
     using, tuples included.  This is the one elimination: rref runs it on a
-    matrix's rows, and the isoclinism search on its plain int rows mod p.
+    matrix's rows, span and kernel on their own rows, and the isoclinism
+    search on its plain int rows mod p.
     """
     p, n = field.p, len(rows)
     pivots = []
@@ -264,11 +265,9 @@ def span(field, ambient_dim, vectors) -> Subspace:
     for v in vecs:
         if len(v) != ambient_dim:
             raise LinalgError("spanning vector has wrong length")
-    if not vecs:
-        return Subspace(field, ambient_dim, (), ())
-    m, pivots = rref(Matrix(field, len(vecs), ambient_dim, tuple(vecs)))
-    basis = tuple(m.entries[i] for i in range(len(pivots)))
-    return Subspace(field, ambient_dim, basis, tuple(pivots))
+    pivots = rref_rows(field, vecs, ambient_dim)
+    return Subspace(field, ambient_dim, tuple(tuple(vecs[i]) for i in range(len(pivots))),
+                    tuple(pivots))
 
 
 def zero_subspace(field, ambient_dim) -> Subspace:
@@ -297,13 +296,14 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """{x : M @ x = 0} as a subspace of F^ncols."""
-    red, pivots = rref(m)
+    rows = list(m.entries)
+    pivots = rref_rows(m.field, rows, m.ncols)
     basis = []
     for fc in range(m.ncols):
         if fc not in pivots:
             v = [0] * m.ncols
             v[fc] = 1
-            for row, pc in zip(red.entries, pivots):
+            for row, pc in zip(rows, pivots):
                 v[pc] = -row[fc]
             basis.append(v)
     return span(m.field, m.ncols, basis)

@@ -101,6 +101,9 @@ COMMANDS = [
     ("isoclinic", "catalog:paper_g1", "catalog:paper_g1", "--field", "3",
      "--witness", "docs/witness_long_integer.json"),
     ("isoclinic", "docs/q_squares_28.json", "docs/q_squares_28.json", "--field", "1048573"),
+    # a 3,000-digit rational bracket: the residual's numerator has 6,000 digits
+    ("validate", "docs/long_fraction.json"),
+    ("invariants", "docs/long_fraction.json"),
 ]
 
 LONG = "1" * 5000  # past CPython's 4,300-digit int-string limit
@@ -156,6 +159,9 @@ def documents():
     out["docs/long_integer.json"] = canonical_json(serialize_algebra(
         LeibnizAlgebra.from_structure(F3, 1, {(0, 0): (1,)}))).replace("[1]", f"[{LONG}]")
     out["docs/witness_long_integer.json"] = f'{{"eta":[[{LONG}]],"xi":[[1]]}}\n'
+    # [e1, e1] = c e1 is not Leibniz unless c = 0: the residual of (0, 0, 0) is c^2 e1
+    out["docs/long_fraction.json"] = canonical_json(serialize_algebra(
+        LeibnizAlgebra.from_structure(FQ, 1, {(0, 0): (FQ.of(f"{'7' * 3000}/3"),)})))
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,61 @@ def test_inverse_of_zero_raises():
 def test_scalar_json_forms():
     assert Field.prime(7).scalar_to_json(3) == 3
     assert Field.rationals().scalar_to_json(Fraction(-1, 2)) == "-1/2"
+
+
+def read_decimal(text):
+    """The int a decimal string names, read in pieces of 500 digits, which
+    the int-string limit always allows."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for k in range(0, len(digits), 500):
+        piece = digits[k:k + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    return sign * value
+
+
+def assert_names(text, a):
+    """text is the canonical string of the Fraction a: numerator, and
+    denominator unless it is 1, without leading zeros."""
+    num, slash, den = text.partition("/")
+    assert read_decimal(num) == a.numerator and num.lstrip("-")[0] != "0"
+    if a.denominator == 1:
+        assert not slash
+    else:
+        assert read_decimal(den) == a.denominator and den[0] != "0"
+
+
+def test_scalar_json_is_str_below_the_int_string_limit():
+    rng = random.Random(5)
+    for bits in (1, 64, 1999, 2000, 2001, 4000, 14000):  # 2^14000 has 4,215 digits
+        for _ in range(3):
+            a = Fraction(rng.getrandbits(bits) * rng.choice((1, -1)), rng.getrandbits(bits) + 1)
+            assert Field.rationals().scalar_to_json(a) == str(a)
+    for k in (602, 603, 604, 1205, 4299):
+        for n in (10 ** k, 10 ** k - 1, -(10 ** k + 1)):
+            assert Field.rationals().scalar_to_json(Fraction(n)) == str(n)
+
+
+def test_scalar_json_past_the_int_string_limit():
+    # a residual's numerator and denominator can outgrow any input scalar
+    rng = random.Random(6)
+    c = Fraction("7" * 3000 + "/3")
+    for a in (c * c, -c * c / (c + 1), Fraction(10 ** 6000), Fraction(10 ** 6000 - 1),
+              Fraction(-(7 * 10 ** 9000 + 3), 3 ** 9000), Fraction(rng.getrandbits(60000))):
+        assert_names(Field.rationals().scalar_to_json(a), a)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-string limit")
+def test_scalar_json_under_the_lowest_int_string_limit():
+    a = Fraction(10 ** 700 + 1, 3 ** 1500)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = Field.rationals().scalar_to_json(a)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert_names(text, a)
 
 
 def test_bound_constant():

@@ -42,6 +42,7 @@ from leibalg.isoclinism import (
     IsoclinismWitness,
     SearchBoundError,
     _SearchEngine,
+    canonical_datum,
     check_witness,
     classify,
     derive_xi,
@@ -65,6 +66,7 @@ from conftest import (
     FQ,
     LATE_GL_SEEDS,
     change_basis,
+    fixed_gl,
     generated_algebras,
     late_gl,
     lie_r2,
@@ -894,19 +896,24 @@ def test_classify_reuses_equal_inputs(quotient_suite, monkeypatch):
     expected, searched = classify_searching_every_pair(algebras)
     assert len(searched) > len(set(searched))
 
-    built = []
+    made, extended = [], []
+
+    def counting_datum(alg):
+        made.append(alg)
+        return canonical_datum(alg)
 
     def counting_extension(alg):
-        built.append(alg)
+        extended.append(alg)
         return canonical_extension(alg)
 
     witnessed = []
     witness = iso._witness
 
-    def counting_witness(e1, e2, matrices):
-        witnessed.append((e1.g, e2.g))
-        return witness(e1, e2, matrices)
+    def counting_witness(ends1, ends2, matrices):
+        witnessed.append((id(ends1), id(ends2)))
+        return witness(ends1, ends2, matrices)
 
+    monkeypatch.setattr(iso, "canonical_datum", counting_datum)
     monkeypatch.setattr(iso, "canonical_extension", counting_extension)
     monkeypatch.setattr(iso, "_witness", counting_witness)
     engines, _ = count_engines_and_keys(monkeypatch)
@@ -914,7 +921,14 @@ def test_classify_reuses_equal_inputs(quotient_suite, monkeypatch):
 
     assert [(cls.representative, cls.members, cls.witnesses)
             for cls in result.classes] == expected
-    assert built == list(dict.fromkeys(algebras))
+    # one datum per distinct algebra, and no extension until one is read
+    distinct = list(dict.fromkeys(algebras))
+    assert made == distinct and extended == []
+    assert result.extensions == tuple(canonical_extension(a) for a in algebras)
+    assert extended == distinct
+    for i, j in itertools.combinations(range(len(algebras)), 2):
+        assert (result.extensions[i] is result.extensions[j]) == (algebras[i] == algebras[j])
+    assert result.extensions is result.extensions and extended == distinct
     # one witness per (representative, distinct algebra), fewer than members
     joined = {(cls.representative, algebras[idx]) for cls in result.classes
               for idx in cls.members if idx != cls.representative}
@@ -970,6 +984,27 @@ def test_classify_searches_each_datum_pair_once(suite, monkeypatch):
     assert len(algebra_pairs) > len(data_pairs)
 
 
+def test_canonical_datum_is_the_canonical_extensions_datum(quotient_suite):
+    # F^k x g puts Lie-central coordinates before the quotient's, and P.g
+    # over Q gives Fraction brackets and a Lie-center off the coordinate axes
+    a1 = LeibnizAlgebra.abelian(F3, 1)
+    inputs = list(quotient_suite) + [direct_product(a1, g) for g in quotient_suite[:10]]
+    for seed in range(12):
+        inputs += generated_algebras(F3, seed) + generated_algebras(F5, seed)
+    inputs += [lie_r2(F3), LeibnizAlgebra.abelian(F5, 3), direct_product(lie_r2(F5), lie_r2(F5))]
+    rational = generated_algebras(FQ, 0) + [paper_g1(FQ), nilpotent_n2(FQ), lie_r2(FQ)]
+    inputs += rational + [change_basis(g, fixed_gl(FQ, g.dim)) for g in rational]
+    shapes = Counter()
+    for g in inputs:
+        e = canonical_extension(g)
+        q, d = canonical_datum(g)
+        assert d == IsoclinismDatum.of(e)
+        assert q == e.q and q.basis_names == e.q.basis_names
+        shapes[g.field.p, q.dim > 0, d.d > 0] += 1
+    assert all(shapes[p, True, True] for p in (3, 5, None))
+    assert all(shapes[p, False, False] for p in (3, 5, None))
+
+
 def test_datum_is_shared_and_keyed_once(monkeypatch):
     # g, g x F and F^2 x g have equal data, and classify interns them: one
     # datum object, one key computation, one search per pair of data.  The
@@ -1021,6 +1056,27 @@ def test_classify_commutes_with_permuting_its_input(suite):
             for member, w in cls.witnesses.items():
                 assert check_witness(result.extensions[cls.representative],
                                      result.extensions[member], w).ok
+
+
+def test_classify_commutes_with_shuffling_and_changing_bases():
+    # every member rewritten by a seeded P.g, in shuffled order: the same
+    # partition, up to the order of members, with each witness checked
+    for field, seeds in ((F3, range(12)), (F5, (0, 3))):
+        algebras = [g for seed in seeds for g in generated_algebras(field, seed)]
+        rng = random.Random(len(algebras))
+        perm = list(range(len(algebras)))
+        rng.shuffle(perm)
+        moved = [change_basis(algebras[k], random_gl(rng, field, algebras[k].dim))
+                 for k in perm]  # position k holds P.(input perm[k])
+        before, after = classify(algebras), classify(moved)
+        partition = {frozenset(cls.members) for cls in before.classes}
+        assert {frozenset(perm[k] for k in cls.members) for cls in after.classes} == partition
+        assert any(len(members) > 1 for members in partition)
+        for result in (before, after):
+            for cls in result.classes:
+                for member, w in cls.witnesses.items():
+                    assert check_witness(result.extensions[cls.representative],
+                                         result.extensions[member], w).ok
 
 
 def brute_force_partition(algebras):
