@@ -613,7 +613,7 @@ def classify(algebras, max_gl=None) -> Classification:
             if d1.key != d2.key:
                 continue
             _check_same_field(d1.field, d2.field)
-            _check_search_preconditions(d1.field, d1.key[0], max_gl)
+            _check_search_preconditions(d1.field, len(d1.structure), max_gl)
             pair = id(d1), id(d2)
             if pair not in searched:
                 searched[pair] = _first_witness(d1, d2)

@@ -984,6 +984,19 @@ def test_classify_searches_each_datum_pair_once(suite, monkeypatch):
     assert len(algebra_pairs) > len(data_pairs)
 
 
+def test_classify_checks_a_search_before_running_it():
+    # the preconditions hold for each pair with equal keys, and only there
+    g1, g2 = paper_g1(F3), paper_g2(F3)
+    assert [cls.members for cls in classify([g1, LeibnizAlgebra.abelian(F3, 2)],
+                                            max_gl=1).classes] == [[0], [1]]
+    with pytest.raises(SearchBoundError, match=r"\|GL\(2, F_3\)\| = 48 exceeds the bound 1"):
+        classify([g1, g2], max_gl=1)
+    with pytest.raises(FieldError, match="different fields"):
+        classify([g1, paper_g1(F5)])
+    with pytest.raises(FieldError, match="finite field"):
+        classify([paper_g1(FQ), paper_g2(FQ)])
+
+
 def test_canonical_datum_is_the_canonical_extensions_datum(quotient_suite):
     # F^k x g puts Lie-central coordinates before the quotient's, and P.g
     # over Q gives Fraction brackets and a Lie-center off the coordinate axes
