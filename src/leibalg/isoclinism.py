@@ -8,9 +8,10 @@ totals that intertwines the commutator maps,
 
 Everything here reads each side through its isoclinism datum
 (IsoclinismDatum): the field, the bracket of q, d = dim [g, g]_Lie and the
-commutator map C.  The datum holds the extension's own table of C in
-Lie-commutator coordinates, the one extensions.commutator_map computes and
-keeps, not a copy.  Since the commutator-map values span the Lie-commutator,
+commutator map C.  IsoclinismDatum.of(e) holds the extension's own table of
+C in Lie-commutator coordinates, the one extensions.commutator_map computes
+and keeps, not a copy; canonical_datum builds an equal datum from an algebra
+alone.  Since the commutator-map values span the Lie-commutator,
 eta determines xi uniquely whenever a compatible xi exists: _xi_matrix reads
 it off one RREF of the commutator values, and check_witness compares in the
 same coordinates, so search only ever enumerates eta.
@@ -117,7 +118,8 @@ class IsoclinismDatum:
 
     The field, the bracket of q, d = dim [g, g]_Lie and the commutator map in
     Lie-commutator coordinates, table[i][j] = C(b_i, b_j); of() takes the
-    table commutator_map keeps on the extension.  The search, its
+    table commutator_map keeps on the extension, and canonical_datum reads
+    the canonical extension's datum off the algebra.  The search, its
     key and classify read nothing else, so the (eta, xi) matrices of every
     witness between two extensions are functions of their two data.
     """
