@@ -32,6 +32,7 @@ from ._value import value_class
 from .errors import AlgebraError, MorphismError
 from .fields import Field
 from .linalg import (
+    LinearMap,
     Matrix,
     QuotientStructure,
     Subspace,
@@ -222,6 +223,17 @@ def lie_center(alg: LeibnizAlgebra) -> Subspace:
     return alg._lie_center
 
 
+def commutator_table(alg: LeibnizAlgebra, lifts) -> tuple:
+    """table[i][j] = [x_i, x_j] + [x_j, x_i] for the vectors x_i of lifts,
+    in the coordinates of [g, g]_Lie: the commutator map C at the lifts of a
+    quotient's basis.  A symmetric bracket lies in [g, g]_Lie, whose RREF
+    basis row of each pivot is 1 there and 0 at the other pivots, so its
+    coordinates are its values at the pivots."""
+    pivots = lie_commutator_of(alg).pivots
+    return tuple(tuple(tuple(v[t] for t in pivots)
+                       for v in (alg.symmetric_bracket(x, y) for y in lifts)) for x in lifts)
+
+
 def annihilator_ideal(alg: LeibnizAlgebra) -> Subspace:
     """The ideal generated by the squares [x, x]: the Lie-commutator.
 
@@ -297,6 +309,15 @@ class AlgebraMorphism:
         if inv is None:
             raise MorphismError("morphism is not invertible")
         return AlgebraMorphism(self.target, self.source, inv)
+
+
+def restrict_to_lie_commutators(beta: AlgebraMorphism) -> LinearMap:
+    """beta from [g, g]_Lie to [h, h]_Lie, in their basis coordinates.  An
+    algebra morphism maps symmetric brackets to symmetric brackets, so it
+    maps the ideal they generate into the one their images generate."""
+    com1, com2 = lie_commutator_of(beta.source), lie_commutator_of(beta.target)
+    cols = [com2.coords_of(beta.apply(b)) for b in com1.basis]
+    return LinearMap(com1, com2, Matrix.from_columns(beta.source.field, cols, nrows=com2.dim))
 
 
 @value_class

@@ -11,9 +11,12 @@ give the projections (and, transposed, the embeddings) of their triples.
 
 A triple is an isoclinic homomorphism when gamma is an isomorphism and beta
 is injective on the Lie-commutator; is_isoclinic_homomorphism decides that
-and triple_to_witness reads off the witness it carries.  The witness algebra
-(composition, inverses, the autoclinism group of an extension) completes
-the module.
+and triple_to_witness reads off the witness it carries.  Both
+isoclinic-homomorphism tests restrict beta to the Lie-commutators with
+algebra.restrict_to_lie_commutators, as homology.pi_prime restricts pi, and
+read "Ker(beta) meets [g, g]_Lie trivially" as "the restriction is
+injective".  The witness algebra (composition, inverses, the autoclinism
+group of an extension) completes the module.
 
 Searching and classifying use none of this, so `isoclinic` and `classify`
 never import it: leibalg.extensions and leibalg.isoclinism keep only what
@@ -32,13 +35,13 @@ from .algebra import (
     has_trivial_lie_commutator,
     is_ideal,
     lie_center,
-    lie_commutator_of,
     quotient_algebra,
+    restrict_to_lie_commutators,
     subalgebra,
 )
 from .errors import ExtensionError, IsoclinismError
 from .extensions import CentralExtension, _by_ideal, canonical_extension
-from .linalg import LinearMap, Matrix, Subspace, intersect, kernel, subspace_sum
+from .linalg import LinearMap, Matrix, Subspace, kernel, subspace_sum
 
 
 @value_class
@@ -257,17 +260,10 @@ def is_isoclinic_homomorphism(triple: ExtensionMorphism) -> IsoclinicHomReport:
     reasons = []
     if not triple.gamma.is_bijective:
         reasons.append("gamma is not an isomorphism")
-    com1 = lie_commutator_of(triple.source.g)
-    com2 = lie_commutator_of(triple.target.g)
-    meet = intersect(triple.beta.kernel_space(), com1)
-    if meet.dim != 0:
+    beta_prime = restrict_to_lie_commutators(triple.beta)
+    if not beta_prime.is_injective:
         reasons.append("Ker(beta) meets the Lie-commutator nontrivially")
-    if reasons:
-        return IsoclinicHomReport(False, tuple(reasons), None)
-    cols = [com2.coords_of(triple.beta.apply(b)) for b in com1.basis]
-    f = triple.source.g.field
-    return IsoclinicHomReport(True, (), LinearMap(com1, com2,
-                                                  Matrix.from_columns(f, cols, nrows=com2.dim)))
+    return IsoclinicHomReport(not reasons, tuple(reasons), None if reasons else beta_prime)
 
 
 def triple_to_witness(triple: ExtensionMorphism) -> IsoclinismWitness:
@@ -285,8 +281,7 @@ def triple_to_witness(triple: ExtensionMorphism) -> IsoclinismWitness:
 def is_isoclinic_algebra_hom(beta: AlgebraMorphism) -> bool:
     """Algebra-level criterion: Ker(beta) misses [g,g]_Lie and
     Im(beta) + Z_Lie(h) = h."""
-    com = lie_commutator_of(beta.source)
-    if intersect(beta.kernel_space(), com).dim != 0:
+    if not restrict_to_lie_commutators(beta).is_injective:
         return False
     cover = subspace_sum(beta.image_space(), lie_center(beta.target))
     return cover.dim == beta.target.dim

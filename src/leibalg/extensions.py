@@ -5,14 +5,18 @@ of chi lies in the Lie-center of g, equivalently [chi(n), g]_Lie = 0.  The
 commutator map C(x, y) = [x^, y^] + [y^, x^] on lifts is then independent of
 the lifts and is the bilinear invariant that isoclinism matches up.  Its
 values span [g, g]_Lie, so each extension keeps C as one table in
-Lie-commutator coordinates, computed once from the section's columns.
+Lie-commutator coordinates, computed once from the section's columns by
+algebra.commutator_table, the one reader of C.
 
 This module holds what every extension command reads: the extension itself,
 its validation, the canonical extension by the Lie-center, the commutator
-map and the stem test.  Morphisms of extensions and the constructions built
-with them (backward extension, diagonal pullback, product with a Lie
-algebra, quotient by an ideal) are in leibalg.constructions, which only the
-commands that build them import.
+map and the stem test.  An extension is stem when chi(n) lies in
+[g, g]_Lie, that is when theta = chi^{-1}([g, g]_Lie) is all of n, and
+is_stem_extension reads that off the theta image the extension keeps.
+Morphisms of extensions and the constructions built with them (backward
+extension, diagonal pullback, product with a Lie algebra, quotient by an
+ideal) are in leibalg.constructions, which only the commands that build them
+import.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from ._value import value_class
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
-    annihilator_ideal,
+    commutator_table,
     lie_center,
     lie_commutator_of,
     quotient_algebra,
@@ -52,9 +56,7 @@ class CentralExtension:
 
     @cached_property
     def _commutator_map(self) -> tuple:
-        com, lifts = lie_commutator_of(self.g), self.section.columns()
-        return tuple(tuple(com.coords_of(self.g.symmetric_bracket(x, y)) for y in lifts)
-                     for x in lifts)
+        return commutator_table(self.g, self.section.columns())
 
     @cached_property
     def _theta_image(self) -> Subspace:
@@ -119,6 +121,7 @@ def commutator_map(e: CentralExtension) -> tuple:
 
 
 def is_stem_extension(e: CentralExtension) -> bool:
-    """True when image(chi) lies inside the annihilator ideal of g
-    (equivalently the liezations of g and q are isomorphic)."""
-    return e.chi.image_space().is_subspace_of(annihilator_ideal(e.g))
+    """True when theta = chi^{-1}([g, g]_Lie) is all of n: chi(n) lies in
+    [g, g]_Lie, the annihilator ideal of g (equivalently the liezations of g
+    and q are isomorphic)."""
+    return e._theta_image.dim == e.n.dim

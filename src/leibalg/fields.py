@@ -13,6 +13,9 @@ rational use: work over F_p with integer scalars never needs it.
 
 from __future__ import annotations
 
+import re
+import sys
+
 from ._value import value_class
 from .errors import FieldError
 
@@ -93,6 +96,10 @@ class Field:
             try:
                 value = fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
+                if _past_int_limit(value):
+                    # int() refuses it in words that differ between interpreter
+                    # versions, so neither they nor the value are quoted
+                    raise FieldError("cannot parse scalar: a number has too many digits") from None
                 raise FieldError(f"cannot parse scalar {value!r}: {exc}") from None
         if isinstance(value, fraction):
             if self.p is None:
@@ -143,6 +150,13 @@ class Field:
         if a.denominator == 1:
             return _decimal(a.numerator)
         return f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
+
+
+def _past_int_limit(text: str) -> bool:
+    """True when text holds a run of digits, underscores aside, longer than
+    the interpreter's int-string limit (none when 0 or absent)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return bool(limit) and re.search(rf"\d{{{limit + 1}}}", text.replace("_", "")) is not None
 
 
 # str() refuses an int of more digits than the interpreter's int-string limit

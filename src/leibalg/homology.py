@@ -12,16 +12,18 @@ dimensional without a free presentation are:
 
 The second homology itself is out of reach here (its Hopf-type formula
 quantifies over a free presentation), so the stem-cover question can only be
-answered up to the data theta provides: stemness is decidable, the cover
-property is not, and is_stem_cover_candidate says so explicitly.
+answered up to the data theta provides: stemness is decidable (theta is all
+of n, extensions.is_stem_extension), the cover property is not, and
+is_stem_cover_candidate says so explicitly.  pi_prime, the restriction of pi
+to the Lie-commutators, is algebra.restrict_to_lie_commutators of pi.
 """
 
 from __future__ import annotations
 
 from ._value import value_class
-from .algebra import lie_commutator_of
-from .extensions import CentralExtension
-from .linalg import LinearMap, Matrix, image, kernel, quotient, span
+from .algebra import lie_commutator_of, restrict_to_lie_commutators
+from .extensions import CentralExtension, is_stem_extension
+from .linalg import LinearMap, image, kernel, quotient, span
 
 
 @value_class
@@ -82,11 +84,7 @@ def check_sequence_tail(e: CentralExtension) -> SequenceReport:
 
 def pi_prime(e: CentralExtension) -> LinearMap:
     """Restriction of pi to the Lie-commutators."""
-    com_g = lie_commutator_of(e.g)
-    com_q = lie_commutator_of(e.q)
-    cols = [com_q.coords_of(e.pi.apply(v)) for v in com_g.basis]
-    f = e.g.field
-    return LinearMap(com_g, com_q, Matrix.from_columns(f, cols, nrows=com_q.dim))
+    return restrict_to_lie_commutators(e.pi)
 
 
 def check_sequence_nine(e: CentralExtension) -> SequenceReport:
@@ -129,9 +127,7 @@ class StemCoverReport:
 
 
 def is_stem_cover_candidate(e: CentralExtension) -> StemCoverReport:
-    # theta = chi^{-1}([g,g]_Lie) is all of n exactly when chi(n) lies in
-    # [g,g]_Lie, the annihilator ideal: when e is stem (is_stem_extension)
     theta = theta_image(e)
-    if theta.dim < e.n.dim:
+    if not is_stem_extension(e):
         return StemCoverReport(NOT_STEM, "not_applicable", e.n.dim, theta.dim, False)
     return StemCoverReport(STEM, UNDECIDABLE_COVER, e.n.dim, theta.dim, True)

@@ -11,10 +11,11 @@ Everything here reads each side through its isoclinism datum
 commutator map C.  IsoclinismDatum.of(e) holds the extension's own table of
 C in Lie-commutator coordinates, the one extensions.commutator_map computes
 and keeps, not a copy; canonical_datum builds an equal datum from an algebra
-alone.  Since the commutator-map values span the Lie-commutator,
-eta determines xi uniquely whenever a compatible xi exists: _xi_matrix reads
-it off one RREF of the commutator values, and check_witness compares in the
-same coordinates, so search only ever enumerates eta.
+alone, reading C through the same algebra.commutator_table.  Since the
+commutator-map values span the Lie-commutator, eta determines xi uniquely
+whenever a compatible xi exists: _xi_matrix reads it off one RREF of the
+commutator values, and check_witness compares in the same coordinates, so
+search only ever enumerates eta.
 
 The search fixes the columns of eta one at a time, in lexicographic
 coordinate order.  Every bracket condition that becomes checkable at column
@@ -38,9 +39,10 @@ two Lie-commutators, re-checking the brackets.  Two algebras are isoclinic
 when their canonical extensions by the Lie-center are; classify() partitions
 a list of algebras by that relation.  It builds data, not extensions:
 canonical_datum reads each distinct algebra's datum, and the quotient q its
-witnesses start or end at, straight off the algebra's structure tensor, so
-no kernel subalgebra and no bracket-checked inclusion or projection is
-built.  There is one search key per datum and one search per pair of data.
+witnesses start or end at, straight off the algebra and the section of its
+quotient by the Lie-center, so no kernel subalgebra and no bracket-checked
+inclusion or projection is built.  There is one search key per datum and
+one search per pair of data.
 
 Isoclinic homomorphisms of extensions and the witness algebra (composition,
 inverses, the autoclinism group) are in leibalg.constructions, which neither
@@ -58,6 +60,7 @@ from ._value import value_class
 from .algebra import (
     AlgebraMorphism,
     LeibnizAlgebra,
+    commutator_table,
     induced_quotient,
     lie_center,
     lie_commutator_of,
@@ -168,20 +171,13 @@ class IsoclinismDatum:
 
 def canonical_datum(g: LeibnizAlgebra):
     """(q, IsoclinismDatum.of(canonical_extension(g))), q = g/Z_Lie(g) the
-    extension's quotient algebra, built without the extension.
-
-    The section lifts the basis of q to the unit vectors at the coset
-    coordinates of Z_Lie(g), so q is algebra.induced_quotient and
-    C(b_i, b_j) is the symmetric tensor's entry there, read in
-    Lie-commutator coordinates.  That entry lies in the Lie-commutator,
-    which its entries generate, so its coordinates are its values at the
-    canonical basis's pivots.
-    """
+    extension's quotient algebra, built without the extension: q is
+    algebra.induced_quotient, and C is algebra.commutator_table at the
+    section's columns, as the extension reads it."""
     qs = quotient(lie_center(g))
     q = induced_quotient(g, qs)
-    coset, sym, pivots = qs.coset_coords, g._symmetric, lie_commutator_of(g).pivots
-    table = tuple(tuple(tuple(sym[a][b][t] for t in pivots) for b in coset) for a in coset)
-    return q, IsoclinismDatum(g.field, q.structure, len(pivots), table)
+    table = commutator_table(g, qs.section.columns())
+    return q, IsoclinismDatum(g.field, q.structure, lie_commutator_of(g).dim, table)
 
 
 def _squares(d1, d2, cols):

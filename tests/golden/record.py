@@ -104,6 +104,8 @@ COMMANDS = [
     # a 3,000-digit rational bracket: the residual's numerator has 6,000 digits
     ("validate", "docs/long_fraction.json"),
     ("invariants", "docs/long_fraction.json"),
+    # a rational scalar string past the int-string limit
+    ("validate", "docs/long_scalar.json"),
 ]
 
 LONG = "1" * 5000  # past CPython's 4,300-digit int-string limit
@@ -159,6 +161,8 @@ def documents():
     out["docs/long_integer.json"] = canonical_json(serialize_algebra(
         LeibnizAlgebra.from_structure(F3, 1, {(0, 0): (1,)}))).replace("[1]", f"[{LONG}]")
     out["docs/witness_long_integer.json"] = f'{{"eta":[[{LONG}]],"xi":[[1]]}}\n'
+    out["docs/long_scalar.json"] = canonical_json(serialize_algebra(
+        LeibnizAlgebra.from_structure(FQ, 1, {(0, 0): (1,)}))).replace('["1"]', f'["{LONG}/3"]')
     # [e1, e1] = c e1 is not Leibniz unless c = 0: the residual of (0, 0, 0) is c^2 e1
     out["docs/long_fraction.json"] = canonical_json(serialize_algebra(
         LeibnizAlgebra.from_structure(FQ, 1, {(0, 0): (FQ.of(f"{'7' * 3000}/3"),)})))

@@ -10,12 +10,14 @@ from leibalg.algebra import (
     direct_product,
     lie_center,
     lie_commutator_of,
+    restrict_to_lie_commutators,
 )
 from leibalg.constructions import (
     ExtensionMorphism,
     backward_extension,
     central_extension_from_ideal,
     diagonal_pullback,
+    is_isoclinic_homomorphism,
     product_with_abelian,
     quotient_extension_by_alpha,
 )
@@ -28,13 +30,14 @@ from leibalg.extensions import (
     validate_extension,
 )
 from leibalg.isoclinism import IsoclinismDatum, search_isoclinism
-from leibalg.linalg import Matrix, bilinear, span, zero_subspace
+from leibalg.linalg import Matrix, bilinear, intersect, span, zero_subspace
 
 from conftest import (
     F3,
     F5,
     FQ,
     change_basis,
+    fixed_gl,
     lie_r2,
     nilpotent_n2,
     paper_g1,
@@ -224,6 +227,16 @@ def test_commutator_map_independent_of_lift(lifted):
     assert checked >= 10
 
 
+def test_commutator_map_matches_coordinates_of_the_symmetric_brackets(lifted):
+    # the reference reads each C(b_i, b_j) through coords_of, which reduces
+    # the symmetric bracket of the lifts against the Lie-commutator's basis
+    assert sum(not has_unit_lifts(e) for e in lifted) >= 20
+    for e in lifted:
+        com, lifts = lie_commutator_of(e.g), e.section.columns()
+        assert commutator_map(e) == tuple(
+            tuple(com.coords_of(e.g.symmetric_bracket(x, y)) for y in lifts) for x in lifts)
+
+
 def test_commutator_values_span_lie_commutator(quotient_suite):
     for alg in quotient_suite[:40]:
         e = canonical_extension(alg)
@@ -328,6 +341,40 @@ def test_quotient_extension_by_alpha():
     triv = quotient_extension_by_alpha(e2, zero_subspace(FQ, e2.g.dim))
     assert triv.extension.g.dim == e2.g.dim
     assert validate_extension(triv.extension).ok
+
+
+def construction_triples():
+    """The triples of backward_extension, diagonal_pullback (along the eta
+    that P induces from g to P.g), product_with_abelian and
+    quotient_extension_by_alpha (by all of chi(n) and by 0) over F_3, F_5 and
+    Q, on the battery of conftest.construction_snapshots."""
+    out = []
+    for field in (F3, F5, FQ):
+        for g in (paper_g1(field), paper_g2(field), nilpotent_n2(field), lie_r2(field),
+                  direct_product(paper_g1(field), nilpotent_n2(field))):
+            e1, p = canonical_extension(g), fixed_gl(field, g.dim)
+            e2 = canonical_extension(change_basis(g, p))
+            eta = AlgebraMorphism(e1.q, e2.q, e2.pi.matrix @ p @ e1.section)
+            bw, pb = backward_extension(e2, eta), diagonal_pullback(e1, e2, eta)
+            pr = product_with_abelian(e1, LeibnizAlgebra.abelian(field, 1))
+            out += [bw.iso, pb.to_first, pb.to_second, pr.onto_original, pr.from_original]
+            for e in (e1, pr.extension):
+                for alpha_image in (e.chi.image_space(), zero_subspace(field, e.g.dim)):
+                    out.append(quotient_extension_by_alpha(e, alpha_image).onto)
+    return out
+
+
+def test_restricted_beta_is_injective_iff_its_kernel_misses_the_lie_commutator():
+    outcomes = []
+    for t in construction_triples():
+        misses = intersect(t.beta.kernel_space(), lie_commutator_of(t.source.g)).dim == 0
+        restricted = restrict_to_lie_commutators(t.beta)
+        assert restricted.is_injective == misses
+        report = is_isoclinic_homomorphism(t)  # every gamma here is an isomorphism
+        assert bool(report) == misses
+        assert report.beta_prime == (restricted if misses else None)
+        outcomes.append(misses)
+    assert outcomes.count(False) == 12 and len(outcomes) == 135
 
 
 def test_quotient_extension_requires_ideal():

@@ -141,3 +141,36 @@ def test_scalar_json_under_the_lowest_int_string_limit():
 
 def test_bound_constant():
     assert MAX_PRIME == 1 << 20
+
+
+TOO_MANY_DIGITS = "cannot parse scalar: a number has too many digits"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-string limit")
+def test_scalar_string_past_the_lowest_int_string_limit_is_one_short_line():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in ("1" * 641 + "/3", "-1/" + "3" * 641, "0." + "1" * 641, "1e" + "1" * 641,
+                     " " + "1" * 700 + " ", "1_" + "1" * 640, "x" + "1" * 641):
+            for field in (Field.rationals(), Field.prime(3)):
+                with pytest.raises(FieldError) as info:
+                    field.of(text)
+                assert str(info.value) == TOO_MANY_DIGITS
+        assert Field.rationals().of("1" * 640 + "/3") == Fraction(int("1" * 640), 3)
+        # every other parse failure keeps its message
+        with pytest.raises(FieldError) as info:
+            Field.rationals().of("1" * 640 + "/x")
+        assert str(info.value).startswith(f"cannot parse scalar '{'1' * 640}/x': ")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", int)() != 4300,
+                    reason="the interpreter's int-string limit is not the default 4,300")
+def test_scalar_string_past_the_default_int_string_limit():
+    with pytest.raises(FieldError) as info:
+        Field.rationals().of("1" * 5000 + "/3")
+    assert str(info.value) == TOO_MANY_DIGITS
+    assert Field.prime(5).of("1" * 4300 + "/3") == int("1" * 4300) * 2 % 5

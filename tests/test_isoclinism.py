@@ -33,7 +33,7 @@ from leibalg.constructions import (
     triple_to_witness,
 )
 from leibalg.extensions import canonical_extension, commutator_map
-from leibalg.fields import FieldError
+from leibalg.fields import Field, FieldError
 from leibalg.isoclinism import (
     DEFAULT_MAX_GL,
     MAX_GL_ENV,
@@ -75,6 +75,9 @@ from conftest import (
     paper_g2,
     random_gl,
 )
+
+
+F7 = Field.prime(7)
 
 
 def paper_pair(field=F3):
@@ -531,20 +534,48 @@ def test_autoclinisms_of_g1_squared_over_f5_in_closed_form():
         assert check_witness(e, e, w).ok
 
 
+# Seeds k for which P = random_gl(random.Random(k), F_7, 4) puts the first
+# column of the lexicographically first witness from g1 x g1 to P.(g1 x g1)
+# late: at positions 1,040 and 1,034, counting from 0, of the 2,401 vectors
+# of F_7^4, the two latest among seeds 0-299.
+LATE_F7_SEEDS = (144, 174)
+
+
+def assert_search_commutes_with_change_of_basis(field, p_mats):
+    """The witnesses from g to P.h, h = g1 x g1, are P composed with the
+    automorphisms of h after any one witness w0 from g to h: h has zero
+    Lie-center, so its autoclinisms are its automorphisms.  So the search
+    returns the least of those, for g = h (w0 an automorphism) and for
+    g = g1 x g2 (w0 the library's own witness)."""
+    h = direct_product(paper_g1(field), paper_g1(field))
+    autos = [Matrix.from_columns(field, cols) for cols in g1_squared_automorphisms(field)]
+    max_gl = gl_order(4, field.p)
+    for g in (h, direct_product(paper_g1(field), paper_g2(field))):
+        e = canonical_extension(g)
+        w0 = search_isoclinism(e, canonical_extension(h), max_gl).eta.matrix
+        for p_mat in p_mats:
+            ep = canonical_extension(change_basis(h, p_mat))
+            w = search_isoclinism(e, ep, max_gl)
+            assert w is not None and check_witness(e, ep, w).ok
+            assert eta_columns(w) == min(tuple((p_mat @ a @ w0).columns()) for a in autos)
+
+
 def test_search_commutes_with_change_of_basis_over_f5():
-    # the witnesses from g to P.g are P composed with the autoclinisms of g,
-    # so the search returns the least of those; the late P put that witness's
-    # first column far down the lexicographic order
-    g = direct_product(paper_g1(F5), paper_g1(F5))
-    e = canonical_extension(g)
-    autos = [Matrix.from_columns(F5, cols) for cols in g1_squared_automorphisms(F5)]
+    # the late P put the first witness's first column far down the
+    # lexicographic order
     rng = random.Random(77)
     drawn = [random_gl(rng, F5, 4) for _ in range(3)]
-    for p_mat in drawn + [late_gl(seed) for seed in LATE_GL_SEEDS]:
-        eh = canonical_extension(change_basis(g, p_mat))
-        w = search_isoclinism(e, eh)
-        assert w is not None and check_witness(e, eh, w).ok
-        assert eta_columns(w) == min(tuple((p_mat @ a).columns()) for a in autos)
+    assert_search_commutes_with_change_of_basis(F5, drawn + [late_gl(s) for s in LATE_GL_SEEDS])
+
+
+def test_search_commutes_with_change_of_basis_over_f7():
+    # |GL(4, F_7)| exceeds DEFAULT_MAX_GL, so the searches raise the bound
+    assert gl_order(4, 7) > DEFAULT_MAX_GL
+    assert len(g1_squared_automorphisms(F7)) == 72
+    rng = random.Random(78)
+    drawn = [random_gl(rng, F7, 4) for _ in range(3)]
+    late = [random_gl(random.Random(s), F7, 4) for s in LATE_F7_SEEDS]
+    assert_search_commutes_with_change_of_basis(F7, drawn + late)
 
 
 def test_engine_work_over_f5():
