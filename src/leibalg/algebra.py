@@ -228,10 +228,15 @@ def commutator_table(alg: LeibnizAlgebra, lifts) -> tuple:
     in the coordinates of [g, g]_Lie: the commutator map C at the lifts of a
     quotient's basis.  A symmetric bracket lies in [g, g]_Lie, whose RREF
     basis row of each pivot is 1 there and 0 at the other pivots, so its
-    coordinates are its values at the pivots."""
-    pivots = lie_commutator_of(alg).pivots
-    return tuple(tuple(tuple(v[t] for t in pivots)
-                       for v in (alg.symmetric_bracket(x, y) for y in lifts)) for x in lifts)
+    coordinates are its values at the pivots.  Each lift is read as its
+    nonzero coordinates, so only the entries of the symmetric tensor that the
+    lifts reach are read, and only at the pivots: a pair of unit-vector
+    lifts, as a quotient's section gives, reads one entry."""
+    pivots, s = lie_commutator_of(alg).pivots, alg._symmetric
+    terms = [[(i, c) for i, c in enumerate(x) if c] for x in lifts]
+    return tuple(tuple(canonical(alg.field, [sum([a * b * s[i][j][t] for i, a in tx
+                                                  for j, b in ty]) for t in pivots])
+                       for ty in terms) for tx in terms)
 
 
 def annihilator_ideal(alg: LeibnizAlgebra) -> Subspace:

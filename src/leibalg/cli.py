@@ -15,13 +15,15 @@ the subcommand, and between the words of a two-word one: --format text|json,
 mod p), --max-gl N (search size bound, also settable via LEIBALG_MAX_GL),
 --seed N (recorded in reports).  The value given last wins.
 
-Exit codes: 0 success; 2 validation failed; 3 no witness found; 4 witness
-rejected; 64 usage error (including a search larger than the GL bound);
-65 malformed or inconsistent input data (a document that is not UTF-8
-included), and any other error the library raises (every LeibalgError);
-66 unreadable input file.
+Exit codes: 0 success; 2 validation failed; 3 no witness found (a pair
+whose invariant keys differ, over any field and at any GL bound, included);
+4 witness rejected; 64 usage error (including a pair whose keys agree but
+whose search exceeds the GL bound); 65 malformed or inconsistent input data
+(a document that is not UTF-8 included), and any other error the library
+raises (every LeibalgError); 66 unreadable input file.
 
-Each command imports only the layers it runs: `catalog list` loads none.
+Each command imports only the layers it runs: `catalog list` loads none,
+and only the catalog commands and a catalog:<name> argument load catalog.
 
 All reports are deterministic for fixed inputs: JSON is emitted with sorted
 keys and the text format renders the same payload line by line.
@@ -34,7 +36,6 @@ import json
 import sys
 
 from . import __version__
-from .catalog import catalog_entry, catalog_names, describe
 from .errors import DocumentError, LeibalgError, MorphismError, SearchBoundError
 
 # Layer names that `cli.<name>` resolves to the layer's current attribute.
@@ -163,6 +164,8 @@ def _target_field(args):
 
 def load_algebra(ref: str, field: Field | None, check=True) -> LeibnizAlgebra:
     if ref.startswith(CATALOG_PREFIX):
+        from .catalog import catalog_entry
+
         return catalog_entry(ref[len(CATALOG_PREFIX):], field)
     return parse_algebra(_read_text(ref), field, check)
 
@@ -483,6 +486,8 @@ def cmd_extension_product(args):
 
 
 def cmd_catalog_list(args):
+    from .catalog import catalog_names, describe
+
     entries = [{"name": name, "description": describe(name)}
                for name in catalog_names()]
     emit(args, "catalog", {}, "ok", {"entries": entries})
@@ -490,6 +495,7 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_show(args):
+    from .catalog import catalog_entry
     from .documents import canonical_json, serialize_algebra
 
     alg = catalog_entry(args.name, _target_field(args))

@@ -16,7 +16,10 @@ isoclinic-homomorphism tests restrict beta to the Lie-commutators with
 algebra.restrict_to_lie_commutators, as homology.pi_prime restricts pi, and
 read "Ker(beta) meets [g, g]_Lie trivially" as "the restriction is
 injective".  The witness algebra (composition, inverses, the autoclinism
-group of an extension) completes the module.
+group of an extension) completes the module.  Its autoclinisms are
+isoclinism.witnesses from an extension to itself, so they pass through the
+search's one decision (same field, then the key, then the GL bound) like
+every other search, and nothing here imports a private name of isoclinism.
 
 Searching and classifying use none of this, so `isoclinic` and `classify`
 never import it: leibalg.extensions and leibalg.isoclinism keep only what
@@ -40,7 +43,8 @@ from .algebra import (
     subalgebra,
 )
 from .errors import ExtensionError, IsoclinismError
-from .extensions import CentralExtension, _by_ideal, canonical_extension
+from .extensions import CentralExtension, canonical_extension
+from .extensions import central_extension_from_ideal  # noqa: F401  (re-exported)
 from .linalg import LinearMap, Matrix, Subspace, kernel, subspace_sum
 
 
@@ -229,15 +233,6 @@ def quotient_extension_by_alpha(e: CentralExtension, alpha_image: Subspace) -> Q
     return QuotientExtension(ext, onto)
 
 
-def central_extension_from_ideal(g: LeibnizAlgebra, n_space: Subspace) -> CentralExtension:
-    """0 -> n -> g -> g/n -> 0 for a bracket-closed ideal given as a subspace.
-
-    Lie-centrality is NOT enforced here; run validate_extension on the result
-    (useful for exercising the validator on non-central candidates).
-    """
-    return _by_ideal(g, n_space, ())
-
-
 @value_class
 class IsoclinicHomReport:
     """Result of the isoclinic-homomorphism test for an extension triple.
@@ -310,12 +305,9 @@ def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
     composition and inverse (exhaustively up to 256 witnesses, on a
     deterministic sample beyond that).
     """
-    from .isoclinism import (IsoclinismDatum, _check_search_preconditions, _ends, _SearchEngine,
-                             _witness)
+    from .isoclinism import witnesses
 
-    _check_search_preconditions(e.g.field, e.q.dim, max_gl)
-    d, ends = IsoclinismDatum.of(e), _ends(e)
-    out = [_witness(ends, ends, found) for found in _SearchEngine(d, d).witnesses()]
+    out = list(witnesses(e, e, max_gl))
     if out:
         _verify_group_axioms(e, out)
     return out

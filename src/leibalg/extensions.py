@@ -98,6 +98,15 @@ def validate_extension(e: CentralExtension) -> ExtensionReport:
     return ExtensionReport(not failures, tuple(failures))
 
 
+def central_extension_from_ideal(g: LeibnizAlgebra, n_space: Subspace) -> CentralExtension:
+    """0 -> n -> g -> g/n -> 0 for a bracket-closed ideal given as a subspace.
+
+    Lie-centrality is NOT enforced here; run validate_extension on the result
+    (useful for exercising the validator on non-central candidates).
+    """
+    return _by_ideal(g, n_space, ())
+
+
 def canonical_extension(g: LeibnizAlgebra) -> CentralExtension:
     """0 -> Z_Lie(g) -> g -> g/Z_Lie(g) -> 0."""
     z = lie_center(g)

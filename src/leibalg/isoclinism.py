@@ -35,14 +35,25 @@ preserve that (the implementation here is sequential).
 
 The engine yields the (eta, xi) matrices, which are functions of the two
 data alone; _witness builds them into a witness between two quotients and
-two Lie-commutators, re-checking the brackets.  Two algebras are isoclinic
-when their canonical extensions by the Lie-center are; classify() partitions
-a list of algebras by that relation.  It builds data, not extensions:
-canonical_datum reads each distinct algebra's datum, and the quotient q its
-witnesses start or end at, straight off the algebra and the section of its
-quotient by the Lie-center, so no kernel subalgebra and no bracket-checked
-inclusion or projection is built.  There is one search key per datum and
-one search per pair of data.
+two Lie-commutators, re-checking the brackets.  Every search makes one
+decision, _matrices, in one order: data over two fields are refused;
+unequal keys, each entry an isoclinism invariant over any field, settle the
+pair with no witness, over Q and beyond the GL bound too; only then must the
+field be finite and |GL(dim q, F_p)| within the bound, and the engine runs.
+witnesses() yields what it finds as witnesses, search_isoclinism takes the
+first, constructions.enumerate_autoclinisms all of them for one extension,
+and classify asks it once per pair of data it compares.
+
+Two algebras are isoclinic when their canonical extensions by the
+Lie-center are; classify() partitions a list of algebras by that relation.
+It builds data, not extensions: canonical_datum reads each distinct
+algebra's datum, and the quotient q its witnesses start or end at, straight
+off the algebra and the section of its quotient by the Lie-center, so no
+kernel subalgebra and no bracket-checked inclusion or projection is built.
+There is one search key per datum and one search per pair of data.
+leibalg.extensions is imported only where an extension is read
+(IsoclinismDatum.of, Classification.extensions), so classify loads none of
+it.
 
 Isoclinic homomorphisms of extensions and the witness algebra (composition,
 inverses, the autoclinism group) are in leibalg.constructions, which neither
@@ -65,7 +76,6 @@ from .algebra import (
     lie_center,
     lie_commutator_of,
 )
-from .extensions import CentralExtension, canonical_extension, commutator_map
 from .errors import FieldError, IsoclinismError, SearchBoundError
 from .fields import Field
 from .linalg import LinearMap, Matrix, bilinear, combine, kernel, quotient, radical, rref, rref_rows
@@ -134,6 +144,8 @@ class IsoclinismDatum:
 
     @classmethod
     def of(cls, e: CentralExtension) -> "IsoclinismDatum":
+        from .extensions import commutator_map
+
         return cls(e.g.field, e.q.structure, lie_commutator_of(e.g).dim, commutator_map(e))
 
     @cached_property
@@ -490,11 +502,6 @@ class _SearchEngine:
                 yield Matrix.from_columns(self.field, columns, nrows=self.m), xi
 
 
-def _check_same_field(f1, f2):
-    if f1 != f2:
-        raise FieldError("extensions live over different fields")
-
-
 def _check_search_preconditions(field, dim, max_gl):
     """Refuse a search over GL(dim, field) unless field is finite and the
     group's order is within the bound (see resolve_max_gl)."""
@@ -515,22 +522,29 @@ def _magnitude(n):
     return str(n) if n.bit_length() <= 64 else f"about 2^{n.bit_length()}"
 
 
+def _matrices(d1, d2, max_gl):
+    """The (eta, xi) matrices of every witness between two data, in
+    lexicographic eta order: the one decision of every search, in the order
+    the module docstring gives (field, key, preconditions, engine)."""
+    if d1.field != d2.field:
+        raise FieldError("extensions live over different fields")
+    if d1.key != d2.key:
+        return
+    _check_search_preconditions(d1.field, len(d1.structure), max_gl)
+    yield from _SearchEngine(d1, d2).witnesses()
+
+
+def witnesses(e1: CentralExtension, e2: CentralExtension, max_gl=None):
+    """Every witness from e1 to e2, in lexicographic eta order (see _matrices)."""
+    ends1, ends2 = _ends(e1), _ends(e2)
+    for found in _matrices(IsoclinismDatum.of(e1), IsoclinismDatum.of(e2), max_gl):
+        yield _witness(ends1, ends2, found)
+
+
 def search_isoclinism(e1: CentralExtension, e2: CentralExtension,
                       max_gl=None) -> IsoclinismWitness | None:
     """Lexicographically first witness of Lie-isoclinism, or None."""
-    _check_same_field(e1.g.field, e2.g.field)
-    _check_search_preconditions(e1.g.field, max(e1.q.dim, e2.q.dim), max_gl)
-    d1, d2 = IsoclinismDatum.of(e1), IsoclinismDatum.of(e2)
-    if d1.key != d2.key:
-        return None
-    found = _first_witness(d1, d2)
-    return None if found is None else _witness(_ends(e1), _ends(e2), found)
-
-
-def _first_witness(d1, d2):
-    """The (eta, xi) matrices of the first witness between two data, or
-    None; search_isoclinism after its precondition and key checks."""
-    return next(_SearchEngine(d1, d2).witnesses(), None)
+    return next(witnesses(e1, e2, max_gl), None)
 
 
 def identity_witness(e: CentralExtension) -> IsoclinismWitness:
@@ -561,6 +575,8 @@ class Classification:
         """The canonical extension of each algebra, built on first request,
         one shared object per distinct algebra; classify itself builds
         none."""
+        from .extensions import canonical_extension
+
         built = {}
         for a in self.algebras:
             if a not in built:
@@ -608,13 +624,9 @@ def classify(algebras, max_gl=None) -> Classification:
         for cls in classes:
             rep = cls.representative
             d1, d2 = data[rep], data[idx]
-            if d1.key != d2.key:
-                continue
-            _check_same_field(d1.field, d2.field)
-            _check_search_preconditions(d1.field, len(d1.structure), max_gl)
             pair = id(d1), id(d2)
             if pair not in searched:
-                searched[pair] = _first_witness(d1, d2)
+                searched[pair] = next(_matrices(d1, d2, max_gl), None)
             if searched[pair] is not None:
                 if (rep, first[idx]) not in built:
                     built[rep, first[idx]] = _witness(ends[rep], ends[idx], searched[pair])

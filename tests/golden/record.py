@@ -106,6 +106,11 @@ COMMANDS = [
     ("invariants", "docs/long_fraction.json"),
     # a rational scalar string past the int-string limit
     ("validate", "docs/long_scalar.json"),
+    # unequal keys settle a pair with no witness, over Q and beyond the GL bound
+    ("isoclinic", "catalog:paper_g1", "catalog:abelian_2"),
+    ("isoclinic", "catalog:paper_g1", "catalog:abelian_2", "--field", "5", "--max-gl", "1"),
+    # the dimension bound: one bad bracket among 4,096
+    ("validate", "docs/dim64_one_bad_bracket.json"),
 ]
 
 LONG = "1" * 5000  # past CPython's 4,300-digit int-string limit
@@ -166,6 +171,9 @@ def documents():
     # [e1, e1] = c e1 is not Leibniz unless c = 0: the residual of (0, 0, 0) is c^2 e1
     out["docs/long_fraction.json"] = canonical_json(serialize_algebra(
         LeibnizAlgebra.from_structure(FQ, 1, {(0, 0): (FQ.of(f"{'7' * 3000}/3"),)})))
+    # [e1, e1] = e1 is not Leibniz: the residual of (0, 0, 0) is e1
+    out["docs/dim64_one_bad_bracket.json"] = canonical_json(serialize_algebra(
+        LeibnizAlgebra.from_structure(F3, 64, {(0, 0): (1,) + (0,) * 63})))
     return out
 
 

@@ -1,9 +1,13 @@
-"""Every module-level import of a leibalg module is read by that module.
+"""Every module-level import of a leibalg module is read by that module,
+and no leibalg module imports another one's private names.
 
 An import that nothing reads still costs its import on every command that
 loads the module, and it misstates what the module depends on.  A name
 imported only to be re-exported says so with `# noqa: F401` on its line,
-as extensions does for ExtensionError.
+as extensions does for ExtensionError.  A name that starts with a single
+underscore belongs to its module: another module that imports it depends on
+code its owner may change at will.  Dunders and private modules such as
+._value stay importable.
 """
 
 import ast
@@ -57,3 +61,43 @@ def test_the_check_finds_unread_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source):
+    """(line, name) for each name starting with a single underscore that an
+    import from another leibalg module (a relative import, or one from
+    leibalg) binds, at any depth of the module.  A module of the package
+    imported from the package itself, as in `from . import _value`, is not
+    such a name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if not (node.level or node.module.split(".")[0] == "leibalg"):
+            continue
+        package = node.module in (None, "leibalg")  # `from . import` or `from leibalg import`
+        for alias in node.names:
+            name = alias.name
+            if (name.startswith("_") and not name.startswith("__")
+                    and not (package and (SRC / f"{name}.py").exists())):
+                out.append((node.lineno, name))
+    return out
+
+
+def test_the_check_finds_private_imports():
+    source = ("from . import _value, _missing, errors\n"
+              "from ._value import value_class\n"
+              "from .extensions import CentralExtension, _by_ideal\n"
+              "from leibalg.algebra import _default_names as names\n"
+              "from os import _exit\n"
+              "from . import __version__\n"
+              "def f():\n"
+              "    from .isoclinism import (_ends,\n"
+              "                             witnesses)\n")
+    assert private_imports(source) == [(1, "_missing"), (3, "_by_ideal"),
+                                       (4, "_default_names"), (8, "_ends")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -5,6 +5,7 @@ from functools import cached_property
 
 import pytest
 
+import leibalg.extensions as extensions
 import leibalg.isoclinism as iso
 from leibalg.algebra import (
     AlgebraMorphism,
@@ -317,8 +318,12 @@ def test_known_witness_over_rationals_verifies():
 
 def test_search_over_rationals_is_refused():
     e1, e2 = paper_pair(FQ)
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="finite field"):
         search_isoclinism(e1, e2)
+    # unequal keys settle a pair before the field is asked to be finite
+    e2 = canonical_extension(LeibnizAlgebra.abelian(FQ, 2))
+    assert IsoclinismDatum.of(e1).key != IsoclinismDatum.of(e2).key
+    assert search_isoclinism(e1, e2) is None
 
 
 def test_isoclinic_to_product_with_abelian():
@@ -450,8 +455,10 @@ def test_derive_xi_refuses_commutator_values_that_do_not_span():
 def test_search_requires_matching_fields():
     e3, _ = paper_pair(F3)
     e5, _ = paper_pair(F5)
-    with pytest.raises(FieldError):
-        search_isoclinism(e3, e5)
+    # whatever the keys: equal for g1 over F_3 and F_5, unequal against F_5^2
+    for other in (e5, canonical_extension(LeibnizAlgebra.abelian(F5, 2))):
+        with pytest.raises(FieldError, match="different fields"):
+            search_isoclinism(e3, other)
 
 
 # -- witness verification -----------------------------------------------------------
@@ -504,7 +511,9 @@ def test_autoclinism_group_and_torsor_count():
     assert len(autos) == 2
     for w in autos:
         assert check_witness(e1, e1, w).ok
-    assert len(engine_witnesses(e1, e2)) == len(autos)
+    torsor = list(iso.witnesses(e1, e2))
+    assert torsor == engine_witnesses(e1, e2) and len(torsor) == len(autos)
+    assert torsor[0] == search_isoclinism(e1, e2)
 
 
 def g1_squared_automorphisms(field):
@@ -682,6 +691,9 @@ def test_search_bound_enforced():
     with pytest.raises(SearchBoundError):
         search_isoclinism(e1, e2, max_gl=10)
     assert search_isoclinism(e1, e2, max_gl=48) is not None
+    # unequal keys settle a pair at any bound
+    e2 = canonical_extension(LeibnizAlgebra.abelian(F5, 2))
+    assert search_isoclinism(canonical_extension(paper_g1(F5)), e2, max_gl=1) is None
 
 
 def test_search_bound_env_override(monkeypatch):
@@ -945,7 +957,7 @@ def test_classify_reuses_equal_inputs(quotient_suite, monkeypatch):
         return witness(ends1, ends2, matrices)
 
     monkeypatch.setattr(iso, "canonical_datum", counting_datum)
-    monkeypatch.setattr(iso, "canonical_extension", counting_extension)
+    monkeypatch.setattr(extensions, "canonical_extension", counting_extension)
     monkeypatch.setattr(iso, "_witness", counting_witness)
     engines, _ = count_engines_and_keys(monkeypatch)
     result = classify(algebras)
@@ -1016,14 +1028,16 @@ def test_classify_searches_each_datum_pair_once(suite, monkeypatch):
 
 
 def test_classify_checks_a_search_before_running_it():
-    # the preconditions hold for each pair with equal keys, and only there
+    # every pair it compares must share a field; the search preconditions
+    # hold for each pair with equal keys, and only there
     g1, g2 = paper_g1(F3), paper_g2(F3)
     assert [cls.members for cls in classify([g1, LeibnizAlgebra.abelian(F3, 2)],
                                             max_gl=1).classes] == [[0], [1]]
     with pytest.raises(SearchBoundError, match=r"\|GL\(2, F_3\)\| = 48 exceeds the bound 1"):
         classify([g1, g2], max_gl=1)
-    with pytest.raises(FieldError, match="different fields"):
-        classify([g1, paper_g1(F5)])
+    for other in (paper_g1(F5), LeibnizAlgebra.abelian(F5, 2)):
+        with pytest.raises(FieldError, match="different fields"):
+            classify([g1, other])
     with pytest.raises(FieldError, match="finite field"):
         classify([paper_g1(FQ), paper_g2(FQ)])
 

@@ -83,6 +83,8 @@ def test_isoclinic_over_a_prime_field_loads_neither_homology_nor_fractions(tmp_p
     assert rc == cli.EXIT_OK
     assert "leibalg.isoclinism" in modules
     assert "leibalg.homology" not in modules and "fractions" not in modules
+    # only a catalog: reference loads the catalog
+    assert "leibalg.catalog" not in modules
     # a pair without a witness reports both algebras' invariants
     rc, modules = modules_after("isoclinic", "catalog:paper_g1", "catalog:abelian_2",
                                 "--field", "5")
@@ -97,6 +99,8 @@ def test_classify_loads_no_homology(tmp_path):
     assert rc == cli.EXIT_OK
     assert "leibalg.isoclinism" in modules
     assert "leibalg.homology" not in modules and "fractions" not in modules
+    # classify builds data, not extensions, and reads no catalog entry
+    assert not {"leibalg.extensions", "leibalg.catalog"} & modules
 
 
 # Every command, run from tests/golden, with whether it loads
