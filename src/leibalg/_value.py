@@ -5,9 +5,9 @@ adds what the standard library's frozen data classes have: field-wise
 `__eq__`, `__hash__` and `__repr__`, and, unless the class writes its own,
 an `__init__` taking the fields positionally or by keyword (a class
 attribute of the same name is the default) that calls `__post_init__` when
-the class has one.  A frozen class refuses assignment and deletion; a
-mutable one is unhashable.  Instances keep a `__dict__`, so
-`functools.cached_property` works and its values stay out of equality.
+the class has one.  Instances refuse assignment and deletion, and keep a
+`__dict__`, so `functools.cached_property` works and its values stay out of
+equality.
 """
 
 from operator import attrgetter
@@ -34,11 +34,8 @@ def _bind(cls, names, args, kwargs):
     return [values[name] for name in names]
 
 
-def value_class(cls=None, *, frozen=True):
-    """Make cls a value class; with frozen=False its instances stay mutable
-    and are unhashable."""
-    if cls is None:
-        return lambda c: value_class(c, frozen=frozen)
+def value_class(cls):
+    """Make cls a value class."""
     names = tuple(cls.__dict__["__annotations__"])
     arity = len(names)
     fields = attrgetter(*names)
@@ -70,9 +67,6 @@ def value_class(cls=None, *, frozen=True):
     if "__init__" not in cls.__dict__:
         cls.__init__ = __init__
     cls.__eq__, cls.__repr__ = __eq__, __repr__
-    if frozen:
-        cls.__hash__ = lambda self: hash(key(self))
-        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-    else:
-        cls.__hash__ = None
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     return cls

@@ -196,13 +196,7 @@ def convert_field(alg: LeibnizAlgebra, field: Field) -> LeibnizAlgebra:
     if alg.field.is_finite:
         raise DocumentError(
             f"cannot reinterpret coefficients over {alg.field} as {field}")
-    table = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            vec = alg.structure[i][j]
-            if any(vec):
-                table[(i, j)] = tuple(field.of(c) for c in vec)
-    return LeibnizAlgebra.from_structure(field, alg.dim, table,
+    return LeibnizAlgebra.from_structure(field, alg.dim, alg.structure,
                                          basis_names=alg.basis_names)
 
 

@@ -31,7 +31,9 @@ invertible bracket-preserving eta has [eta x, eta b_d] = eta [x, b_d], so
 it conjugates the operators of b_d into those of eta b_d.  The solutions are
 walked in lexicographic order, so the first witness found is the
 lexicographically first one, and any concurrent evaluation of branches must
-preserve that (the implementation here is sequential).
+preserve that (the implementation here is sequential).  Every condition on
+eta is read off the source side alone, so each datum files its conditions
+once, in its cached schedule; the engine keeps only the walk.
 
 The engine yields the (eta, xi) matrices, which are functions of the two
 data alone; _witness builds them into a witness between two quotients and
@@ -134,7 +136,8 @@ class IsoclinismDatum:
     table commutator_map keeps on the extension, and canonical_datum reads
     the canonical extension's datum off the algebra.  The search, its
     key and classify read nothing else, so the (eta, xi) matrices of every
-    witness between two extensions are functions of their two data.
+    witness between two extensions are functions of their two data; what
+    is derived from one datum alone is cached on it.
     """
 
     field: Field
@@ -179,6 +182,54 @@ class IsoclinismDatum:
                       tuple(tuple(tuple(table[s][a][t] for s in range(m)) for a in range(m))
                             for t in range(width)))
                      for table, width in ((self.structure, m), (self.table, self.d)))
+
+    @cached_property
+    def schedule(self):
+        """The conditions a witness from this datum puts on eta, as
+        (affine_at, square_at): per depth d, the constraints first checkable
+        when column d is set, computed once per datum.
+
+        A constraint (k, linear, quadratic) holds when sum c col_t over its
+        terms (c, t) plus sum c T_k(col_i, col_j) over its terms (c, i, j)
+        vanishes, T_0 the target's bracket of q and T_1 its C.  They say eta
+        [b_i, b_j] = [eta b_i, eta b_j], and that each relation among the C1
+        values holds among the C2 values, as xi requires.  One with a term on
+        (d, d) is quadratic in col_d and goes to square_at; any other goes to
+        affine_at, split into its terms that read col_d and the rest.
+        """
+        m = len(self.structure)
+        affine_at = [[] for _ in range(m)]
+        square_at = [[] for _ in range(m)]
+
+        def add(depth, constraint):
+            k, linear, quadratic = constraint
+            if any(i == j == depth for _, i, j in quadratic):
+                square_at[depth].append(constraint)
+                return
+
+            def part(reads):
+                return (k, [u for u in linear if (depth in u[1:]) == reads],
+                        [u for u in quadratic if (depth in u[1:]) == reads])
+            affine_at[depth].append((part(True), part(False)))
+
+        for i in range(m):
+            for j in range(m):
+                val = self.structure[i][j]
+                support = [t for t in range(m) if val[t]]
+                add(max([i, j] + support), (0, [(val[t], t) for t in support], [(-1, i, j)]))
+        # the relations at `depth` are the left null vectors of the C1 rows of
+        # the pairs (i, j), i <= j <= depth, those through column `depth`
+        # first.  Only the first RREF null vector can involve (depth, depth);
+        # any one will do, as two differ by one without that pair.  A vector
+        # that misses them all was filed at an earlier depth.
+        for depth in range(m if self.d else 0):
+            pairs = ([(depth, depth)] + [(i, depth) for i in range(depth)]
+                     + [(i, j) for j in range(depth) for i in range(j + 1)])
+            rows = tuple(tuple(self.table[i][j][t] for (i, j) in pairs) for t in range(self.d))
+            for lam in kernel(Matrix(self.field, self.d, len(pairs), rows)).basis:
+                if any(lam[:depth + 1]):
+                    add(depth, (1, [], [(c, i, j) for (i, j), c in zip(pairs, lam) if c]))
+        return affine_at, square_at
 
 
 def canonical_datum(g: LeibnizAlgebra):
@@ -290,13 +341,14 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
 
 class _SearchEngine:
     """Depth-first enumeration of eta column images over F_p, between two
-    isoclinism data; it reads no extension.
+    isoclinism data; it reads no extension, and of the data only the source's
+    schedule and ranks and the target's tables and operators.
 
-    Each condition on eta is a constraint whose residual vanishes exactly
-    when it holds (see _residual), checked at the first depth d where every
-    column it reads is set.  The constraints affine in col_d are solved for
-    together (see _solutions); only the ones quadratic in col_d, both on the
-    pair (d, d), rank and the operator ranks are checked per candidate.
+    Each condition on eta is a constraint of the source's schedule, whose
+    residual vanishes exactly when it holds (see _residual).  The
+    constraints affine in col_d are solved for together (see _solutions);
+    only the ones quadratic in col_d, both on the pair (d, d), rank and the
+    operator ranks are checked per candidate.
 
     The operator-rank filter (_admits) drops a column v at depth d < m - 1
     unless x -> [x, v] and x -> [v, x] in q2 have the ranks of x -> [x, b_d]
@@ -308,93 +360,26 @@ class _SearchEngine:
 
     def __init__(self, d1, d2):
         self.data = d1, d2
-        self.field = d1.field
-        self.p = self.field.p
-        self.m = len(d1.structure)
         self._examined = 0  # candidate columns that reached the filter
-        self.feasible = self.m == len(d2.structure)
-        if not self.feasible:
-            return
-        self.d = d1.d
-        self.c1_table = d1.table
-        # a constraint names its bilinear map by index: the bracket of q2, or C2
-        self.tables = (d2.structure, d2.table)
-        self.coeffs = d2.operators
-        self.ranks = d1.ranks
         # the operators of the column set at each depth (see _admits), for
         # the deeper _solutions
-        self._ops = [None] * self.m
-        self.affine_at = [[] for _ in range(self.m)]
-        self.square_at = [[] for _ in range(self.m)]
-        # eta [b_i, b_j] = [eta b_i, eta b_j]
-        for i in range(self.m):
-            for j in range(self.m):
-                val = d1.structure[i][j]
-                support = [t for t in range(self.m) if val[t]]
-                self._add(max([i, j] + support),
-                          (0, [(val[t], t) for t in support], [(-1, i, j)]))
-        # sum of lambda C2(eta b_i, eta b_j) = 0 for each relation lambda among the C1 values
-        for depth in range(self.m):
-            for terms in self._xi_relations(depth):
-                self._add(depth, (1, [], terms))
-
-    def _add(self, depth, constraint):
-        """File a constraint under the depth where its last column is set.
-
-        A term (c, t) or (c, i, j) reads the columns it names.  Only a term on
-        the pair (depth, depth) is quadratic in col_depth: a constraint with
-        one goes to square_at.  Any other goes to affine_at, split into its
-        terms that read col_depth and the rest, which _solutions evaluates
-        separately.
-        """
-        k, linear, quadratic = constraint
-        if any(i == j == depth for _, i, j in quadratic):
-            self.square_at[depth].append(constraint)
-            return
-
-        def part(reads):
-            return (k, [u for u in linear if (depth in u[1:]) == reads],
-                    [u for u in quadratic if (depth in u[1:]) == reads])
-        self.affine_at[depth].append((part(True), part(False)))
-
-    def _xi_relations(self, depth):
-        """Relations among the C1 values that column `depth` must respect.
-
-        Each is a left null vector lambda of the C1 rows of the pairs
-        (i, j), i <= j <= depth: xi exists only if lambda also kills the C2
-        rows.  Yields each as its terms (lambda, i, j), lambda nonzero.  At
-        most one relation involves the pair (depth, depth), which makes it
-        quadratic in column `depth`; any such relation will do, since two
-        differ by one without that pair.  Relations among the earlier pairs
-        alone held at the previous depth and are dropped.
-        """
-        if not self.d:
-            return
-        pairs = ([(depth, depth)] + [(i, depth) for i in range(depth)]
-                 + [(i, j) for j in range(depth) for i in range(j + 1)])
-        rows = tuple(tuple(self.c1_table[i][j][t] for (i, j) in pairs)
-                     for t in range(self.d))
-        # the pairs through column `depth` come first, so only the first
-        # vector of the RREF null space basis can involve (depth, depth), and
-        # one that vanishes on all of them is a relation among earlier pairs
-        for lam in kernel(Matrix(self.field, self.d, len(pairs), rows)).basis:
-            if any(lam[:depth + 1]):
-                yield [(c, i, j) for (i, j), c in zip(pairs, lam) if c]
+        self._ops = {}
 
     def _residual(self, cols, constraint):
         """sum of c col_t over linear plus sum of c table(col_i, col_j) over
         quadratic, reduced mod p: zero exactly when the constraint holds."""
         k, linear, quadratic = constraint
-        table = self.tables[k]
+        d2 = self.data[1]
+        table = d2.table if k else d2.structure
         terms = [(c, cols[t]) for c, t in linear]
-        terms += [(c, bilinear(self.field, table, cols[i], cols[j])) for c, i, j in quadratic]
-        return combine(self.field, len(table[0][0]), terms)
+        terms += [(c, bilinear(d2.field, table, cols[i], cols[j])) for c, i, j in quadratic]
+        return combine(d2.field, len(table[0][0]), terms)
 
     def _operator(self, side, u):
         """The matrix of x -> T(x, u) or x -> T(u, x), as a list of rows
         reduced mod p, from one side of IsoclinismDatum.operators of T: the
         sum of u_s times the operator of b_s."""
-        p = self.p
+        p = self.data[1].field.p
         return [[sum(map(mul, u, cs)) % p for cs in row] for row in side]
 
     def _solutions(self, cols):
@@ -412,11 +397,13 @@ class _SearchEngine:
         term c T(col_i, x) adds c times x -> T(col_i, x), a term c T(x, col_j)
         adds c times x -> T(x, col_j), and the linear term c x adds c I.
         """
-        p, m = self.p, self.m
+        d1, d2 = self.data
+        field, m = d1.field, len(d1.structure)
+        p, widths = field.p, (m, d2.d)
         depth = len(cols)
         rows = []
-        for (k, linear, quadratic), fixed in self.affine_at[depth]:
-            a = [[0] * m for _ in range(len(self.tables[k][0][0]))]
+        for (k, linear, quadratic), fixed in d1.schedule[0][depth]:
+            a = [[0] * m for _ in range(widths[k])]
             for c, _ in linear:
                 for t in range(m):
                     a[t][t] += c
@@ -431,7 +418,7 @@ class _SearchEngine:
         free = list(range(m))
         exprs = []
         if rows:
-            pivots = rref_rows(self.field, rows, m + 1)
+            pivots = rref_rows(field, rows, m + 1)
             if pivots and pivots[-1] == m:
                 return
             for row, c in zip(rows, pivots):
@@ -457,21 +444,22 @@ class _SearchEngine:
         bracket-preserving matrix whose xi constraint system is consistent;
         injectivity of the derived xi is left to the caller.
         """
-        if not self.feasible:
-            return
+        d1 = self.data[0]
+        field, m = d1.field, len(d1.structure)
+        square_at = d1.schedule[1]
         cols = []
 
         def descend(depth, echelon):
-            if depth == self.m:
+            if depth == m:
                 yield tuple(cols)
                 return
             for v in self._solutions(cols):
                 self._examined += 1
                 rows = echelon + [v]  # the RREF of the columns so far, and v
-                if len(rref_rows(self.field, rows, self.m)) == depth:
+                if len(rref_rows(field, rows, m)) == depth:
                     continue
                 cols.append(v)
-                if (not any(any(self._residual(cols, c)) for c in self.square_at[depth])
+                if (not any(any(self._residual(cols, c)) for c in square_at[depth])
                         and self._admits(depth, v)):
                     yield from descend(depth + 1, rows)
                 cols.pop()
@@ -481,15 +469,17 @@ class _SearchEngine:
     def _admits(self, depth, v):
         """The operator-rank filter on a column set below the last depth; the
         column's operators are kept for the deeper _solutions."""
-        if depth + 1 == self.m:
+        d1, d2 = self.data
+        m = len(d1.structure)
+        if depth + 1 == m:
             return True
         bracket = []
-        for side, rank in zip(self.coeffs[0], self.ranks[depth]):
+        for side, rank in zip(d2.operators[0], d1.ranks[depth]):
             op = self._operator(side, v)
-            if len(rref_rows(self.field, list(op), self.m)) != rank:
+            if len(rref_rows(d1.field, list(op), m)) != rank:
                 return False
             bracket.append(op)
-        self._ops[depth] = bracket, [self._operator(side, v) for side in self.coeffs[1]]
+        self._ops[depth] = bracket, [self._operator(side, v) for side in d2.operators[1]]
         return True
 
     def witnesses(self):
@@ -499,7 +489,7 @@ class _SearchEngine:
         for columns in self.run():
             xi = _xi_matrix(d1, d2, columns)
             if xi is not None and xi.rank() == d1.d:
-                yield Matrix.from_columns(self.field, columns, nrows=self.m), xi
+                yield Matrix.from_columns(d1.field, columns, nrows=len(d1.structure)), xi
 
 
 def _check_search_preconditions(field, dim, max_gl):
@@ -535,9 +525,11 @@ def _matrices(d1, d2, max_gl):
 
 
 def witnesses(e1: CentralExtension, e2: CentralExtension, max_gl=None):
-    """Every witness from e1 to e2, in lexicographic eta order (see _matrices)."""
+    """Every witness from e1 to e2, in lexicographic eta order (see _matrices);
+    e2 = e1 is read as one datum, with one key and one schedule."""
     ends1, ends2 = _ends(e1), _ends(e2)
-    for found in _matrices(IsoclinismDatum.of(e1), IsoclinismDatum.of(e2), max_gl):
+    d1 = IsoclinismDatum.of(e1)
+    for found in _matrices(d1, d1 if e2 is e1 else IsoclinismDatum.of(e2), max_gl):
         yield _witness(ends1, ends2, found)
 
 
@@ -558,14 +550,14 @@ def _identity_witness(ends) -> IsoclinismWitness:
     return IsoclinismWitness(AlgebraMorphism.identity(q), LinearMap.identity(com))
 
 
-@value_class(frozen=False)
+@value_class
 class IsoclinismClass:
     representative: int
     members: list
     witnesses: dict  # member index -> witness from the representative
 
 
-@value_class(frozen=False)
+@value_class
 class Classification:
     algebras: tuple
     classes: list

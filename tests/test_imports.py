@@ -1,5 +1,6 @@
 """Every module-level import of a leibalg module is read by that module,
-and no leibalg module imports another one's private names.
+no leibalg module imports another one's private names, and every private
+name a module defines is read in that module.
 
 An import that nothing reads still costs its import on every command that
 loads the module, and it misstates what the module depends on.  A name
@@ -7,7 +8,9 @@ imported only to be re-exported says so with `# noqa: F401` on its line,
 as extensions does for ExtensionError.  A name that starts with a single
 underscore belongs to its module: another module that imports it depends on
 code its owner may change at will.  Dunders and private modules such as
-._value stay importable.
+._value stay importable.  So a private function, class or constant that its
+own module never reads is read nowhere: it is left over from a change that
+moved its work elsewhere.
 """
 
 import ast
@@ -101,3 +104,50 @@ def test_the_check_finds_private_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_no_private_name_of_another(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source):
+    """(line, name) for each name starting with a single underscore that a
+    module-level function, class or assignment binds and that the module
+    never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [(stmt.lineno, stmt.name)]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound = [(node.lineno, node.id) for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        else:
+            continue
+        out += [(line, name) for line, name in bound
+                if name.startswith("_") and not name.startswith("__") and name not in read]
+    return out
+
+
+def test_the_check_finds_unread_private_names():
+    source = ("import os as _os\n"
+              "_CACHE = {}\n"
+              "_a, (_b, c) = 1, (2, 3)\n"
+              "_n: int = 0\n"
+              "_CACHE['k'] = _n\n"
+              "__all__ = ['f']\n"
+              "def _helper():\n"
+              "    return _CACHE\n"
+              "def _orphan():\n"
+              "    _local = 1\n"
+              "    return _local\n"
+              "class _Engine:\n"
+              "    def _method(self):\n"
+              "        return _a\n"
+              "def f():\n"
+              "    return _helper()\n")
+    assert unread_private_names(source) == [(3, "_b"), (9, "_orphan"), (12, "_Engine")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_private_name_it_defines(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -203,12 +203,17 @@ def test_engine_matches_brute_force_on_random_pairs(suite):
     exts = [canonical_extension(a) for a in suite if a.dim <= 3][:30]
     pairs = [(exts[rng.randrange(len(exts))], exts[rng.randrange(len(exts))])
              for _ in range(8)]
+    compared = Counter()
     for e1, e2 in pairs:
         if e1.q.dim > 2 or e2.q.dim > 2:
             continue  # keep the 81*9-candidate oracle cheap
         oracle = sorted(brute_force_witness_columns(e1, e2))
-        engine = sorted(eta_columns(w) for w in engine_witnesses(e1, e2))
-        assert engine == oracle
+        # the key settles quotients of unequal dimension before any engine
+        assert [eta_columns(w) for w in iso.witnesses(e1, e2)] == oracle
+        if e1.q.dim == e2.q.dim:
+            assert [eta_columns(w) for w in engine_witnesses(e1, e2)] == oracle
+        compared[e1.q.dim == e2.q.dim] += 1
+    assert compared == {True: 2, False: 4}
 
 
 def test_engine_matches_brute_force_at_q_dim_3(suite):
@@ -905,27 +910,34 @@ def datum(alg):
     return IsoclinismDatum.of(canonical_extension(alg))
 
 
+def count_computed(monkeypatch, name):
+    """Record the datum of every computation of the cached property name of
+    IsoclinismDatum, from here on."""
+    computed = []
+    compute = getattr(IsoclinismDatum, name).func
+
+    def counting(self):
+        computed.append(self)
+        return compute(self)
+
+    counted = cached_property(counting)
+    counted.__set_name__(IsoclinismDatum, name)
+    monkeypatch.setattr(IsoclinismDatum, name, counted)
+    return computed
+
+
 def count_engines_and_keys(monkeypatch):
     """Record the data pair of every engine built and the datum of every key
     computed, from here on."""
-    engines, keyed = [], []
+    engines = []
 
     class CountingEngine(_SearchEngine):
         def __init__(self, d1, d2):
             engines.append((d1, d2))
             super().__init__(d1, d2)
 
-    key = IsoclinismDatum.key.func
-
-    def counting_key(self):
-        keyed.append(self)
-        return key(self)
-
-    counted = cached_property(counting_key)
-    counted.__set_name__(IsoclinismDatum, "key")
     monkeypatch.setattr(iso, "_SearchEngine", CountingEngine)
-    monkeypatch.setattr(IsoclinismDatum, "key", counted)
-    return engines, keyed
+    return engines, count_computed(monkeypatch, "key")
 
 
 def test_classify_reuses_equal_inputs(quotient_suite, monkeypatch):
@@ -1093,6 +1105,29 @@ def test_datum_is_shared_and_keyed_once(monkeypatch):
     assert witnesses[4].eta.matrix == witnesses[5].eta.matrix == witnesses[3].eta.matrix
     assert witnesses[4].xi.domain == witnesses[3].xi.domain
     assert witnesses[4].xi.codomain != witnesses[5].xi.codomain
+
+
+def test_classify_schedules_each_source_datum_once(quotient_suite, monkeypatch):
+    # every engine reads its source datum's schedule, filed once per datum
+    # however many engines start from it
+    engines, _ = count_engines_and_keys(monkeypatch)
+    scheduled = count_computed(monkeypatch, "schedule")
+    classify(quotient_suite)
+    sources = list({id(d1): d1 for d1, _ in engines}.values())
+    assert list(map(id, scheduled)) == list(map(id, sources))
+    assert len(engines) > 2 * len(sources) > 2
+
+
+def test_witnesses_from_an_extension_to_itself_read_one_datum(monkeypatch):
+    # one datum for e1 = e2, so one key and one schedule, in witnesses and
+    # in enumerate_autoclinisms
+    e = canonical_extension(direct_product(paper_g1(F3), paper_g1(F3)))
+    keyed = count_computed(monkeypatch, "key")
+    scheduled = count_computed(monkeypatch, "schedule")
+    assert len(list(iso.witnesses(e, e))) == 8
+    assert len(keyed) == len(scheduled) == 1 and keyed[0] is scheduled[0]
+    assert len(enumerate_autoclinisms(e)) == 8
+    assert len(keyed) == len(scheduled) == 2 and keyed[1] is scheduled[1]
 
 
 def test_classify_commutes_with_permuting_its_input(suite):

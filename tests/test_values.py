@@ -49,7 +49,7 @@ from conftest import F3, FQ, nilpotent_n2, paper_g1, paper_g2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = (fields, linalg, algebra, extensions, constructions, isoclinism, homology)
-MUTABLE = {"IsoclinismClass", "Classification"}
+UNHASHABLE = {"IsoclinismClass", "Classification"}  # their fields hold lists
 
 
 def value_classes():
@@ -108,7 +108,7 @@ def test_equal_fields_give_equal_objects(instances):
         assert obj != object() and obj != values, name
         assert repr(positional) == repr(obj), name
         assert repr(obj).startswith(f"{name}({field_names(cls)[0]}="), name
-        if name in MUTABLE:
+        if name in UNHASHABLE:
             with pytest.raises(TypeError):
                 hash(obj)
         else:
@@ -118,9 +118,6 @@ def test_equal_fields_give_equal_objects(instances):
 def test_frozen_classes_refuse_assignment_and_deletion(instances):
     for name, obj in instances.items():
         first = field_names(type(obj))[0]
-        if name in MUTABLE:
-            setattr(obj, first, getattr(obj, first))
-            continue
         with pytest.raises(AttributeError):
             setattr(obj, first, None)
         with pytest.raises(AttributeError):
