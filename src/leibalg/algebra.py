@@ -29,7 +29,7 @@ import itertools
 from functools import cached_property
 
 from ._value import value_class
-from .errors import AlgebraError, MorphismError
+from .errors import AlgebraError, LinalgError, MorphismError
 from .fields import Field
 from .linalg import (
     LinearMap,
@@ -146,8 +146,9 @@ class ValidationReport:
         return self.ok
 
 
-def validate(alg: LeibnizAlgebra) -> ValidationReport:
-    """Check the Leibniz identity on all basis triples.
+def violations(alg: LeibnizAlgebra):
+    """Yield the Leibniz violations of alg in lexicographic order of the basis
+    triples, lazily: a caller that reads only the first stops at its triple.
 
     With s the structure tensor, the residual of (i, j, k) is
     sum_t s[j][k][t] s[i][t] - s[i][j][t] s[t][k] + s[i][k][t] s[t][j],
@@ -155,7 +156,6 @@ def validate(alg: LeibnizAlgebra) -> ValidationReport:
     """
     f, n = alg.field, alg.dim
     s = [[[(t, c) for t, c in enumerate(v) if c] for v in row] for row in alg.structure]
-    bad = []
     for i, j, k in itertools.product(range(n), repeat=3):
         jk, ij, ik = s[j][k], s[i][j], s[i][k]
         if not (jk or ij or ik):
@@ -172,8 +172,13 @@ def validate(alg: LeibnizAlgebra) -> ValidationReport:
                 out[r] += c * w
         res = canonical(f, out)
         if any(res):
-            bad.append(Violation((i, j, k), res))
-    return ValidationReport(not bad, tuple(bad))
+            yield Violation((i, j, k), res)
+
+
+def validate(alg: LeibnizAlgebra) -> ValidationReport:
+    """Check the Leibniz identity on all basis triples; lists every violation."""
+    bad = tuple(violations(alg))
+    return ValidationReport(not bad, bad)
 
 
 def ideal_closure(alg: LeibnizAlgebra, vectors) -> Subspace:
@@ -198,12 +203,8 @@ def ideal_closure(alg: LeibnizAlgebra, vectors) -> Subspace:
 
 
 def is_ideal(alg: LeibnizAlgebra, s: Subspace) -> bool:
-    for v in s.basis:
-        for j in range(alg.dim):
-            e = alg.basis_vector(j)
-            if not (s.contains(alg.bracket(v, e)) and s.contains(alg.bracket(e, v))):
-                return False
-    return True
+    """Whether s is a two-sided ideal: whether the ideal it generates is s."""
+    return ideal_closure(alg, s).dim == s.dim
 
 
 def lie_commutator(alg: LeibnizAlgebra, m: Subspace, n: Subspace) -> Subspace:
@@ -393,10 +394,6 @@ def direct_product(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
     return LeibnizAlgebra(f, n, tuple(tensor), names)
 
 
-def subalgebra_check(alg: LeibnizAlgebra, s: Subspace) -> bool:
-    return all(s.contains(alg.bracket(u, v)) for u in s.basis for v in s.basis)
-
-
 @value_class
 class Subalgebra:
     algebra: LeibnizAlgebra
@@ -404,16 +401,15 @@ class Subalgebra:
 
 
 def subalgebra(alg: LeibnizAlgebra, s: Subspace, basis_names=()) -> Subalgebra:
-    """The restricted algebra on a bracket-closed subspace, with inclusion."""
-    if not subalgebra_check(alg, s):
-        raise AlgebraError("subspace is not closed under the bracket")
-    f = alg.field
-    tensor = tuple(
-        tuple(s.coords_of(alg.bracket(u, v)) for v in s.basis)
-        for u in s.basis
-    )
+    """The restricted algebra on a bracket-closed subspace, with inclusion; the
+    one pass that builds its bracket refuses s at the first bracket outside s."""
+    try:
+        tensor = tuple(tuple(s.coords_of(alg.bracket(u, v)) for v in s.basis)
+                       for u in s.basis)
+    except LinalgError as exc:
+        raise AlgebraError("subspace is not closed under the bracket") from exc
     names = tuple(basis_names) if basis_names else tuple(f"s{i + 1}" for i in range(s.dim))
-    sub = LeibnizAlgebra(f, s.dim, tensor, names)
+    sub = LeibnizAlgebra(alg.field, s.dim, tensor, names)
     incl = AlgebraMorphism(sub, alg, s.basis_matrix().transpose())
     return Subalgebra(sub, incl)
 

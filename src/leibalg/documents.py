@@ -32,7 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .algebra import LeibnizAlgebra, validate
+from .algebra import LeibnizAlgebra, violations
 from .errors import DocumentError, FieldError
 from .fields import Field
 from .linalg import Matrix
@@ -102,8 +102,8 @@ def serialize_algebra(alg: LeibnizAlgebra) -> dict:
 def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
     """Build an algebra from a parsed document.
 
-    With check=True the Leibniz identity is verified and the first offending
-    triple is reported; pass check=False to inspect invalid tensors.
+    With check=True the Leibniz check stops at the first offending triple and
+    reports it; pass check=False to inspect invalid tensors.
     """
     if not isinstance(doc, dict):
         raise DocumentError("algebra document must be a JSON object")
@@ -142,14 +142,11 @@ def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
         except (FieldError, ValueError, TypeError) as exc:
             raise DocumentError(f"bad coefficient in bracket ({i}, {j}): {exc}") from exc
     alg = LeibnizAlgebra.from_structure(f, dim, table, basis_names=tuple(basis))
-    if check:
-        report = validate(alg)
-        if not report.ok:
-            first = report.violations[0]
-            residual = [f.scalar_to_json(c) for c in first.residual]
-            raise DocumentError(
-                f"Leibniz identity fails at basis triple {first.triple}: "
-                f"residual {residual}")
+    first = next(violations(alg), None) if check else None
+    if first is not None:
+        residual = [f.scalar_to_json(c) for c in first.residual]
+        raise DocumentError(
+            f"Leibniz identity fails at basis triple {first.triple}: residual {residual}")
     return alg
 
 

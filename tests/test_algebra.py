@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import typing
@@ -37,6 +38,7 @@ from conftest import (
     algebra_suite,
     all_vectors,
     brute_force_members,
+    generated_algebras,
     lie_r2,
     nilpotent_n2,
     paper_g1,
@@ -332,6 +334,59 @@ def test_subalgebra_construction_and_rejection():
     with pytest.raises(AlgebraError, match="closed"):
         subalgebra(g2, not_closed)
     assert subalgebra_closure(g2, not_closed) == span(FQ, 3, [(1, 0, 0), (0, 0, 1)])
+
+
+def brackets_lie_in(alg, s):
+    """(left, right, closed) for s: whether every [b_j, v], every [v, b_j] and
+    every [u, v] lies in s, for u, v in s's basis, by brackets of vectors
+    rather than the tensor reads of ideal_closure."""
+    units = [alg.basis_vector(j) for j in range(alg.dim)]
+    left = all(s.contains(alg.bracket(e, v)) for v in s.basis for e in units)
+    right = all(s.contains(alg.bracket(v, e)) for v in s.basis for e in units)
+    closed = all(s.contains(alg.bracket(u, v)) for u in s.basis for v in s.basis)
+    return left, right, closed
+
+
+def seeded_spans(rng, alg):
+    """Random spans of one and two vectors, the subalgebras they generate, and
+    the Lie-center and Lie-commutator, alone and with a random vector added."""
+    f, n = alg.field, alg.dim
+    out = []
+    for count in (1, 2):
+        s = span(f, n, [random_vector(rng, f, n) for _ in range(count)])
+        out += [s, subalgebra_closure(alg, s)]
+    for ideal in (lie_center(alg), lie_commutator_of(alg)):
+        out += [ideal, span(f, n, list(ideal.basis) + [random_vector(rng, f, n)])]
+    return out
+
+
+def test_ideal_and_subalgebra_tests_agree_with_the_brackets(suite, quotient_suite):
+    rng = random.Random(2609)
+    generated = [g for field in (F3, F5) for seed in range(3)
+                 for g in generated_algebras(field, seed)]
+    seen = collections.Counter()
+    for alg in suite + quotient_suite + generated:
+        for s in seeded_spans(rng, alg):
+            left, right, closed = brackets_lie_in(alg, s)
+            seen[left, right, closed] += 1
+            assert is_ideal(alg, s) == (left and right)
+            if closed:
+                sub = subalgebra(alg, s)
+                assert sub.algebra.dim == s.dim
+                assert sub.inclusion.matrix.columns() == list(s.basis)
+            else:
+                with pytest.raises(AlgebraError, match="^subspace is not closed under the bracket$"):
+                    subalgebra(alg, s)
+            if left and right:
+                assert quotient_algebra(alg, s).algebra.dim == alg.dim - s.dim
+            else:
+                with pytest.raises(AlgebraError, match="^quotient by a subspace that is not "
+                                                       "a two-sided ideal$"):
+                    quotient_algebra(alg, s)
+    # one-sided ideals of either side, other closed spans and spans that are
+    # not closed all occur
+    assert all(seen[case] >= 20 for case in ((False, True, True), (True, False, True),
+                                             (False, False, True), (False, False, False))), seen
 
 
 def test_morphism_validation():

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+import leibalg.algebra as algebra
+import leibalg.cli as cli
 from leibalg.algebra import LeibnizAlgebra
 from leibalg.catalog import (
     ABELIAN_PREFIX,
@@ -199,6 +202,55 @@ def test_parse_reports_leibniz_violation_with_triple():
     from leibalg.algebra import validate
     alg = algebra_from_document(doc, check=False)
     assert not validate(alg).ok
+
+
+def dense_document(dim, seed):
+    """An F_3 document whose brackets are all drawn by random.Random(seed), in
+    (left, right, coordinate) order, with the zero brackets omitted."""
+    rng = random.Random(seed)
+    brackets = []
+    for i in range(dim):
+        for j in range(dim):
+            value = [rng.randrange(3) for _ in range(dim)]
+            if any(value):
+                brackets.append({"left": i, "right": j, "value": value})
+    return {"schema_version": SCHEMA_VERSION, "field": {"p": 3}, "dim": dim,
+            "brackets": brackets}
+
+
+def test_document_check_stops_at_the_violation_it_reports(tmp_path, monkeypatch, capsys):
+    # every one of the 16^3 basis triples of this document violates the identity
+    text = canonical_json(dense_document(16, 16))
+    message = ("Leibniz identity fails at basis triple (0, 0, 0): "
+               "residual [0, 2, 0, 0, 2, 0, 1, 1, 0, 2, 1, 2, 0, 1, 0, 2]")
+    residuals = []
+    original = algebra.canonical
+
+    def canonical(field, vec):
+        residuals.append(vec)
+        return original(field, vec)
+
+    monkeypatch.setattr(algebra, "canonical", canonical)
+    with pytest.raises(DocumentError) as info:
+        parse_algebra_json(text)
+    assert str(info.value) == message
+    assert len(residuals) == 1
+
+    # validate() still lists every violation, in lexicographic order of the
+    # triples; the digest pins their residuals
+    report = algebra.validate(parse_algebra_json(text, check=False))
+    assert [v.triple for v in report.violations] == list(itertools.product(range(16), repeat=3))
+    digest = hashlib.sha256(json.dumps([[list(v.triple), list(v.residual)]
+                                        for v in report.violations]).encode()).hexdigest()
+    assert digest == "a45fe0176921eac5f3ebe22629704dc8c8c35b52345502d5511a8f19c391d8bf"
+
+    path = tmp_path / "dense16.json"
+    path.write_text(text, encoding="utf-8")
+    residuals.clear()
+    capsys.readouterr()
+    assert cli.main(["invariants", str(path)]) == cli.EXIT_DATA == 65
+    assert capsys.readouterr() == ("", f"data error: {message}\n")
+    assert len(residuals) == 1
 
 
 # -- field conversion ---------------------------------------------------------------

@@ -40,7 +40,10 @@ from conftest import (
     embedding,
     generated_algebras,
     leibniz_cocycles,
+    lie_r2,
+    nilpotent_n2,
     paper_g1,
+    random_central_extension,
 )
 
 FIELDS = (F3, F5, FQ)
@@ -145,3 +148,37 @@ def test_constructions_along_witnesses_validate_with_isoclinic_triples(field):
             assert validate_extension(b.extension).ok, label
         for triple in triples:
             assert is_isoclinic_homomorphism(triple), label
+
+
+# -- the q-dim-4 slice over F_5 -------------------------------------------------
+
+
+def quotient_dim_4_algebras(seed):
+    """paper_g1, nilpotent_n2 and lie_r2 over F_5, each grown to dim 4 and
+    then by F^1 along seeded cocycles, kept when the canonical quotient has
+    dim 4: past the q-dim 3 where brute force over GL stops."""
+    rng = random.Random(seed)
+    out = []
+    for base in (paper_g1(F5), nilpotent_n2(F5), lie_r2(F5)):
+        g = random_central_extension(rng, random_central_extension(rng, base, 2), 1)
+        if canonical_extension(g).q.dim == 4:
+            out.append(g)
+    return out
+
+
+def test_search_finds_a_witness_to_changed_bases_times_abelian_factors_at_q_dim_4():
+    rng = random.Random(SEED)
+    algebras = [g for seed in range(3) for g in quotient_dim_4_algebras(seed)]
+    assert len(algebras) == 6
+    for idx, g in enumerate(algebras):
+        e1 = canonical_extension(g)
+        for k in (1, 2):
+            p_mat = seeded_gl(rng, F5, g.dim)
+            e2 = canonical_extension(direct_product(change_basis(g, p_mat),
+                                                    LeibnizAlgebra.abelian(F5, k)))
+            label = f"#{idx} P.g x F^{k}"
+            found = search_isoclinism(e1, e2)
+            assert found is not None, label
+            assert check_witness(e1, e2, found).ok, label
+            m = embedding(F5, g.dim, k) @ p_mat
+            assert check_witness(e1, e2, induced_witness(e1, e2, m)).ok, label

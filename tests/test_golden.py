@@ -77,8 +77,9 @@ def pytest_generate_tests(metafunc):
 
 
 def test_replay_script_runs_on_the_standard_library_alone(python):
-    # -I -S: no site-packages (pytest included), no PYTHONPATH, no user site
-    proc = subprocess.run([python, "-I", "-S", str(GOLDEN / "replay.py")],
+    # -I -S: no site-packages (pytest included), no PYTHONPATH, no user site;
+    # -B: no bytecode written into src, since -I ignores PYTHONDONTWRITEBYTECODE
+    proc = subprocess.run([python, "-B", "-I", "-S", str(GOLDEN / "replay.py")],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == f"{len(CASES)} golden cases replayed, 0 differ\n"
