@@ -10,7 +10,7 @@ works.
 
 from __future__ import annotations
 
-from .errors import CatalogError
+from .errors import CatalogError, DocumentError
 
 # name -> (dim, structure entries {(i, j): vector}, basis names, description)
 _FIXED = {
@@ -39,8 +39,11 @@ def describe(name: str) -> str:
 
 
 def catalog_entry(name: str, field: Field | None = None) -> LeibnizAlgebra:
+    """The entry name over field (default Q).  abelian_<n> takes the decimal
+    digits int() reads; one past the int-string limit is refused without
+    quoting it."""
     from .algebra import LeibnizAlgebra
-    from .documents import check_dim
+    from .documents import MAX_DIM, check_dim
     from .fields import Field
 
     field = field if field is not None else Field.rationals()
@@ -52,8 +55,13 @@ def catalog_entry(name: str, field: Field | None = None) -> LeibnizAlgebra:
         if suffix == "n":
             raise CatalogError(
                 "abelian_n is parametric: pick a dimension, e.g. abelian_2")
-        if not suffix.isdigit():
+        if not suffix.isdecimal():
             raise CatalogError(f"unknown catalog entry {name!r}")
-        check_dim(int(suffix))
-        return LeibnizAlgebra.abelian(field, int(suffix))
+        try:
+            dim = int(suffix)
+        except ValueError:  # more digits than the interpreter's int-string limit
+            raise DocumentError(f"the dimension of {ABELIAN_PREFIX}<n> has too many digits; "
+                                f"the supported bound is {MAX_DIM}") from None
+        check_dim(dim)
+        return LeibnizAlgebra.abelian(field, dim)
     raise CatalogError(f"unknown catalog entry {name!r}")

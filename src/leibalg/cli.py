@@ -20,7 +20,9 @@ whose invariant keys differ, over any field and at any GL bound, included);
 4 witness rejected; 64 usage error (including a pair whose keys agree but
 whose search exceeds the GL bound); 65 malformed or inconsistent input data
 (a document that is not UTF-8 included), and any other error the library
-raises (every LeibalgError); 66 unreadable input file.
+raises (every LeibalgError); 66 unreadable input file.  emit returns the
+code of the report status it writes: ok 0, invalid 2, no_witness 3,
+witness_rejected 4.
 
 Each command imports only the layers it runs: `catalog list` loads none,
 and only the catalog commands and a catalog:<name> argument load catalog.
@@ -74,6 +76,10 @@ EXIT_WITNESS_REJECTED = 4
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_IO = 66
+
+# the exit code of each report status: emit returns it
+_STATUS_EXIT = {"ok": EXIT_OK, "invalid": EXIT_INVALID, "no_witness": EXIT_NO_WITNESS,
+                "witness_rejected": EXIT_WITNESS_REJECTED}
 
 CATALOG_PREFIX = "catalog:"
 
@@ -280,7 +286,9 @@ def witness_payload(w: IsoclinismWitness):
     return {"eta": doc["eta"], "xi": doc["xi"]}
 
 
-def emit(args, command, inputs, status, payload) -> None:
+def emit(args, command, inputs, status, payload) -> int:
+    """Write the report of a command with the given status, and return the
+    status's exit code."""
     report = {
         "schema_version": "1",
         "version": __version__,
@@ -298,6 +306,7 @@ def emit(args, command, inputs, status, payload) -> None:
             lines.append(f"input {label}: {inputs[label]}")
         _flatten("", payload, lines)
         print("\n".join(lines))
+    return _STATUS_EXIT[status]
 
 
 def _flatten(prefix, value, out):
@@ -326,8 +335,7 @@ def cmd_validate(args):
                   for v in report.violations]
     payload = {"field": str(alg.field), "dim": alg.dim, "violations": violations}
     status = "ok" if report.ok else "invalid"
-    emit(args, "validate", {"algebra": algebra_hash(alg)}, status, payload)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    return emit(args, "validate", {"algebra": algebra_hash(alg)}, status, payload)
 
 
 def cmd_invariants(args):
@@ -335,9 +343,8 @@ def cmd_invariants(args):
     from .extensions import canonical_extension
 
     alg = load_algebra(args.algebra, _target_field(args))
-    emit(args, "invariants", {"algebra": algebra_hash(alg)}, "ok",
-         invariants_payload(canonical_extension(alg)))
-    return EXIT_OK
+    return emit(args, "invariants", {"algebra": algebra_hash(alg)}, "ok",
+                invariants_payload(canonical_extension(alg)))
 
 
 def cmd_isoclinic(args):
@@ -359,26 +366,21 @@ def cmd_isoclinic(args):
         try:
             eta = AlgebraMorphism(e1.q, e2.q, eta_mat)
         except MorphismError as exc:
-            emit(args, "isoclinic", inputs, "witness_rejected",
-                 {"failures": [f"eta is not an algebra morphism: {exc}"]})
-            return EXIT_WITNESS_REJECTED
+            return emit(args, "isoclinic", inputs, "witness_rejected",
+                        {"failures": [f"eta is not an algebra morphism: {exc}"]})
         witness = IsoclinismWitness(eta, LinearMap(com1, com2, xi_mat))
         report = check_witness(e1, e2, witness)
         if report.ok:
-            emit(args, "isoclinic", inputs, "ok",
-                 {"witness": witness_payload(witness),
-                  "surjectivity_automatic": report.surjectivity_automatic})
-            return EXIT_OK
-        emit(args, "isoclinic", inputs, "witness_rejected",
-             {"failures": list(report.failures)})
-        return EXIT_WITNESS_REJECTED
+            return emit(args, "isoclinic", inputs, "ok",
+                        {"witness": witness_payload(witness),
+                         "surjectivity_automatic": report.surjectivity_automatic})
+        return emit(args, "isoclinic", inputs, "witness_rejected",
+                    {"failures": list(report.failures)})
     witness = search_isoclinism(e1, e2, max_gl=args.max_gl)
     if witness is None:
-        emit(args, "isoclinic", inputs, "no_witness",
-             {"first": invariants_payload(e1), "second": invariants_payload(e2)})
-        return EXIT_NO_WITNESS
-    emit(args, "isoclinic", inputs, "ok", {"witness": witness_payload(witness)})
-    return EXIT_OK
+        return emit(args, "isoclinic", inputs, "no_witness",
+                    {"first": invariants_payload(e1), "second": invariants_payload(e2)})
+    return emit(args, "isoclinic", inputs, "ok", {"witness": witness_payload(witness)})
 
 
 def cmd_classify(args):
@@ -422,15 +424,7 @@ def cmd_classify(args):
         if alg not in hashes:
             hashes[alg] = algebra_hash(alg)
         inputs[name] = hashes[alg]
-    emit(args, "classify", inputs, "ok",
-         {"count": len(classes), "classes": classes})
-    return EXIT_OK
-
-
-def _emit_extension(args, inputs, payload):
-    valid = payload["valid"]
-    emit(args, "extension", inputs, "ok" if valid else "invalid", payload)
-    return EXIT_OK if valid else EXIT_INVALID
+    return emit(args, "classify", inputs, "ok", {"count": len(classes), "classes": classes})
 
 
 def cmd_extension_canonical(args):
@@ -438,8 +432,9 @@ def cmd_extension_canonical(args):
     from .extensions import canonical_extension
 
     alg = load_algebra(args.algebra, _target_field(args))
-    return _emit_extension(args, {"algebra": algebra_hash(alg)},
-                           extension_payload(canonical_extension(alg), "canonical"))
+    payload = extension_payload(canonical_extension(alg), "canonical")
+    return emit(args, "extension", {"algebra": algebra_hash(alg)},
+                "ok" if payload["valid"] else "invalid", payload)
 
 
 def cmd_extension_searched(args):
@@ -450,8 +445,7 @@ def cmd_extension_searched(args):
     e1, e2, inputs = _load_pair(args)
     witness = search_isoclinism(e1, e2, max_gl=args.max_gl)
     if witness is None:
-        emit(args, "extension", inputs, "no_witness", {"construction": args.construction})
-        return EXIT_NO_WITNESS
+        return emit(args, "extension", inputs, "no_witness", {"construction": args.construction})
     if args.construction == "backward":
         built = backward_extension(e2, witness.eta)
         triples = {"iso_triple_isoclinic": bool(is_isoclinic_homomorphism(built.iso))}
@@ -462,7 +456,7 @@ def cmd_extension_searched(args):
     payload = extension_payload(built.extension, args.construction)
     payload["witness"] = witness_payload(witness)
     payload.update(triples)
-    return _emit_extension(args, inputs, payload)
+    return emit(args, "extension", inputs, "ok" if payload["valid"] else "invalid", payload)
 
 
 def cmd_extension_product(args):
@@ -482,7 +476,8 @@ def cmd_extension_product(args):
     payload["abelian_dim"] = args.abelian_dim
     payload["triples_isoclinic"] = [bool(is_isoclinic_homomorphism(t))
                                     for t in (pr.onto_original, pr.from_original)]
-    return _emit_extension(args, {"algebra": algebra_hash(alg)}, payload)
+    return emit(args, "extension", {"algebra": algebra_hash(alg)},
+                "ok" if payload["valid"] else "invalid", payload)
 
 
 def cmd_catalog_list(args):
@@ -490,8 +485,7 @@ def cmd_catalog_list(args):
 
     entries = [{"name": name, "description": describe(name)}
                for name in catalog_names()]
-    emit(args, "catalog", {}, "ok", {"entries": entries})
-    return EXIT_OK
+    return emit(args, "catalog", {}, "ok", {"entries": entries})
 
 
 def cmd_catalog_show(args):

@@ -96,7 +96,7 @@ class Field:
             try:
                 value = fraction(value)
             except (ValueError, ZeroDivisionError) as exc:
-                if _past_int_limit(value):
+                if past_int_limit(value):
                     # int() refuses it in words that differ between interpreter
                     # versions, so neither they nor the value are quoted
                     raise FieldError("cannot parse scalar: a number has too many digits") from None
@@ -152,7 +152,7 @@ class Field:
         return f"{_decimal(a.numerator)}/{_decimal(a.denominator)}"
 
 
-def _past_int_limit(text: str) -> bool:
+def past_int_limit(text: str) -> bool:
     """True when text holds a run of digits, underscores aside, longer than
     the interpreter's int-string limit (none when 0 or absent)."""
     limit = getattr(sys, "get_int_max_str_digits", int)()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from ._value import value_class
 from .algebra import lie_commutator_of, restrict_to_lie_commutators
+from .errors import ExtensionError
 from .extensions import CentralExtension, is_stem_extension
 from .linalg import LinearMap, image, kernel, quotient, span
 
@@ -59,25 +60,27 @@ def theta_image(e: CentralExtension):
 
 def _induced_on_liezations(e: CentralExtension):
     """HL1(g) and HL1(q) as the quotient spaces g/[g,g]_Lie and q/[q,q]_Lie,
-    and the maps n -> HL1(g) and HL1(g) -> HL1(q) in their coordinates."""
+    and the maps n -> HL1(g) and HL1(g) -> HL1(q) in their coordinates; an
+    ExtensionError when pi maps [g,g]_Lie outside [q,q]_Lie, as a pi into
+    another algebra than q can."""
     lz_g = quotient(lie_commutator_of(e.g))
     lz_q = quotient(lie_commutator_of(e.q))
     a = lz_g.projection @ e.chi.matrix
     b0 = lz_q.projection @ e.pi.matrix
     for v in lz_g.ideal.basis:
         if any(b0.apply(v)):
-            raise AssertionError("pi does not descend to the liezations")
+            raise ExtensionError("pi does not descend to the liezations")
     return lz_g, lz_q, a, b0 @ lz_g.section
 
 
 def check_sequence_tail(e: CentralExtension) -> SequenceReport:
-    """Exactness of  n -> HL1(g) -> HL1(q) -> 0."""
+    """Exactness of  n -> HL1(g) -> HL1(q) -> 0; b's rank is read off ker b."""
     lz_g, lz_q, a, b = _induced_on_liezations(e)
     im_a = image(a)
     ker_b = kernel(b)
-    im_b = image(b)
+    rank_b = lz_g.dim - ker_b.dim
     middle = JunctionCheck("HL1(g)", lz_g.dim, im_a.dim, ker_b.dim, im_a == ker_b)
-    end = JunctionCheck("HL1(q)", lz_q.dim, im_b.dim, lz_q.dim, im_b.dim == lz_q.dim)
+    end = JunctionCheck("HL1(q)", lz_q.dim, rank_b, lz_q.dim, rank_b == lz_q.dim)
     spaces = (("n", e.n.dim), ("HL1(g)", lz_g.dim), ("HL1(q)", lz_q.dim))
     return SequenceReport(middle.exact and end.exact, (middle, end), spaces)
 
@@ -92,18 +95,18 @@ def check_sequence_nine(e: CentralExtension) -> SequenceReport:
 
     Exactness here is the computable consequence of the long sequence: the
     kernel of the restricted pi must be exactly the theta image, and the map
-    must be onto.
+    must be onto.  Its rank is read off that kernel.
     """
     restricted = pi_prime(e)
     com_g, com_q = restricted.domain, restricted.codomain
     ker_coords = kernel(restricted.matrix)
+    rank = com_g.dim - ker_coords.dim
     ker_ambient = span(e.g.field, e.g.dim,
                        [com_g.vector_from_coords(c) for c in ker_coords.basis])
     theta_ambient = span(e.g.field, e.g.dim, [e.chi.apply(v) for v in theta_image(e).basis])
     head = JunctionCheck("[g,g]_Lie", com_g.dim, theta_ambient.dim,
                          ker_ambient.dim, theta_ambient == ker_ambient)
-    end = JunctionCheck("[q,q]_Lie", com_q.dim, restricted.rank(), com_q.dim,
-                        restricted.is_surjective)
+    end = JunctionCheck("[q,q]_Lie", com_q.dim, rank, com_q.dim, rank == com_q.dim)
     spaces = (("[g,g]_Lie", com_g.dim), ("[q,q]_Lie", com_q.dim))
     return SequenceReport(head.exact and end.exact, (head, end), spaces)
 

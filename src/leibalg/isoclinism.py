@@ -79,7 +79,7 @@ from .algebra import (
     lie_commutator_of,
 )
 from .errors import FieldError, IsoclinismError, SearchBoundError
-from .fields import Field
+from .fields import Field, past_int_limit
 from .linalg import LinearMap, Matrix, bilinear, combine, kernel, quotient, radical, rref, rref_rows
 
 
@@ -99,6 +99,8 @@ DEFAULT_MAX_GL = gl_order(4, 5)  # 116_064_000_000
 
 
 def resolve_max_gl(max_gl=None):
+    """The GL bound: max_gl when given, else LEIBALG_MAX_GL when set, else
+    DEFAULT_MAX_GL.  An environment value int() refuses is a SearchBoundError."""
     if max_gl is not None:
         return int(max_gl)
     env = os.environ.get(MAX_GL_ENV)
@@ -106,6 +108,9 @@ def resolve_max_gl(max_gl=None):
         try:
             return int(env)
         except ValueError:
+            # int() refuses a value past the int-string limit, which is not echoed
+            if past_int_limit(env):
+                raise SearchBoundError(f"{MAX_GL_ENV} has too many digits") from None
             raise SearchBoundError(
                 f"{MAX_GL_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_MAX_GL
@@ -309,7 +314,7 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     xi only needs to be checked injective: when eta is onto and the squares
     match, the xi-image contains every C2 value and those span the target
     Lie-commutator, so surjectivity is automatic; the report records whether
-    that entailment applied.
+    that entailment applied.  xi's rank is computed once, for both tests.
     """
     failures = []
     eta, xi = witness.eta, witness.xi
@@ -322,7 +327,8 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     eta_bij = eta.is_bijective
     if not eta_bij:
         failures.append("eta is not bijective")
-    xi_inj = xi.is_injective
+    xi_rank = xi.rank()
+    xi_inj = xi_rank == xi.domain.dim
     if not xi_inj:
         failures.append("xi is not injective")
     compat = True
@@ -332,7 +338,7 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
             compat = False
             failures.append(f"commutator squares disagree at basis pair ({i}, {j})")
     automatic = eta_bij and xi_inj and compat
-    if automatic and not xi.is_surjective:
+    if automatic and xi_rank != xi.codomain.dim:
         # cannot happen mathematically; keep the check honest anyway
         failures.append("xi is not surjective")
         automatic = False

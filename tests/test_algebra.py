@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 import typing
 from fractions import Fraction
 
@@ -415,3 +416,20 @@ def test_random_generator_yields_valid_algebras():
         alg = random_leibniz_algebra(rng)
         assert validate(alg).ok
         assert 1 <= alg.dim <= 3
+
+
+def test_a_broken_morphism_or_product_precondition_raises_its_error():
+    a1, a2 = LeibnizAlgebra.abelian(F3, 1), LeibnizAlgebra.abelian(F3, 2)
+    zero = AlgebraMorphism(a1, a1, Matrix.zeros(F3, 1, 1))  # brackets vanish: a morphism
+    cases = [
+        (MorphismError, "morphism composition mismatch",
+         lambda: AlgebraMorphism.identity(a1).compose(AlgebraMorphism.identity(a2))),
+        (MorphismError, "morphism is not invertible", zero.inverse),
+        (AlgebraError, "direct product over different fields",
+         lambda: direct_product(a1, LeibnizAlgebra.abelian(F5, 1))),
+        (AlgebraError, "quotient of F^2 by a subspace of F^3",
+         lambda: quotient_algebra(a2, span(F3, 3, [(1, 0, 0)]))),
+    ]
+    for error, message, call in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

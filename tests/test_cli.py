@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -397,6 +398,21 @@ def test_catalog_show_unknown(capsys):
     assert rc == EXIT_DATA and "data error" in err
 
 
+def test_abelian_suffixes_that_int_refuses_are_one_line_data_errors(capsys):
+    """A superscript digit passes str.isdigit but not int(), and 5,000 digits
+    are past the int-string limit: each reference exits 65 with one short
+    line that quotes none of the digits, from both readers of the catalog."""
+    long = "7" * 5000
+    expected = {
+        "abelian_\u00b2": "data error: unknown catalog entry 'abelian_\u00b2'\n",
+        f"abelian_{long}": ("data error: the dimension of abelian_<n> has too many digits; "
+                            f"the supported bound is {MAX_DIM}\n"),
+    }
+    for name, message in expected.items():
+        for argv in (("catalog", "show", name), ("invariants", f"catalog:{name}")):
+            assert run(capsys, *argv) == (EXIT_DATA, "", message)
+
+
 # -- error lanes and flag handling ---------------------------------------------
 
 
@@ -522,6 +538,28 @@ def test_max_gl_env_enforced(capsys, monkeypatch):
     rc, out, err = run(capsys, "isoclinic", "catalog:paper_g1",
                        "catalog:paper_g2", "--field", "3")
     assert rc == EXIT_USAGE and "integer" in err
+
+
+def test_a_max_gl_env_past_the_int_string_limit_has_too_many_digits(capsys, monkeypatch):
+    """int() refuses 5,000 digits: the message says so in one short line
+    instead of calling them no integer and echoing them; ordinary bad values
+    keep their message."""
+    argv = ("isoclinic", "catalog:paper_g1", "catalog:paper_g2", "--field", "3")
+    monkeypatch.setenv(MAX_GL_ENV, "1" * 5000)
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"usage error: {MAX_GL_ENV} has too many digits\n")
+    for value in ("abc", "1e5"):
+        monkeypatch.setenv(MAX_GL_ENV, value)
+        assert run(capsys, *argv) == (
+            EXIT_USAGE, "", f"usage error: {MAX_GL_ENV} must be an integer, got {value!r}\n")
+
+
+def test_emit_returns_the_exit_code_of_the_status_it_writes(capsys):
+    args = argparse.Namespace(format="text", seed=None)
+    codes = {"ok": EXIT_OK, "invalid": EXIT_INVALID, "no_witness": EXIT_NO_WITNESS,
+             "witness_rejected": EXIT_WITNESS_REJECTED}
+    for status, code in codes.items():
+        assert cli.emit(args, "validate", {}, status, {}) == code
+        assert capsys.readouterr().out == f"command: validate\nstatus: {status}\n"
 
 
 def test_global_flags_before_subcommand(capsys):

@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from leibalg.algebra import (
     lie_center,
     lie_commutator_of,
     restrict_to_lie_commutators,
+    subalgebra,
 )
 from leibalg.constructions import (
     ExtensionMorphism,
@@ -413,3 +416,80 @@ def test_stem_iff_kernel_inside_annihilator(quotient_suite):
         e = canonical_extension(alg)
         expected = e.chi.image_space().is_subspace_of(annihilator_ideal(alg))
         assert is_stem_extension(e) == expected
+
+
+# -- preconditions ---------------------------------------------------------------
+
+
+def test_a_broken_construction_precondition_raises_its_extension_error():
+    """e = 0 -> <e1> -> F^2 -> F -> 0 over F_3, abelian throughout, so every
+    linear map between its algebras is a morphism."""
+    e = central_extension_from_ideal(LeibnizAlgebra.abelian(F3, 2), span(F3, 2, [(1, 0)]))
+    alpha, beta, gamma = (AlgebraMorphism.identity(a) for a in (e.n, e.g, e.q))
+    twice = AlgebraMorphism(e.q, e.q, Matrix(F3, 1, 1, ((2,),)))
+    zero = AlgebraMorphism(e.q, e.q, Matrix.zeros(F3, 1, 1))
+    cases = {
+        "beta endpoints mismatch": lambda: ExtensionMorphism(e, e, alpha, gamma, gamma),
+        "gamma endpoints mismatch": lambda: ExtensionMorphism(e, e, alpha, beta, beta),
+        "right square does not commute (gamma.pi1 != pi2.beta)":
+            lambda: ExtensionMorphism(e, e, alpha, beta, twice),
+        "eta must land in the quotient of the extension": lambda: backward_extension(e, beta),
+        "eta must map the first quotient onto the second":
+            lambda: diagonal_pullback(e, e, beta),
+        "alpha image is not contained in the kernel part image(chi)":
+            lambda: quotient_extension_by_alpha(e, span(F3, 2, [(0, 1)])),
+    }
+    for message, call in cases.items():
+        with pytest.raises(ExtensionError, match=f"^{re.escape(message)}$"):
+            call()
+    for build in (lambda eta: backward_extension(e, eta),
+                  lambda eta: diagonal_pullback(e, e, eta)):
+        with pytest.raises(ExtensionError, match="^eta is not an isomorphism$"):
+            build(zero)
+
+
+def test_each_fact_is_decided_by_one_computation(monkeypatch):
+    """Two-sidedness is decided by the projection's bracket check and
+    closure by the inclusion's, so no ideal_closure and no coords_of call is
+    made for them; and each map's rank, kernel and image come from one
+    elimination (rref_rows calls, with the algebras' stored subspaces
+    already computed)."""
+    import leibalg.algebra as algebra
+    import leibalg.linalg as linalg
+    from leibalg.homology import check_sequence_nine, check_sequence_tail, theta_image
+    from leibalg.isoclinism import check_witness
+
+    counts = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    def calls(run):
+        counts.clear()
+        run()
+        return {name: counts[name] for name in ("ideal_closure", "coords_of", "rref_rows")}
+
+    e1, e2 = canonical_pair(F3)
+    w = search_isoclinism(e1, e2)
+    for e in (e1, e2):  # store each subspace the checks read
+        assert None not in (lie_commutator_of(e.g), lie_center(e.g), lie_commutator_of(e.q),
+                            theta_image(e))
+    g = paper_g2(F3)
+    plane = span(F3, 3, [(0, 1, 0), (0, 0, 1)])  # closed: only brackets [x, a1] are nonzero
+    count(algebra, "ideal_closure")
+    count(linalg.Subspace, "coords_of")
+    count(linalg, "rref_rows")
+    assert calls(lambda: canonical_extension(g)) == {
+        "ideal_closure": 0, "coords_of": 0, "rref_rows": 2}
+    assert calls(lambda: subalgebra(g, plane))["coords_of"] == 0
+    assert calls(lambda: quotient_extension_by_alpha(e2, e2.chi.image_space())) == {
+        "ideal_closure": 0, "coords_of": 0, "rref_rows": 4}
+    assert calls(lambda: validate_extension(e2))["rref_rows"] == 3
+    assert calls(lambda: check_sequence_tail(e2))["rref_rows"] == 3
+    assert calls(lambda: check_sequence_nine(e2))["rref_rows"] == 4
+    assert calls(lambda: check_witness(e1, e2, w))["rref_rows"] == 2

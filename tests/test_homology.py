@@ -1,3 +1,5 @@
+import pytest
+
 from leibalg.algebra import (
     LeibnizAlgebra,
     annihilator_ideal,
@@ -7,7 +9,8 @@ from leibalg.algebra import (
     liezation,
 )
 from leibalg.constructions import central_extension_from_ideal
-from leibalg.extensions import canonical_extension
+from leibalg.errors import ExtensionError
+from leibalg.extensions import CentralExtension, canonical_extension
 from leibalg.homology import (
     NOT_STEM,
     STEM,
@@ -160,3 +163,13 @@ def test_stem_report_consistency(suite, quotient_suite, rng):
             assert report.cover == "not_applicable"
         else:
             assert report.cover == UNDECIDABLE_COVER
+
+
+def test_a_pi_that_does_not_descend_to_the_liezations_is_an_extension_error():
+    """pi lands in paper_g2's quotient, but the extension names an abelian q:
+    the Lie-commutator of g does not map to 0 in HL1(q) = q."""
+    e = canonical_extension(paper_g2(F3))
+    other_q = LeibnizAlgebra.abelian(F3, e.q.dim)
+    wrong = CentralExtension(e.n, e.g, other_q, e.chi, e.pi, e.section)
+    with pytest.raises(ExtensionError, match="^pi does not descend to the liezations$"):
+        check_sequence_tail(wrong)

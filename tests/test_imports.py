@@ -11,6 +11,11 @@ code its owner may change at will.  Dunders and private modules such as
 ._value stay importable.  So a private function, class or constant that its
 own module never reads is read nowhere: it is left over from a change that
 moved its work elsewhere.
+
+Every raise statement raises a class of leibalg.errors, which the CLI turns
+into an exit code and a one-line message, one of the CLI's own usage errors,
+or an error a Python protocol asks for where that protocol asks for it
+(PROTOCOL_RAISES).  Anything else would reach the user as a traceback.
 """
 
 import ast
@@ -151,3 +156,79 @@ def test_the_check_finds_unread_private_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_private_name_it_defines(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+ERROR_CLASSES = {node.name for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.ClassDef)}
+CLI_RAISES = {"UsageError", "argparse.ArgumentError"}
+# (module, innermost enclosing function, raised class) of each protocol error
+PROTOCOL_RAISES = {
+    ("__init__.py", "__getattr__", "AttributeError"),  # PEP 562 module attributes
+    ("cli.py", "__getattr__", "AttributeError"),
+    ("_value.py", "__setattr__", "AttributeError"),  # value classes are frozen
+    ("_value.py", "__delattr__", "AttributeError"),
+    ("_value.py", "_bind", "TypeError"),  # a bad constructor call
+    ("documents.py", "_scalar", "TypeError"),  # algebra_from_document makes it a DocumentError
+    ("isoclinism.py", "class_of", "KeyError"),  # a missing index
+    ("fields.py", "inv", "ZeroDivisionError"),  # the inverse of zero
+}
+
+
+def raises(source):
+    """(line, innermost enclosing function or None, raised) for each raise
+    statement: raised is the source text of the class or of the callee that
+    builds the exception, and None for a bare raise."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                out.append((child.lineno, function, exc and ast.unparse(exc)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def raises_outside_protocol(source, module):
+    """(line, raised) for each raise statement of the module named module
+    that raises neither a class it imports from leibalg.errors, nor, in cli,
+    a usage error, nor a protocol error of PROTOCOL_RAISES where the
+    protocol asks for it."""
+    errors = {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ImportFrom) and node.module in ("errors", "leibalg.errors")
+              for alias in node.names if alias.name in ERROR_CLASSES}
+    return [(line, raised) for line, function, raised in raises(source)
+            if not (raised in errors or (module == "cli.py" and raised in CLI_RAISES)
+                    or (module, function, raised) in PROTOCOL_RAISES)]
+
+
+def test_the_check_finds_raises_outside_the_protocol():
+    source = ("import argparse\n"
+              "from .errors import AlgebraError, LeibalgError as Base\n"
+              "def f(x):\n"
+              "    if x:\n"
+              "        raise AlgebraError('bad')\n"
+              "    try:\n"
+              "        raise Base\n"
+              "    except Base:\n"
+              "        raise\n"
+              "def class_of(i):\n"
+              "    def inner():\n"
+              "        raise KeyError(i)\n"
+              "    raise KeyError(i)\n"
+              "def g():\n"
+              "    raise argparse.ArgumentError(None, 'x')\n"
+              "def _bind():\n"
+              "    raise AssertionError('no')\n")
+    assert raises_outside_protocol(source, "isoclinism.py") == [
+        (9, None), (12, "KeyError"), (15, "argparse.ArgumentError"), (17, "AssertionError")]
+    assert raises_outside_protocol(source, "cli.py") == [
+        (9, None), (12, "KeyError"), (13, "KeyError"), (17, "AssertionError")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_raises_only_library_usage_or_protocol_errors(path):
+    assert raises_outside_protocol(path.read_text(encoding="utf-8"), path.name) == []

@@ -18,8 +18,10 @@ from leibalg.algebra import (
     quotient_algebra,
     subalgebra,
     subalgebra_closure,
+    validate,
 )
 from leibalg.constructions import (
+    ExtensionMorphism,
     _verify_group_axioms,
     algebras_isoclinic,
     backward_extension,
@@ -33,7 +35,7 @@ from leibalg.constructions import (
     is_isoclinic_homomorphism,
     triple_to_witness,
 )
-from leibalg.extensions import canonical_extension, commutator_map
+from leibalg.extensions import canonical_extension, commutator_map, validate_extension
 from leibalg.fields import Field, FieldError
 from leibalg.isoclinism import (
     DEFAULT_MAX_GL,
@@ -42,6 +44,7 @@ from leibalg.isoclinism import (
     IsoclinismDatum,
     IsoclinismWitness,
     SearchBoundError,
+    WitnessReport,
     _SearchEngine,
     canonical_datum,
     check_witness,
@@ -59,6 +62,7 @@ from leibalg.linalg import (
     intersect,
     span,
     subspace_sum,
+    zero_subspace,
 )
 
 from conftest import (
@@ -494,6 +498,50 @@ def test_check_witness_failure_modes():
     assert not report.ok and "endpoints" in report.failures[0]
 
 
+def test_check_witness_reports_xi_between_the_wrong_lie_commutators():
+    e1, e2 = paper_pair()
+    w = search_isoclinism(e1, e2)
+    backwards = IsoclinismWitness(w.eta, w.xi.inverse())  # [g2, g2]_Lie -> [g1, g1]_Lie
+    assert check_witness(e1, e2, backwards) == WitnessReport(
+        False, ("xi endpoints do not match the Lie-commutators",), False)
+
+
+def test_triple_to_witness_refuses_a_beta_not_onto_the_target_lie_commutator():
+    """Over a Lie-central target, gamma onto makes the restriction of beta
+    onto, so only a target that is not Lie-central reaches this refusal:
+    g = <x, z> with [z, x] = z is extended by <z>, and the symmetric bracket
+    [x, z] + [z, x] = z puts z in [g, g]_Lie, which beta: x -> x misses."""
+    g = LeibnizAlgebra.from_structure(F3, 2, {(1, 0): (0, 1)})
+    assert validate(g).ok
+    e2 = central_extension_from_ideal(g, span(F3, 2, [(0, 1)]))
+    assert "not Lie-central" in " ".join(validate_extension(e2).failures)
+    e1 = central_extension_from_ideal(e2.q, zero_subspace(F3, 1))
+    triple = ExtensionMorphism(e1, e2, AlgebraMorphism(e1.n, e2.n, Matrix.zeros(F3, 1, 0)),
+                               AlgebraMorphism(e1.g, e2.g, Matrix.from_columns(F3, [(1, 0)])),
+                               AlgebraMorphism.identity(e2.q))
+    assert is_isoclinic_homomorphism(triple)
+    with pytest.raises(IsoclinismError,
+                       match="^restricted beta is not onto the target Lie-commutator$"):
+        triple_to_witness(triple)
+
+
+def test_induced_canonical_witness_refuses_a_map_that_moves_lie_center_cosets():
+    """An unchecked witness from the abelian F^2 (all of it Lie-central) to
+    g = <x, y, z> with [x, x] = z over <z>: eta = id sends e1 to the coset
+    of x, which is not Lie-central in g."""
+    a2 = LeibnizAlgebra.abelian(F3, 2)
+    g = LeibnizAlgebra.from_structure(F3, 3, {(0, 0): (0, 0, 1)})
+    e1 = central_extension_from_ideal(a2, zero_subspace(F3, 2))
+    e2 = central_extension_from_ideal(g, span(F3, 3, [(0, 0, 1)]))
+    w = IsoclinismWitness(AlgebraMorphism.identity(e1.q),
+                          LinearMap(lie_commutator_of(a2), lie_commutator_of(g),
+                                    Matrix.zeros(F3, 1, 0)))
+    assert e1.q == e2.q and not check_witness(e1, e2, w)
+    with pytest.raises(IsoclinismError,
+                       match="^induced map is not constant on Lie-center cosets$"):
+        induced_canonical_witness(e1, e2, w)
+
+
 def test_witness_group_laws():
     e1, e2 = paper_pair()
     w = search_isoclinism(e1, e2)
@@ -861,6 +909,13 @@ def test_classify_worked_examples():
             w = cls.witnesses[member]
             assert check_witness(result.extensions[cls.representative],
                                  result.extensions[member], w).ok
+
+
+def test_class_of_an_index_outside_the_classification_is_a_key_error():
+    result = classify([LeibnizAlgebra.abelian(F3, 1)])
+    assert result.class_of(0) == 0
+    with pytest.raises(KeyError):
+        result.class_of(1)
 
 
 def test_classify_is_deterministic(suite):

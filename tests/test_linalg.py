@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -312,3 +313,31 @@ def test_fraction_entries_stay_exact():
     inv = a.inverse()
     assert inv is not None
     assert a @ inv == Matrix.identity(FQ, 2)
+
+
+# -- preconditions ---------------------------------------------------------------
+
+_I2, _I3 = Matrix.identity(F3, 2), Matrix.identity(F3, 3)
+_LINE2, _LINE3 = span(F3, 2, [(1, 0)]), span(F3, 3, [(1, 0, 0)])
+PRECONDITIONS = {
+    "cannot infer column count of an empty matrix": lambda: Matrix.from_rows(F3, []),
+    "cannot infer row count of an empty matrix": lambda: Matrix.from_columns(F3, []),
+    "vector length mismatch": lambda: _I2.apply((1, 0, 0)),
+    "hstack mismatch": lambda: _I2.hstack(_I3),
+    "vstack mismatch": lambda: _I2.vstack(_I3),
+    "inverse of a non-square matrix": lambda: Matrix.zeros(F3, 2, 3).inverse(),
+    "vector/ambient mismatch": lambda: _LINE2.reduce((1, 0, 0)),
+    "spanning vector has wrong length": lambda: span(F3, 2, [(1, 0, 0)]),
+    "subspace sum mismatch": lambda: subspace_sum(_LINE2, _LINE3),
+    "subspace intersection mismatch": lambda: intersect(_LINE2, _LINE3),
+    "linear map composition mismatch":
+        lambda: LinearMap.identity(_LINE2).compose(LinearMap.identity(_LINE3)),
+    "linear map is not invertible":
+        lambda: LinearMap(_LINE2, _LINE2, Matrix.zeros(F3, 1, 1)).inverse(),
+}
+
+
+@pytest.mark.parametrize("message", PRECONDITIONS)
+def test_a_broken_precondition_raises_its_linalg_error(message):
+    with pytest.raises(LinalgError, match=f"^{re.escape(message)}$"):
+        PRECONDITIONS[message]()
