@@ -2,12 +2,12 @@
 
 `value_class` takes a class's own annotations, in order, as its fields and
 adds what the standard library's frozen data classes have: field-wise
-`__eq__`, `__hash__` and `__repr__`, and, unless the class writes its own,
-an `__init__` taking the fields positionally or by keyword (a class
+`__eq__`, `__hash__` and `__repr__`, and the one constructor of every value
+class, an `__init__` taking the fields positionally or by keyword (a class
 attribute of the same name is the default) that calls `__post_init__` when
-the class has one.  Instances refuse assignment and deletion, and keep a
-`__dict__`, so `functools.cached_property` works and its values stay out of
-equality.
+the class has one, so a class checks its fields there.  Instances refuse
+assignment and deletion, and keep a `__dict__`, so
+`functools.cached_property` works and its values stay out of equality.
 """
 
 from operator import attrgetter
@@ -64,9 +64,7 @@ def value_class(cls):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    if "__init__" not in cls.__dict__:
-        cls.__init__ = __init__
-    cls.__eq__, cls.__repr__ = __eq__, __repr__
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
     cls.__hash__ = lambda self: hash(key(self))
     cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     return cls

@@ -308,8 +308,7 @@ def enumerate_autoclinisms(e: CentralExtension, max_gl=None):
     from .isoclinism import witnesses
 
     out = list(witnesses(e, e, max_gl))
-    if out:
-        _verify_group_axioms(e, out)
+    _verify_group_axioms(e, out)
     return out
 
 

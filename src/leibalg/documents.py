@@ -34,7 +34,7 @@ except ImportError:
 
 from .algebra import LeibnizAlgebra, violations
 from .errors import DocumentError, FieldError
-from .fields import Field
+from .fields import Field, magnitude
 from .linalg import Matrix
 
 SCHEMA_VERSION = "1"
@@ -60,7 +60,7 @@ def _scalar(f: Field, value):
 def check_dim(dim):
     """Refuse a dimension beyond MAX_DIM before anything of that size is built."""
     if dim > MAX_DIM:
-        raise DocumentError(f"dimension {dim} exceeds the supported bound {MAX_DIM}")
+        raise DocumentError(f"dimension {magnitude(dim)} exceeds the supported bound {MAX_DIM}")
 
 
 def field_to_json(f: Field):
@@ -206,12 +206,11 @@ def matrix_from_json(field: Field, rows, nrows, ncols) -> Matrix:
     if (not isinstance(rows, list) or len(rows) != nrows
             or any(not isinstance(r, list) or len(r) != ncols for r in rows)):
         raise DocumentError(f"expected a {nrows}x{ncols} matrix")
-    if nrows == 0 or ncols == 0:
-        return Matrix.zeros(field, nrows, ncols)
     try:
-        return Matrix.from_rows(field, [[_scalar(field, c) for c in r] for r in rows])
+        entries = tuple(tuple(_scalar(field, c) for c in r) for r in rows)
     except (FieldError, ValueError, TypeError) as exc:
         raise DocumentError(f"bad matrix coefficient: {exc}") from exc
+    return Matrix(field, nrows, ncols, entries)
 
 
 def serialize_witness(w) -> dict:

@@ -55,19 +55,18 @@ class Field:
     (polarization of symmetric brackets).
     """
 
-    p: int | None
+    p: int | None = None
 
-    def __init__(self, p=None):
-        if p is not None:
-            if p == 2:
-                raise FieldError("characteristic 2 is not supported (2 must be invertible)")
-            if p > MAX_PRIME:
-                raise FieldError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
-            if not _is_prime(p):
-                raise FieldError(f"modulus {p} is not prime")
-        else:
+    def __post_init__(self):
+        p = self.p
+        if p is None:
             _fraction_type()
-        self.__dict__["p"] = p
+        elif p == 2:
+            raise FieldError("characteristic 2 is not supported (2 must be invertible)")
+        elif p > MAX_PRIME:
+            raise FieldError(f"modulus {magnitude(p)} exceeds the supported bound {MAX_PRIME}")
+        elif not _is_prime(p):
+            raise FieldError(f"modulus {magnitude(p)} is not prime")
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -157,6 +156,14 @@ def past_int_limit(text: str) -> bool:
     the interpreter's int-string limit (none when 0 or absent)."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     return bool(limit) and re.search(rf"\d{{{limit + 1}}}", text.replace("_", "")) is not None
+
+
+def magnitude(n: int) -> str:
+    """n in decimal up to 64 bits, else roughly: a message stays one short
+    line, and str() refuses an int of more than 4,300 digits."""
+    if n.bit_length() <= 64:
+        return str(n)
+    return f"about {'-' if n < 0 else ''}2^{n.bit_length()}"
 
 
 # str() refuses an int of more digits than the interpreter's int-string limit

@@ -79,7 +79,7 @@ from .algebra import (
     lie_commutator_of,
 )
 from .errors import FieldError, IsoclinismError, SearchBoundError
-from .fields import Field, past_int_limit
+from .fields import Field, magnitude, past_int_limit
 from .linalg import LinearMap, Matrix, bilinear, combine, kernel, quotient, radical, rref, rref_rows
 
 
@@ -508,14 +508,8 @@ def _check_search_preconditions(field, dim, max_gl):
     order = gl_order(dim, field.p)
     if order > bound:
         raise SearchBoundError(
-            f"|GL({dim}, F_{field.p})| = {_magnitude(order)} exceeds "
-            f"the bound {_magnitude(bound)}; raise --max-gl or {MAX_GL_ENV} to override")
-
-
-def _magnitude(n):
-    """n in decimal up to 64 bits, else roughly: a message stays one short
-    line, and str() refuses an int of more than 4,300 digits."""
-    return str(n) if n.bit_length() <= 64 else f"about 2^{n.bit_length()}"
+            f"|GL({dim}, F_{field.p})| = {magnitude(order)} exceeds "
+            f"the bound {magnitude(bound)}; raise --max-gl or {MAX_GL_ENV} to override")
 
 
 def _matrices(d1, d2, max_gl):

@@ -29,13 +29,10 @@ class Matrix:
     ncols: int
     entries: tuple  # tuple of row tuples, canonical scalars
 
-    # written out, not left to value_class: matrices are built in bulk and
-    # this form is the cheapest
-    def __init__(self, field, nrows, ncols, entries):
-        if len(entries) != nrows or any(len(r) != ncols for r in entries):
+    def __post_init__(self):
+        ncols, entries = self.ncols, self.entries
+        if len(entries) != self.nrows or any(len(r) != ncols for r in entries):
             raise LinalgError("matrix shape mismatch")
-        d = self.__dict__
-        d["field"], d["nrows"], d["ncols"], d["entries"] = field, nrows, ncols, entries
 
     @classmethod
     def from_rows(cls, field, rows, ncols=None):
@@ -217,12 +214,7 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis: tuple  # tuple of row tuples, RREF, no zero rows
-    pivots: tuple
-
-    # written out for speed, as Matrix's is
-    def __init__(self, field, ambient_dim, basis, pivots=()):
-        d = self.__dict__
-        d["field"], d["ambient_dim"], d["basis"], d["pivots"] = field, ambient_dim, basis, pivots
+    pivots: tuple = ()
 
     @property
     def dim(self):
@@ -287,8 +279,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         raise LinalgError("subspace intersection mismatch")
     f, n = a.field, a.ambient_dim
     rows = [u + u for u in a.basis] + [w + (f.zero,) * n for w in b.basis]
-    if not rows:
-        return zero_subspace(f, n)
     m, pivots = rref(Matrix(f, len(rows), 2 * n, tuple(rows)))
     inter = [row[n:] for row, piv in zip(m.entries, pivots) if piv >= n]
     return span(f, n, inter)

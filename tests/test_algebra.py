@@ -115,6 +115,11 @@ def defining_violations(alg):
     return tuple(out)
 
 
+def test_a_validation_report_is_true_iff_ok():
+    assert bool(validate(paper_g1(F3))) is True
+    assert bool(validate(LeibnizAlgebra.from_structure(F3, 1, {(0, 0): (1,)}))) is False
+
+
 def test_validate_matches_the_defining_triple_loop():
     rng = random.Random(31)
     for f in (F3, F5, FQ):
@@ -400,6 +405,15 @@ def test_morphism_validation():
     phi = AlgebraMorphism(g1, g1, Matrix.from_rows(FQ, [(1, 0), (1, 2)]))
     assert phi.compose(phi).matrix == Matrix.from_rows(FQ, [(1, 0), (3, 4)])
     assert phi.inverse().compose(phi).matrix == Matrix.identity(FQ, 2)
+
+
+def test_morphism_injectivity_and_surjectivity():
+    a1, a2 = LeibnizAlgebra.abelian(F3, 1), LeibnizAlgebra.abelian(F3, 2)
+    inclusion = AlgebraMorphism(a1, a2, Matrix.from_rows(F3, [(1,), (0,)]))
+    projection = AlgebraMorphism(a2, a1, Matrix.from_rows(F3, [(1, 0)]))
+    assert (inclusion.is_injective, inclusion.is_surjective) == (True, False)
+    assert (projection.is_injective, projection.is_surjective) == (False, True)
+    assert AlgebraMorphism.identity(paper_g1(F3)).is_injective
 
 
 def test_abelian_detection(suite):

@@ -22,7 +22,7 @@ from leibalg.cli import (
 )
 from leibalg.documents import MAX_DIM, canonical_json, serialize_algebra, serialize_witness
 from leibalg.extensions import CentralExtension, canonical_extension
-from leibalg.fields import Field
+from leibalg.fields import MAX_PRIME, Field
 from leibalg.isoclinism import MAX_GL_ENV, search_isoclinism
 
 from conftest import F3, FQ, nilpotent_n2, paper_g1, paper_g2
@@ -364,6 +364,19 @@ def test_extension_product(capsys):
     assert rc == EXIT_USAGE
 
 
+def test_extension_payload_of_an_invalid_extension_lists_its_failures():
+    # the annihilator of paper_g2 is not inside its Lie-center
+    from leibalg.algebra import annihilator_ideal
+    from leibalg.constructions import central_extension_from_ideal
+
+    g2 = paper_g2(F3)
+    e = central_extension_from_ideal(g2, annihilator_ideal(g2))
+    assert cli.extension_payload(e, "canonical") == {
+        "construction": "canonical", "valid": False,
+        "n_dim": e.n.dim, "g_dim": 3, "q_dim": 3 - e.n.dim,
+        "failures": ["[chi(n), g]_Lie != 0 (extension is not Lie-central)"]}
+
+
 # -- catalog -----------------------------------------------------------------
 
 
@@ -551,6 +564,51 @@ def test_a_max_gl_env_past_the_int_string_limit_has_too_many_digits(capsys, monk
         monkeypatch.setenv(MAX_GL_ENV, value)
         assert run(capsys, *argv) == (
             EXIT_USAGE, "", f"usage error: {MAX_GL_ENV} must be an integer, got {value!r}\n")
+
+
+INTEGER_FLAGS = (("invariants", "catalog:paper_g1", "--max-gl"),
+                 ("invariants", "catalog:paper_g1", "--seed"),
+                 ("invariants", "catalog:paper_g1", "--field"),
+                 ("extension", "product", "catalog:paper_g1", "--abelian-dim"))
+
+
+DEFAULT_INT_LIMIT = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", int)() != 4300,
+    reason="the interpreter's int-string limit is not the default 4,300")
+
+
+@DEFAULT_INT_LIMIT
+def test_integer_flags_past_the_int_string_limit_are_one_short_line(capsys):
+    """int() refuses 5,000 digits: each integer flag says so in one line
+    that quotes none of them; ordinary bad values keep argparse's message."""
+    for *argv, flag in INTEGER_FLAGS:
+        assert run(capsys, *argv, flag, "1" * 5000) == (
+            EXIT_USAGE, "", f"usage error: argument {flag}: the value has too many digits\n")
+        assert run(capsys, *argv, flag, "abc") == (
+            EXIT_USAGE, "", f"usage error: argument {flag}: invalid int value: 'abc'\n")
+
+
+@DEFAULT_INT_LIMIT
+def test_numbers_within_the_int_string_limit_are_not_echoed(capsys, tmp_path):
+    """A dimension or modulus of 4,000 digits is refused by its bound in one
+    short line that gives its size in bits, not its digits."""
+    digits = "1" * 4000
+    bits = int(digits).bit_length()
+    doc = serialize_algebra(paper_g1(F3))
+    doc["dim"] = int(digits)
+    path = tmp_path / "huge_dim.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    dimension = f"data error: dimension about 2^{bits} exceeds the supported bound {MAX_DIM}\n"
+    cases = {
+        ("invariants", str(path)): dimension,
+        ("extension", "product", "catalog:paper_g1", "--abelian-dim", digits): dimension,
+        ("invariants", "catalog:paper_g1", "--field", digits):
+            f"data error: modulus about 2^{bits} exceeds the supported bound {MAX_PRIME}\n",
+        ("invariants", "catalog:paper_g1", "--field", "-" + digits):
+            f"data error: modulus about -2^{bits} is not prime\n",
+    }
+    for argv, message in cases.items():
+        assert run(capsys, *argv) == (EXIT_DATA, "", message)
 
 
 def test_emit_returns_the_exit_code_of_the_status_it_writes(capsys):

@@ -88,6 +88,12 @@ def test_validator_rejects_non_lie_central_kernel():
     assert report.failures == ("[chi(n), g]_Lie != 0 (extension is not Lie-central)",)
 
 
+def test_an_extension_report_is_true_iff_ok():
+    g2 = paper_g2(F3)
+    assert bool(validate_extension(canonical_extension(g2))) is True
+    assert bool(validate_extension(central_extension_from_ideal(g2, annihilator_ideal(g2)))) is False
+
+
 def test_validator_accepts_sub_center_kernels(suite):
     rng = random.Random(31)
     for alg in suite[:25]:

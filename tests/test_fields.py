@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from leibalg.fields import MAX_PRIME, Field, FieldError
+from leibalg.fields import MAX_PRIME, Field, FieldError, magnitude
 
 
 def test_rationals_and_prime_constructors():
@@ -22,6 +22,19 @@ def test_characteristic_two_rejected():
 def test_composite_modulus_rejected():
     with pytest.raises(FieldError, match="not prime"):
         Field.prime(9)
+
+
+def test_moduli_below_two_are_not_prime():
+    for p in (0, 1, -3):
+        with pytest.raises(FieldError, match=f"^modulus {p} is not prime$"):
+            Field.prime(p)
+
+
+def test_magnitude_is_decimal_up_to_64_bits():
+    assert [magnitude(n) for n in (0, -3, 2**64 - 1, -(2**64 - 1))] == \
+        ["0", "-3", str(2**64 - 1), str(-(2**64 - 1))]
+    assert magnitude(2**64) == "about 2^65" and magnitude(-(2**64)) == "about -2^65"
+    assert magnitude(10**5000) == f"about 2^{(10**5000).bit_length()}"
 
 
 def test_modulus_bound():

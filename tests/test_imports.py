@@ -232,3 +232,47 @@ def test_the_check_finds_raises_outside_the_protocol():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_raises_only_library_usage_or_protocol_errors(path):
     assert raises_outside_protocol(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def value_classes_defining_init(source):
+    """(line, class name) for each __init__ that a class decorated with
+    value_class defines: value_class gives every value class its one
+    constructor, and a class checks its fields in __post_init__."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split(".")[-1] == "value_class" for d in node.decorator_list)):
+            continue
+        out += [(stmt.lineno, node.name) for stmt in node.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and stmt.name == "__init__"]
+    return out
+
+
+def test_the_check_finds_value_classes_defining_init():
+    source = ("from . import _value\n"
+              "from ._value import value_class\n"
+              "@value_class\n"
+              "class Checked:\n"
+              "    x: int\n"
+              "    def __post_init__(self):\n"
+              "        pass\n"
+              "@value_class\n"
+              "class Own:\n"
+              "    x: int\n"
+              "    def __init__(self, x):\n"
+              "        pass\n"
+              "class Plain:\n"
+              "    def __init__(self):\n"
+              "        pass\n"
+              "@_value.value_class\n"
+              "class Qualified:\n"
+              "    y: int = 0\n"
+              "    def __init__(self, y=0):\n"
+              "        pass\n")
+    assert value_classes_defining_init(source) == [(11, "Own"), (19, "Qualified")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_value_class_defines_init(path):
+    assert value_classes_defining_init(path.read_text(encoding="utf-8")) == []

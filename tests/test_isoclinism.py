@@ -596,6 +596,16 @@ def test_autoclinisms_of_g1_squared_over_f5_in_closed_form():
         assert check_witness(e, e, w).ok
 
 
+def test_autoclinisms_of_g1_squared_over_f13_past_the_exhaustive_group_check():
+    # 2 * 12**2 = 288 autoclinisms: beyond 256, enumerate_autoclinisms checks
+    # the group axioms on a sample
+    f13 = Field.prime(13)
+    e = canonical_extension(direct_product(paper_g1(f13), paper_g1(f13)))
+    autos = enumerate_autoclinisms(e, max_gl=gl_order(4, 13))
+    assert len(autos) == 288
+    assert [eta_columns(w) for w in autos] == g1_squared_automorphisms(f13)
+
+
 # Seeds k for which P = random_gl(random.Random(k), F_7, 4) puts the first
 # column of the lexicographically first witness from g1 x g1 to P.(g1 x g1)
 # late: at positions 1,040 and 1,034, counting from 0, of the 2,401 vectors

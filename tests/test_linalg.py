@@ -152,6 +152,18 @@ def test_matmul_mismatch_raises():
         a @ b
 
 
+def test_matmul_by_a_non_matrix_is_a_type_error():
+    with pytest.raises(TypeError):
+        Matrix.identity(F3, 2) @ (1, 0)
+
+
+def test_intersection_of_zero_spaces_is_the_zero_space():
+    for field in (F3, FQ):
+        zero = zero_subspace(field, 3)
+        assert intersect(zero, zero) == zero
+        assert intersect(zero, span(field, 3, Matrix.identity(field, 3).entries)) == zero
+
+
 def test_inverse_iff_full_rank():
     rng = random.Random(105)
     for field in (F3, FQ):

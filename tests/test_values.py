@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from leibalg import algebra, constructions, extensions, fields, homology, isoclinism, linalg
+from leibalg._value import value_class
 from leibalg.algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -96,6 +97,22 @@ def instances():
 def test_every_value_class_is_covered(instances):
     assert len(value_classes()) == 27
     assert set(instances) == set(value_classes())
+
+
+def test_every_value_class_is_built_by_one_constructor():
+    constructors = {cls.__init__.__code__ for cls in value_classes().values()}
+    assert len(constructors) == 1
+
+    @value_class
+    class Pair:
+        a: int
+        b: int = 2
+
+        def __init__(self, *args):
+            raise AssertionError("value_class replaces a class's own __init__")
+
+    assert Pair(1) == Pair(1, 2) == Pair(b=2, a=1)
+    assert Pair.__init__.__code__ in constructors
 
 
 def test_equal_fields_give_equal_objects(instances):
