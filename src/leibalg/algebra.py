@@ -373,28 +373,12 @@ def direct_product(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
     if a.field != b.field:
         raise AlgebraError("direct product over different fields")
     f = a.field
-    n = a.dim + b.dim
-    z = (f.zero,) * n
-
-    def emb_a(v):
-        return tuple(v) + (f.zero,) * b.dim
-
-    def emb_b(v):
-        return (f.zero,) * a.dim + tuple(v)
-
-    tensor = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < a.dim and j < a.dim:
-                row.append(emb_a(a.bracket_basis(i, j)))
-            elif i >= a.dim and j >= a.dim:
-                row.append(emb_b(b.bracket_basis(i - a.dim, j - a.dim)))
-            else:
-                row.append(z)
-        tensor.append(tuple(row))
+    za, zb = (f.zero,) * a.dim, (f.zero,) * b.dim
+    # the rows of a padded to the product, then those of b; mixed brackets vanish
+    tensor = (tuple(tuple(v + zb for v in row) + (za + zb,) * b.dim for row in a.structure)
+              + tuple((za + zb,) * a.dim + tuple(za + v for v in row) for row in b.structure))
     names = tuple(f"l_{s}" for s in a.basis_names) + tuple(f"r_{s}" for s in b.basis_names)
-    return LeibnizAlgebra(f, n, tuple(tensor), names)
+    return LeibnizAlgebra(f, a.dim + b.dim, tensor, names)
 
 
 @value_class

@@ -232,25 +232,21 @@ def stem_payload(rep):
 
 def invariants_payload(e):
     """Invariants of the algebra e.g, given its canonical extension e."""
-    from .algebra import (
-        annihilator_ideal,
-        has_trivial_lie_commutator,
-        is_abelian,
-        lie_center,
-        lie_commutator_of,
-    )
+    from .algebra import is_abelian, lie_center, lie_commutator_of
     from .homology import is_stem_cover_candidate
 
     alg = e.g
-    ann = annihilator_ideal(alg)
+    # the annihilator ideal is the Lie-commutator (algebra.annihilator_ideal),
+    # and the algebra is Lie exactly when it is zero
+    com = lie_commutator_of(alg).dim
     return {
         "field": str(alg.field),
         "dim": alg.dim,
         "lie_center_dim": lie_center(alg).dim,
-        "lie_commutator_dim": lie_commutator_of(alg).dim,
-        "annihilator_dim": ann.dim,
-        "liezation_dim": alg.dim - ann.dim,
-        "is_lie": has_trivial_lie_commutator(alg),
+        "lie_commutator_dim": com,
+        "annihilator_dim": com,
+        "liezation_dim": alg.dim - com,
+        "is_lie": com == 0,
         "is_abelian": is_abelian(alg),
         "canonical_extension": {
             "n_dim": e.n.dim,

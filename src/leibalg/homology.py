@@ -58,26 +58,22 @@ def theta_image(e: CentralExtension):
     return e._theta_image
 
 
-def _induced_on_liezations(e: CentralExtension):
-    """HL1(g) and HL1(q) as the quotient spaces g/[g,g]_Lie and q/[q,q]_Lie,
-    and the maps n -> HL1(g) and HL1(g) -> HL1(q) in their coordinates; an
-    ExtensionError when pi maps [g,g]_Lie outside [q,q]_Lie, as a pi into
-    another algebra than q can."""
+def check_sequence_tail(e: CentralExtension) -> SequenceReport:
+    """Exactness of  n -> HL1(g) -> HL1(q) -> 0.
+
+    HL1(g) and HL1(q) are the quotient spaces g/[g,g]_Lie and q/[q,q]_Lie.
+    The first map is chi followed by the projection to HL1(g).  The second
+    is pi read through HL1(g)'s section, once pi is checked to map
+    [g,g]_Lie into [q,q]_Lie (an ExtensionError otherwise, as a pi into
+    another algebra than q can give).  Its rank is read off its kernel.
+    """
     lz_g = quotient(lie_commutator_of(e.g))
     lz_q = quotient(lie_commutator_of(e.q))
-    a = lz_g.projection @ e.chi.matrix
-    b0 = lz_q.projection @ e.pi.matrix
-    for v in lz_g.ideal.basis:
-        if any(b0.apply(v)):
-            raise ExtensionError("pi does not descend to the liezations")
-    return lz_g, lz_q, a, b0 @ lz_g.section
-
-
-def check_sequence_tail(e: CentralExtension) -> SequenceReport:
-    """Exactness of  n -> HL1(g) -> HL1(q) -> 0; b's rank is read off ker b."""
-    lz_g, lz_q, a, b = _induced_on_liezations(e)
-    im_a = image(a)
-    ker_b = kernel(b)
+    b = lz_q.projection @ e.pi.matrix
+    if any(any(b.apply(v)) for v in lz_g.ideal.basis):
+        raise ExtensionError("pi does not descend to the liezations")
+    im_a = image(lz_g.projection @ e.chi.matrix)
+    ker_b = kernel(b @ lz_g.section)
     rank_b = lz_g.dim - ker_b.dim
     middle = JunctionCheck("HL1(g)", lz_g.dim, im_a.dim, ker_b.dim, im_a == ker_b)
     end = JunctionCheck("HL1(q)", lz_q.dim, rank_b, lz_q.dim, rank_b == lz_q.dim)

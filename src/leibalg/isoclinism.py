@@ -316,14 +316,12 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
     Lie-commutator, so surjectivity is automatic; the report records whether
     that entailment applied.  xi's rank is computed once, for both tests.
     """
-    failures = []
     eta, xi = witness.eta, witness.xi
     if eta.source != e1.q or eta.target != e2.q:
-        failures.append("eta endpoints do not match the quotient algebras")
-        return WitnessReport(False, tuple(failures), False)
+        return WitnessReport(False, ("eta endpoints do not match the quotient algebras",), False)
     if xi.domain != lie_commutator_of(e1.g) or xi.codomain != lie_commutator_of(e2.g):
-        failures.append("xi endpoints do not match the Lie-commutators")
-        return WitnessReport(False, tuple(failures), False)
+        return WitnessReport(False, ("xi endpoints do not match the Lie-commutators",), False)
+    failures = []
     eta_bij = eta.is_bijective
     if not eta_bij:
         failures.append("eta is not bijective")
@@ -339,7 +337,7 @@ def check_witness(e1: CentralExtension, e2: CentralExtension,
             failures.append(f"commutator squares disagree at basis pair ({i}, {j})")
     automatic = eta_bij and xi_inj and compat
     if automatic and xi_rank != xi.codomain.dim:
-        # cannot happen mathematically; keep the check honest anyway
+        # cannot fire when e2 is Lie-central: then the C2 values span its Lie-commutator
         failures.append("xi is not surjective")
         automatic = False
     return WitnessReport(not failures, tuple(failures), automatic)
@@ -498,9 +496,17 @@ class _SearchEngine:
                 yield Matrix.from_columns(d1.field, columns, nrows=len(d1.structure)), xi
 
 
-def _check_search_preconditions(field, dim, max_gl):
-    """Refuse a search over GL(dim, field) unless field is finite and the
-    group's order is within the bound (see resolve_max_gl)."""
+def _matrices(d1, d2, max_gl):
+    """The (eta, xi) matrices of every witness between two data, in
+    lexicographic eta order.  The whole decision of every search, in the
+    module docstring's order: data over two fields are refused, unequal keys
+    yield nothing, the field must be finite and |GL(dim q, F_p)| within the
+    bound (see resolve_max_gl), and then the engine runs."""
+    field, dim = d1.field, len(d1.structure)
+    if field != d2.field:
+        raise FieldError("extensions live over different fields")
+    if d1.key != d2.key:
+        return
     if not field.is_finite:
         raise FieldError("isoclinism search requires a finite field "
                          "(witness checking over Q is still available)")
@@ -510,17 +516,6 @@ def _check_search_preconditions(field, dim, max_gl):
         raise SearchBoundError(
             f"|GL({dim}, F_{field.p})| = {magnitude(order)} exceeds "
             f"the bound {magnitude(bound)}; raise --max-gl or {MAX_GL_ENV} to override")
-
-
-def _matrices(d1, d2, max_gl):
-    """The (eta, xi) matrices of every witness between two data, in
-    lexicographic eta order: the one decision of every search, in the order
-    the module docstring gives (field, key, preconditions, engine)."""
-    if d1.field != d2.field:
-        raise FieldError("extensions live over different fields")
-    if d1.key != d2.key:
-        return
-    _check_search_preconditions(d1.field, len(d1.structure), max_gl)
     yield from _SearchEngine(d1, d2).witnesses()
 
 
@@ -600,31 +595,29 @@ def classify(algebras, max_gl=None) -> Classification:
     extensions themselves when it is first read.
     """
     algebras = tuple(algebras)
-    seen, interned = {}, {}  # distinct algebra -> (its ends, datum, first index); datum -> itself
+    seen, interned = {}, {}  # distinct algebra -> its record; datum -> itself
     for idx, a in enumerate(algebras):
         if a not in seen:
             q, d = canonical_datum(a)
-            seen[a] = (q, lie_commutator_of(a)), interned.setdefault(d, d), idx
-    ends = tuple(seen[a][0] for a in algebras)
-    data = tuple(seen[a][1] for a in algebras)
-    first = tuple(seen[a][2] for a in algebras)
+            seen[a] = idx, (q, lie_commutator_of(a)), interned.setdefault(d, d)
+    records = [seen[a] for a in algebras]  # per input: (first index, ends, datum)
     # the data are interned, so a pair of ids names a pair of data
     searched = {}  # (id of rep's datum, id of input's datum) -> first witness's matrices or None
     built = {}  # (rep, first index of the input's algebra) -> witness
     classes = []
-    for idx in range(len(algebras)):
+    for idx, (first, ends, datum) in enumerate(records):
         for cls in classes:
             rep = cls.representative
-            d1, d2 = data[rep], data[idx]
-            pair = id(d1), id(d2)
+            _, rep_ends, rep_datum = records[rep]
+            pair = id(rep_datum), id(datum)
             if pair not in searched:
-                searched[pair] = next(_matrices(d1, d2, max_gl), None)
+                searched[pair] = next(_matrices(rep_datum, datum, max_gl), None)
             if searched[pair] is not None:
-                if (rep, first[idx]) not in built:
-                    built[rep, first[idx]] = _witness(ends[rep], ends[idx], searched[pair])
+                if (rep, first) not in built:
+                    built[rep, first] = _witness(rep_ends, ends, searched[pair])
                 cls.members.append(idx)
-                cls.witnesses[idx] = built[rep, first[idx]]
+                cls.witnesses[idx] = built[rep, first]
                 break
         else:
-            classes.append(IsoclinismClass(idx, [idx], {idx: _identity_witness(ends[idx])}))
+            classes.append(IsoclinismClass(idx, [idx], {idx: _identity_witness(ends)}))
     return Classification(algebras, classes)
