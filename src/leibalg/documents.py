@@ -34,7 +34,7 @@ except ImportError:
 
 from .algebra import LeibnizAlgebra, violations
 from .errors import DocumentError, FieldError
-from .fields import Field, magnitude
+from .fields import Field, magnitude, quoted
 from .linalg import Matrix
 
 SCHEMA_VERSION = "1"
@@ -75,7 +75,7 @@ def field_from_json(value) -> Field:
             return Field.prime(value["p"])
         except FieldError as exc:
             raise DocumentError(str(exc)) from exc
-    raise DocumentError(f"unrecognized field spec {value!r}")
+    raise DocumentError(f"unrecognized field spec {quoted(value)}")
 
 
 def serialize_algebra(alg: LeibnizAlgebra) -> dict:
@@ -109,14 +109,14 @@ def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
         raise DocumentError("algebra document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported schema_version {version!r}")
+        raise DocumentError(f"unsupported schema_version {quoted(version)}")
     unknown = set(doc) - {"schema_version", "field", "dim", "basis", "brackets"}
     if unknown:
-        raise DocumentError(f"unknown document keys {sorted(unknown)}")
+        raise DocumentError(f"unknown document keys {quoted(sorted(unknown))}")
     f = field_from_json(doc.get("field"))
     dim = doc.get("dim")
     if not _is_int(dim) or dim < 0:
-        raise DocumentError(f"dim must be a non-negative integer, got {dim!r}")
+        raise DocumentError(f"dim must be a non-negative integer, got {quoted(dim)}")
     check_dim(dim)
     basis = doc.get("basis", [])
     if not isinstance(basis, list) or (basis and (
@@ -129,10 +129,10 @@ def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
         raise DocumentError("brackets must be a list")
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"left", "right", "value"}:
-            raise DocumentError(f"malformed bracket entry {entry!r}")
+            raise DocumentError(f"malformed bracket entry {quoted(entry)}")
         i, j, value = entry["left"], entry["right"], entry["value"]
         if not (_is_int(i) and _is_int(j) and 0 <= i < dim and 0 <= j < dim):
-            raise DocumentError(f"bracket indices ({i!r}, {j!r}) out of range")
+            raise DocumentError(f"bracket indices ({quoted(i)}, {quoted(j)}) out of range")
         if (i, j) in table:
             raise DocumentError(f"duplicate bracket entry for ({i}, {j})")
         if not isinstance(value, list) or len(value) != dim:

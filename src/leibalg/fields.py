@@ -166,6 +166,20 @@ def magnitude(n: int) -> str:
     return f"about {'-' if n < 0 else ''}2^{n.bit_length()}"
 
 
+# Longest repr of an outside value that a message quotes whole.
+QUOTE_LIMIT = 80
+
+
+def quoted(value) -> str:
+    """repr(value) for a one-line message about an outside value: an int as
+    magnitude writes it, any other repr past QUOTE_LIMIT characters cut
+    there and marked with "..."."""
+    if isinstance(value, int):
+        return magnitude(value)
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
 # str() refuses an int of more digits than the interpreter's int-string limit
 # (4,300 by default; a limit set lower is still at least 640).  An int of at
 # most this many bits has at most 603 digits.

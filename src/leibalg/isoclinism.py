@@ -79,7 +79,7 @@ from .algebra import (
     lie_commutator_of,
 )
 from .errors import FieldError, IsoclinismError, SearchBoundError
-from .fields import Field, magnitude, past_int_limit
+from .fields import Field, magnitude, past_int_limit, quoted
 from .linalg import LinearMap, Matrix, bilinear, combine, kernel, quotient, radical, rref, rref_rows
 
 
@@ -112,7 +112,7 @@ def resolve_max_gl(max_gl=None):
             if past_int_limit(env):
                 raise SearchBoundError(f"{MAX_GL_ENV} has too many digits") from None
             raise SearchBoundError(
-                f"{MAX_GL_ENV} must be an integer, got {env!r}") from None
+                f"{MAX_GL_ENV} must be an integer, got {quoted(env)}") from None
     return DEFAULT_MAX_GL
 
 

@@ -214,7 +214,11 @@ class Subspace:
     field: Field
     ambient_dim: int
     basis: tuple  # tuple of row tuples, RREF, no zero rows
-    pivots: tuple = ()
+    pivots: tuple = ()  # the pivot column of each basis row
+
+    def __post_init__(self):
+        if len(self.pivots) != len(self.basis):
+            raise LinalgError("a subspace needs one pivot per basis row")
 
     @property
     def dim(self):

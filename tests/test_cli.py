@@ -566,6 +566,14 @@ def test_a_max_gl_env_past_the_int_string_limit_has_too_many_digits(capsys, monk
             EXIT_USAGE, "", f"usage error: {MAX_GL_ENV} must be an integer, got {value!r}\n")
 
 
+def test_a_long_max_gl_env_is_quoted_cut(capsys, monkeypatch):
+    argv = ("isoclinic", "catalog:paper_g1", "catalog:paper_g2", "--field", "3")
+    value = "x" * 5000
+    monkeypatch.setenv(MAX_GL_ENV, value)
+    assert run(capsys, *argv) == (
+        EXIT_USAGE, "", f"usage error: {MAX_GL_ENV} must be an integer, got {repr(value)[:80]}...\n")
+
+
 INTEGER_FLAGS = (("invariants", "catalog:paper_g1", "--max-gl"),
                  ("invariants", "catalog:paper_g1", "--seed"),
                  ("invariants", "catalog:paper_g1", "--field"),

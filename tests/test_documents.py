@@ -184,6 +184,35 @@ def test_dimension_cap_is_checked_before_allocation():
         catalog_entry(ABELIAN_PREFIX + str(MAX_DIM + 1))
 
 
+def test_document_errors_quote_long_outside_values_in_one_short_line():
+    base = {"schema_version": SCHEMA_VERSION, "field": {"p": 3}, "dim": 1, "brackets": []}
+    big, long = int("9" * 4000), "x" * 5000
+    cut = repr(long)[:80] + "..."
+    cases = [
+        ({"dim": -big}, "dim must be a non-negative integer, got about -2^13288"),
+        ({"dim": long}, f"dim must be a non-negative integer, got {cut}"),
+        ({"brackets": [{"left": big, "right": 0, "value": [0]}]},
+         "bracket indices (about 2^13288, 0) out of range"),
+        ({"field": {"q": big}}, f"unrecognized field spec {repr({'q': big})[:80]}..."),
+        ({"field": long}, f"unrecognized field spec {cut}"),
+        ({"schema_version": long}, f"unsupported schema_version {cut}"),
+        ({"brackets": [{"left": 0, "right": 0, "value": [0], "x": long}]},
+         f"malformed bracket entry {repr({'left': 0, 'right': 0, 'value': [0], 'x': long})[:80]}..."),
+        ({long: 1}, f"unknown document keys {repr([long])[:80]}..."),
+        # short values read as repr writes them; an int past 64 bits as magnitude does
+        ({"dim": -(2**64 - 1)}, f"dim must be a non-negative integer, got {-(2**64 - 1)}"),
+        ({"dim": "1"}, "dim must be a non-negative integer, got '1'"),
+        ({"field": {"p": True}}, "unrecognized field spec {'p': True}"),
+        ({"brackets": [{"left": 2**64, "right": True, "value": [0]}]},
+         "bracket indices (about 2^65, True) out of range"),
+    ]
+    for change, message in cases:
+        with pytest.raises(DocumentError) as info:
+            algebra_from_document(dict(base, **change))
+        assert str(info.value) == message
+        assert len(message) < 130
+
+
 def test_malformed_json_text():
     with pytest.raises(DocumentError, match="JSON"):
         parse_algebra_json("{not json")

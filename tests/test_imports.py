@@ -1,9 +1,11 @@
-"""Every module-level import of a leibalg module is read by that module,
-no leibalg module imports another one's private names, and every private
-name a module defines is read in that module.
+"""Every import of a leibalg module is read in its scope, no leibalg module
+imports another one's private names, and every private name a module
+defines is read in that module.
 
 An import that nothing reads still costs its import on every command that
-loads the module, and it misstates what the module depends on.  A name
+loads the module, or, inside a function, on every call of it, as the CLI
+handlers and constructions import where they run; and it misstates what the
+code depends on.  A name
 imported only to be re-exported says so with `# noqa: F401` on its line,
 as extensions does for ExtensionError.  A name that starts with a single
 underscore belongs to its module: another module that imports it depends on
@@ -27,26 +29,40 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "leibalg"
 MODULES = sorted(SRC.glob("*.py"))
 
 
+def own_imports(scope):
+    """The import statements of a module or function, outside the functions
+    nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(source):
-    """(line, name) for each name a module-level import binds that the
-    module never reads, except the __future__ flags and the names whose
-    line carries `# noqa: F401`."""
+    """(line, name) for each name an import binds that its scope never
+    reads, except the __future__ flags and the names whose line carries
+    `# noqa: F401`.  The scope of a module-level import is the module, and
+    that of an import inside a function the function, the functions nested
+    in it included."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     out = []
-    for stmt in tree.body:
-        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
-            continue
-        for alias in stmt.names:
-            # `import a.b` binds a
-            name = alias.asname or alias.name.split(".")[0]
-            if name not in read and "noqa: F401" not in lines[alias.lineno - 1]:
-                out.append((alias.lineno, name))
-    return out
+    for scope in [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for stmt in own_imports(scope):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                # `import a.b` binds a
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "noqa: F401" not in lines[alias.lineno - 1]:
+                    out.append((alias.lineno, name))
+    return sorted(out)
 
 
 def test_the_check_finds_unread_imports():
@@ -64,6 +80,28 @@ def test_the_check_finds_unread_imports():
               "    dumps = 1\n"
               "    return rx(x)\n")
     assert unused_imports(source) == [(2, "os"), (3, "os"), (6, "dumps")]
+
+
+def test_the_check_finds_unread_imports_inside_functions():
+    source = ("import json\n"
+              "def f():\n"
+              "    from os import path, sep\n"
+              "    import re  # noqa: F401\n"
+              "    def inner():\n"
+              "        return path\n"
+              "    return inner\n"
+              "def g():\n"
+              "    from sys import argv\n"
+              "    if json:\n"
+              "        import math\n"
+              "        return math.pi\n"
+              "    return sep\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        from math import pi, tau\n"
+              "        return lambda: pi\n")
+    # sep is read in g, not in f, which imports it
+    assert unused_imports(source) == [(3, "sep"), (9, "argv"), (16, "tau")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

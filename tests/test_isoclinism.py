@@ -506,6 +506,21 @@ def test_check_witness_reports_xi_between_the_wrong_lie_commutators():
         False, ("xi endpoints do not match the Lie-commutators",), False)
 
 
+def test_check_witness_reports_xi_not_onto_a_target_that_is_not_lie_central():
+    """Over a Lie-central e2 the C2 values span [g2, g2]_Lie, so matching
+    squares make xi onto; here they do not.  g2 = <e1, e2, e3> with
+    [e1, e2] = [e2, e1] = e3 is extended by <e2, e3>, so q2 = <e1> has
+    C2 = 0 while [g2, g2]_Lie = <e3>.  With e1 = (0 -> F -> F), eta = id
+    and the 1x0 xi match every square and xi is injective, but not onto."""
+    g2 = LeibnizAlgebra.from_structure(F3, 3, {(0, 1): (0, 0, 1), (1, 0): (0, 0, 1)})
+    e2 = central_extension_from_ideal(g2, span(F3, 3, [(0, 1, 0), (0, 0, 1)]))
+    e1 = central_extension_from_ideal(LeibnizAlgebra.abelian(F3, 1), zero_subspace(F3, 1))
+    assert not validate_extension(e2).ok and e1.q == e2.q
+    xi = LinearMap(lie_commutator_of(e1.g), lie_commutator_of(e2.g), Matrix(F3, 1, 0, ((),)))
+    report = check_witness(e1, e2, IsoclinismWitness(AlgebraMorphism.identity(e1.q), xi))
+    assert report == WitnessReport(False, ("xi is not surjective",), False)
+
+
 def test_triple_to_witness_refuses_a_beta_not_onto_the_target_lie_commutator():
     """Over a Lie-central target, gamma onto makes the restriction of beta
     onto, so only a target that is not Lie-central reaches this refusal:

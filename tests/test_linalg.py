@@ -9,6 +9,7 @@ from leibalg.linalg import (
     LinalgError,
     LinearMap,
     Matrix,
+    Subspace,
     bilinear,
     combine,
     image,
@@ -317,6 +318,19 @@ def test_zero_and_full_subspaces():
     assert zero_subspace(F3, 3).dim == 0
     assert full.dim == 3 and full.pivots == (0, 1, 2)
     assert zero_subspace(F3, 3).is_subspace_of(full)
+
+
+def test_a_subspace_needs_one_pivot_per_basis_row():
+    """Membership and coordinates read each row's pivot, so a basis without
+    its pivots would answer wrongly: (1, 0) reduced by a row with no pivot
+    stays (1, 0)."""
+    for basis, pivots in ((((1, 0),), ()), ((), (0,)), (((1, 0), (0, 1)), (0,))):
+        with pytest.raises(LinalgError, match="^a subspace needs one pivot per basis row$"):
+            Subspace(F3, 2, basis, pivots)
+    assert Subspace(F3, 2, ()) == zero_subspace(F3, 2)
+    line = Subspace(F3, 2, ((1, 0),), (0,))
+    assert line == span(F3, 2, [(2, 0)])
+    assert line.contains((1, 0)) and line.coords_of((2, 0)) == (2,)
 
 
 def test_fraction_entries_stay_exact():
