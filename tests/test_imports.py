@@ -5,9 +5,8 @@ defines is read in that module.
 An import that nothing reads still costs its import on every command that
 loads the module, or, inside a function, on every call of it, as the CLI
 handlers and constructions import where they run; and it misstates what the
-code depends on.  A name
-imported only to be re-exported says so with `# noqa: F401` on its line,
-as extensions does for ExtensionError.  A name that starts with a single
+code depends on.  A name imported only to be re-exported says so with
+`# noqa: F401` on its line, as extensions does for ExtensionError.  A name that starts with a single
 underscore belongs to its module: another module that imports it depends on
 code its owner may change at will.  Dunders and private modules such as
 ._value stay importable.  So a private function, class or constant that its
@@ -37,7 +36,7 @@ def own_imports(scope):
         node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
-        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             stack.extend(ast.iter_child_nodes(node))
 
 
