@@ -34,6 +34,7 @@ from .fields import Field
 from .linalg import (
     LinearMap,
     Matrix,
+    MatrixMap,
     QuotientStructure,
     Subspace,
     bilinear,
@@ -260,7 +261,7 @@ def has_trivial_lie_commutator(alg: LeibnizAlgebra) -> bool:
 
 
 @value_class
-class AlgebraMorphism:
+class AlgebraMorphism(MatrixMap):
     """A bracket-preserving linear map, validated at construction."""
 
     source: LeibnizAlgebra
@@ -280,10 +281,6 @@ class AlgebraMorphism:
                 if lhs != rhs:
                     raise MorphismError(f"bracket not preserved on basis pair ({i}, {j})")
 
-    @classmethod
-    def identity(cls, alg: LeibnizAlgebra) -> "AlgebraMorphism":
-        return cls(alg, alg, Matrix.identity(alg.field, alg.dim))
-
     def apply(self, vec):
         return self.matrix.apply(vec)
 
@@ -297,18 +294,6 @@ class AlgebraMorphism:
 
     def image_space(self) -> Subspace:
         return image(self.matrix)
-
-    @property
-    def is_injective(self):
-        return self.matrix.rank() == self.source.dim
-
-    @property
-    def is_surjective(self):
-        return self.matrix.rank() == self.target.dim
-
-    @property
-    def is_bijective(self):
-        return self.matrix.rank() == self.source.dim == self.target.dim
 
     def inverse(self) -> "AlgebraMorphism":
         inv = self.matrix.inverse()

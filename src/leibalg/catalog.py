@@ -35,7 +35,9 @@ def describe(name: str) -> str:
         return _FIXED[name][3]
     if name == "abelian_n":
         return "parametric abelian algebra: use abelian_<dim>, e.g. abelian_3"
-    raise CatalogError(f"unknown catalog entry {name!r}")
+    from .fields import quoted  # here only: `catalog list` loads no layer
+
+    raise CatalogError(f"unknown catalog entry {quoted(name)}")
 
 
 def catalog_entry(name: str, field: Field | None = None) -> LeibnizAlgebra:
@@ -44,24 +46,21 @@ def catalog_entry(name: str, field: Field | None = None) -> LeibnizAlgebra:
     quoting it."""
     from .algebra import LeibnizAlgebra
     from .documents import MAX_DIM, check_dim
-    from .fields import Field
+    from .fields import Field, quoted
 
     field = field if field is not None else Field.rationals()
     if name in _FIXED:
         dim, entries, basis_names, _ = _FIXED[name]
         return LeibnizAlgebra.from_structure(field, dim, entries, basis_names=basis_names)
-    if name.startswith(ABELIAN_PREFIX):
-        suffix = name[len(ABELIAN_PREFIX):]
-        if suffix == "n":
-            raise CatalogError(
-                "abelian_n is parametric: pick a dimension, e.g. abelian_2")
-        if not suffix.isdecimal():
-            raise CatalogError(f"unknown catalog entry {name!r}")
-        try:
-            dim = int(suffix)
-        except ValueError:  # more digits than the interpreter's int-string limit
-            raise DocumentError(f"the dimension of {ABELIAN_PREFIX}<n> has too many digits; "
-                                f"the supported bound is {MAX_DIM}") from None
-        check_dim(dim)
-        return LeibnizAlgebra.abelian(field, dim)
-    raise CatalogError(f"unknown catalog entry {name!r}")
+    if name == "abelian_n":
+        raise CatalogError("abelian_n is parametric: pick a dimension, e.g. abelian_2")
+    suffix = name[len(ABELIAN_PREFIX):]
+    if not (name.startswith(ABELIAN_PREFIX) and suffix.isdecimal()):
+        raise CatalogError(f"unknown catalog entry {quoted(name)}")
+    try:
+        dim = int(suffix)
+    except ValueError:  # more digits than the interpreter's int-string limit
+        raise DocumentError(f"the dimension of {ABELIAN_PREFIX}<n> has too many digits; "
+                            f"the supported bound is {MAX_DIM}") from None
+    check_dim(dim)
+    return LeibnizAlgebra.abelian(field, dim)

@@ -41,19 +41,15 @@ import sys
 from . import __version__
 from .errors import DocumentError, LeibalgError, MorphismError, SearchBoundError
 
-# The one layer name that `cli.<name>` resolves to the layer's current
-# attribute: the benchmark's tracer test reads it.  The commands import what
-# they run where they run it, so loading cli loads no layer.
-_LAYER_OF = {"lie_commutator_of": "algebra"}
-
-
 def __getattr__(name):
-    layer = _LAYER_OF.get(name)
-    if layer is None:
+    # `cli.lie_commutator_of` reads the layer's current attribute: the
+    # benchmark's tracer test reads it.  The commands import what they run
+    # where they run it, so loading cli loads no layer.
+    if name != "lie_commutator_of":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    from .algebra import lie_commutator_of
 
-    return getattr(import_module(f"{__package__}.{layer}"), name)
+    return lie_commutator_of
 
 
 EXIT_OK = 0
@@ -78,16 +74,17 @@ class UsageError(argparse.ArgumentTypeError):
 
 def int(text):
     """The integer an integer flag's text spells, as the built-in int reads
-    it.  argparse words a refusal (`invalid int value: 'abc'`), except past
-    the int-string limit, where the value is not echoed."""
+    it.  A refusal reads as argparse words it (`invalid int value: 'abc'`),
+    the text quoted as fields.quoted quotes it, and past the int-string
+    limit the text is not echoed."""
     try:
         return builtins.int(text)
     except ValueError:
-        from .fields import past_int_limit
+        from .fields import past_int_limit, quoted
 
         if past_int_limit(text):
             raise UsageError("the value has too many digits") from None
-    return builtins.int(text)  # refused again, for argparse to report
+        raise UsageError(f"invalid int value: {quoted(text)}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,11 +92,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def _check_value(self, action, value):
-        # quote the choices on every Python: argparse stopped quoting them in 3.13.x
+        # quote the choices on every Python: argparse stopped quoting them in
+        # 3.13.x; after a value cut short they would not fit on a short line
         if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {value!r} (choose from {choices})")
+            from .fields import quoted
+
+            text = quoted(value)
+            if text == repr(value):
+                text += f" (choose from {', '.join(map(repr, action.choices))})"
+            raise argparse.ArgumentError(action, f"invalid choice: {text}")
 
 
 def build_parser() -> _Parser:
@@ -197,9 +198,7 @@ def parse_algebra(text: str, field: Field | None, check=True) -> LeibnizAlgebra:
     from .documents import convert_field, parse_algebra_json
 
     alg = parse_algebra_json(text, check=check)
-    if field is not None and alg.field != field:
-        alg = convert_field(alg, field)
-    return alg
+    return alg if field is None else convert_field(alg, field)
 
 
 def _read_text(path):
@@ -278,10 +277,9 @@ def extension_payload(e, construction):
 
 
 def witness_payload(w: IsoclinismWitness):
-    from .documents import serialize_witness
+    from .documents import matrix_to_json
 
-    doc = serialize_witness(w)
-    return {"eta": doc["eta"], "xi": doc["xi"]}
+    return {"eta": matrix_to_json(w.eta.matrix), "xi": matrix_to_json(w.xi.matrix)}
 
 
 def emit(args, command, inputs, status, payload) -> int:
@@ -504,7 +502,11 @@ def cmd_catalog_show(args):
 def main(argv=None) -> int:
     defaults = argparse.Namespace(format="text", seed=None, max_gl=None, field=None)
     try:
-        args = build_parser().parse_args(argv, defaults)
+        args, extras = build_parser().parse_known_args(argv, defaults)
+        if extras:
+            from .fields import cut
+
+            raise UsageError(f"unrecognized arguments: {cut(' '.join(extras))}")
         return args.handler(args)
     except (UsageError, SearchBoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -514,7 +516,12 @@ def main(argv=None) -> int:
         print(f"data error: {message}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if exc.filename is not None:  # str(exc) would quote it whole
+            from .fields import quoted
+
+            message = f"[Errno {exc.errno}] {exc.strerror}: {quoted(exc.filename)}"
+        print(f"io error: {message}", file=sys.stderr)
         return EXIT_IO
 
 

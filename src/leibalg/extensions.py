@@ -99,28 +99,24 @@ def validate_extension(e: CentralExtension) -> ExtensionReport:
     return ExtensionReport(not failures, tuple(failures))
 
 
-def central_extension_from_ideal(g: LeibnizAlgebra, n_space: Subspace) -> CentralExtension:
-    """0 -> n -> g -> g/n -> 0 for a bracket-closed ideal given as a subspace.
+def central_extension_from_ideal(g: LeibnizAlgebra, n_space: Subspace,
+                                 basis_names=()) -> CentralExtension:
+    """0 -> n -> g -> g/n -> 0 for a bracket-closed ideal given as a subspace,
+    n's basis named basis_names (the subalgebra default when empty).
 
     Lie-centrality is NOT enforced here; run validate_extension on the result
     (useful for exercising the validator on non-central candidates).
     """
-    return _by_ideal(g, n_space, ())
+    sub = subalgebra(g, n_space, basis_names)
+    quot = quotient_algebra(g, n_space)
+    return CentralExtension(sub.algebra, g, quot.algebra, sub.inclusion,
+                            quot.projection, quot.structure.section)
 
 
 def canonical_extension(g: LeibnizAlgebra) -> CentralExtension:
     """0 -> Z_Lie(g) -> g -> g/Z_Lie(g) -> 0."""
     z = lie_center(g)
-    return _by_ideal(g, z, tuple(f"z{i + 1}" for i in range(z.dim)))
-
-
-def _by_ideal(g, space, basis_names):
-    """0 -> space -> g -> g/space -> 0 for a bracket-closed ideal of g, the
-    kernel's basis named basis_names (the subalgebra default when empty)."""
-    sub = subalgebra(g, space, basis_names)
-    quot = quotient_algebra(g, space)
-    return CentralExtension(sub.algebra, g, quot.algebra, sub.inclusion,
-                            quot.projection, quot.structure.section)
+    return central_extension_from_ideal(g, z, tuple(f"z{i + 1}" for i in range(z.dim)))
 
 
 def commutator_map(e: CentralExtension) -> tuple:

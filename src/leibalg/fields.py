@@ -94,20 +94,22 @@ class Field:
         if isinstance(value, str):
             try:
                 value = fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError):
+                # the interpreter's words only repeat the value, and past the
+                # int-string limit they differ between versions
                 if past_int_limit(value):
-                    # int() refuses it in words that differ between interpreter
-                    # versions, so neither they nor the value are quoted
                     raise FieldError("cannot parse scalar: a number has too many digits") from None
-                raise FieldError(f"cannot parse scalar {value!r}: {exc}") from None
+                raise FieldError(f"cannot parse scalar {quoted(value)}") from None
         if isinstance(value, fraction):
             if self.p is None:
                 return value
             den = value.denominator % self.p
             if den == 0:
-                raise FieldError(f"denominator of {value} vanishes mod {self.p}")
+                # str(value), which refuses a part past the int-string limit
+                text = f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+                raise FieldError(f"denominator of {cut(text)} vanishes mod {self.p}")
             return value.numerator * pow(den, self.p - 2, self.p) % self.p
-        raise FieldError(f"cannot coerce {value!r} into {self}")
+        raise FieldError(f"cannot coerce {quoted(value)} into {self}")
 
     @property
     def zero(self):
@@ -170,14 +172,18 @@ def magnitude(n: int) -> str:
 QUOTE_LIMIT = 80
 
 
+def cut(text: str) -> str:
+    """Outside text for a one-line message: whole up to QUOTE_LIMIT
+    characters, else cut there and marked with "..."."""
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
 def quoted(value) -> str:
     """repr(value) for a one-line message about an outside value: an int as
-    magnitude writes it, any other repr past QUOTE_LIMIT characters cut
-    there and marked with "..."."""
+    magnitude writes it, any other repr as cut cuts it."""
     if isinstance(value, int):
         return magnitude(value)
-    text = repr(value)
-    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+    return cut(repr(value))
 
 
 # str() refuses an int of more digits than the interpreter's int-string limit

@@ -421,15 +421,14 @@ class _SearchEngine:
                 rows.append([x % p for x in reversed(row)] + [-v % p])
         free = list(range(m))
         exprs = []
-        if rows:
-            pivots = rref_rows(field, rows, m + 1)
-            if pivots and pivots[-1] == m:
-                return
-            for row, c in zip(rows, pivots):
-                k = m - 1 - c
-                free.remove(k)
-                exprs.append((k, row[m], [(m - 1 - c2, row[c2]) for c2 in range(c + 1, m)
-                                          if row[c2]]))
+        pivots = rref_rows(field, rows, m + 1)
+        if pivots and pivots[-1] == m:
+            return
+        for row, c in zip(rows, pivots):
+            k = m - 1 - c
+            free.remove(k)
+            exprs.append((k, row[m], [(m - 1 - c2, row[c2]) for c2 in range(c + 1, m)
+                                      if row[c2]]))
         for values in itertools.product(range(p), repeat=len(free)):
             x = [0] * m
             for k, v in zip(free, values):

@@ -357,13 +357,42 @@ def quotient(ideal: Subspace) -> QuotientStructure:
                              Matrix(f, n, len(coset), sec))
 
 
+class MatrixMap:
+    """What a map reads off its matrix alone.  A subclass is a value class of
+    (domain, codomain, matrix) whose __post_init__ fixes the matrix shape at
+    (codomain dim x domain dim); inverse and compose, raising the subclass's
+    own error, stay the subclass's."""
+
+    @classmethod
+    def identity(cls, space):
+        """The identity of space, a subspace or an algebra."""
+        return cls(space, space, Matrix.identity(space.field, space.dim))
+
+    def rank(self):
+        return self.matrix.rank()
+
+    @property
+    def is_injective(self):
+        return self.rank() == self.matrix.ncols
+
+    @property
+    def is_surjective(self):
+        return self.rank() == self.matrix.nrows
+
+    @property
+    def is_bijective(self):
+        return self.rank() == self.matrix.ncols == self.matrix.nrows
+
+
 @value_class
-class LinearMap:
+class LinearMap(MatrixMap):
     """A linear map between two stored subspaces, in basis coordinates."""
 
     domain: Subspace
     codomain: Subspace
     matrix: Matrix  # (codomain.dim x domain.dim)
+    # also an attribute of this class itself, where perfbench's tracer test reads it
+    is_injective = MatrixMap.is_injective
 
     def __post_init__(self):
         if (self.matrix.nrows, self.matrix.ncols) != (self.codomain.dim, self.domain.dim):
@@ -377,27 +406,8 @@ class LinearMap:
             raise LinalgError("linear map composition mismatch")
         return LinearMap(inner.domain, self.codomain, self.matrix @ inner.matrix)
 
-    def rank(self):
-        return self.matrix.rank()
-
-    @property
-    def is_injective(self):
-        return self.rank() == self.domain.dim
-
-    @property
-    def is_surjective(self):
-        return self.rank() == self.codomain.dim
-
-    @property
-    def is_bijective(self):
-        return self.rank() == self.domain.dim == self.codomain.dim
-
     def inverse(self) -> "LinearMap":
         inv = self.matrix.inverse()
         if inv is None:
             raise LinalgError("linear map is not invertible")
         return LinearMap(self.codomain, self.domain, inv)
-
-    @classmethod
-    def identity(cls, space: Subspace) -> "LinearMap":
-        return cls(space, space, Matrix.identity(space.field, space.dim))

@@ -574,6 +574,42 @@ def test_a_long_max_gl_env_is_quoted_cut(capsys, monkeypatch):
         EXIT_USAGE, "", f"usage error: {MAX_GL_ENV} must be an integer, got {repr(value)[:80]}...\n")
 
 
+def dim_one_f3_document(coefficient):
+    return json.dumps({"schema_version": "1", "field": {"p": 3}, "dim": 1,
+                       "brackets": [{"left": 0, "right": 0, "value": [coefficient]}]})
+
+
+# Inputs that put a 5,000-character outside value where an error message
+# quotes it: name -> (files written to the working directory, argv, exit code)
+LONG_VALUES = {
+    "unparsable scalar": ({"a.json": dim_one_f3_document("x" * 5000)},
+                          ("validate", "a.json"), EXIT_DATA),
+    "uncoercible scalar": ({"a.json": dim_one_f3_document(["y" * 5000])},
+                           ("validate", "a.json"), EXIT_DATA),
+    "vanishing denominator": ({"a.json": dim_one_f3_document("1" * 4000 + "/3")},
+                              ("validate", "a.json"), EXIT_DATA),
+    "catalog show": ({}, ("catalog", "show", "z" * 5000), EXIT_DATA),
+    "catalog reference": ({}, ("validate", "catalog:" + "z" * 5000), EXIT_DATA),
+    "format choice": ({}, ("catalog", "list", "--format", "f" * 5000), EXIT_USAGE),
+    "command word": ({}, ("c" * 5000,), EXIT_USAGE),
+    "integer flag": ({}, ("catalog", "list", "--max-gl", "a" * 5000), EXIT_USAGE),
+    "unrecognized argument": ({}, ("catalog", "list", "u" * 5000), EXIT_USAGE),
+    "io error": ({}, ("validate", "p" * 5000), EXIT_IO),
+}
+
+
+@pytest.mark.parametrize("name", LONG_VALUES)
+def test_a_long_outside_value_is_cut_to_one_short_line(name, capsys, tmp_path, monkeypatch):
+    files, argv, code = LONG_VALUES[name]
+    for rel, text in files.items():
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (code, "")
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) <= 200
+    assert "..." in err
+
+
 INTEGER_FLAGS = (("invariants", "catalog:paper_g1", "--max-gl"),
                  ("invariants", "catalog:paper_g1", "--seed"),
                  ("invariants", "catalog:paper_g1", "--field"),

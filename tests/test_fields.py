@@ -172,10 +172,10 @@ def test_scalar_string_past_the_lowest_int_string_limit_is_one_short_line():
                     field.of(text)
                 assert str(info.value) == TOO_MANY_DIGITS
         assert Field.rationals().of("1" * 640 + "/3") == Fraction(int("1" * 640), 3)
-        # every other parse failure keeps its message
+        # every other parse failure quotes the text, cut as any outside value
         with pytest.raises(FieldError) as info:
             Field.rationals().of("1" * 640 + "/x")
-        assert str(info.value).startswith(f"cannot parse scalar '{'1' * 640}/x': ")
+        assert str(info.value) == f"cannot parse scalar '{'1' * 79}..."
     finally:
         sys.set_int_max_str_digits(old)
 

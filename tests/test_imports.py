@@ -17,6 +17,10 @@ Every raise statement raises a class of leibalg.errors, which the CLI turns
 into an exit code and a one-line message, one of the CLI's own usage errors,
 or an error a Python protocol asks for where that protocol asks for it
 (PROTOCOL_RAISES).  Anything else would reach the user as a traceback.
+And no raised message echoes a value with !r, which writes it whole: an
+outside value goes through fields.quoted, which cuts it, so the message
+stays one short line.  Only the protocol errors that word a name as Python
+does are exempt (ECHO_PROTOCOL).
 """
 
 import ast
@@ -211,21 +215,29 @@ PROTOCOL_RAISES = {
 }
 
 
-def raises(source):
-    """(line, innermost enclosing function or None, raised) for each raise
-    statement: raised is the source text of the class or of the callee that
-    builds the exception, and None for a bare raise."""
+def raise_statements(source):
+    """(innermost enclosing function or None, node) for each raise statement."""
     out = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Raise):
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                out.append((child.lineno, function, exc and ast.unparse(exc)))
+                out.append((function, child))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else function)
 
     visit(ast.parse(source), None)
+    return out
+
+
+def raises(source):
+    """(line, innermost enclosing function or None, raised) for each raise
+    statement: raised is the source text of the class or of the callee that
+    builds the exception, and None for a bare raise."""
+    out = []
+    for function, node in raise_statements(source):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        out.append((node.lineno, function, exc and ast.unparse(exc)))
     return out
 
 
@@ -269,6 +281,51 @@ def test_the_check_finds_raises_outside_the_protocol():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_raises_only_library_usage_or_protocol_errors(path):
     assert raises_outside_protocol(path.read_text(encoding="utf-8"), path.name) == []
+
+
+# (module, innermost enclosing function) of each raise whose message may echo
+# a value with !r: the module __getattr__s and the value classes' protocol
+# errors, which word the name of an attribute or argument as Python does
+ECHO_PROTOCOL = {
+    ("__init__.py", "__getattr__"),
+    ("cli.py", "__getattr__"),
+    ("_value.py", "_bind"),
+    ("_value.py", "__setattr__"),
+    ("_value.py", "__delattr__"),
+}
+
+
+def raw_echoes(source, module):
+    """(line, innermost enclosing function or None) for each raise statement
+    of the module named module, outside ECHO_PROTOCOL, that builds its
+    message with a !r conversion.  A message quotes an outside value with
+    fields.quoted, which cuts it to keep the message one short line; repr
+    echoes it whole."""
+    return [(node.lineno, function) for function, node in raise_statements(source)
+            if (module, function) not in ECHO_PROTOCOL
+            and any(isinstance(part, ast.FormattedValue) and part.conversion == ord("r")
+                    for part in ast.walk(node))]
+
+
+def test_the_check_finds_raw_echoes_in_raised_messages():
+    source = ("def f(x):\n"
+              "    raise ValueError(f'bad {x!r}')\n"
+              "def g(x):\n"
+              "    message = f'{x!r}'\n"
+              "    raise ValueError(f'bad {quoted(x)} in {x!s}: {x}')\n"
+              "def __getattr__(name):\n"
+              "    raise AttributeError(f'no {name!r}')\n"
+              "def _bind(name):\n"
+              "    def inner():\n"
+              "        raise TypeError(f'{name!r}')\n"
+              "    raise TypeError('bad') from ValueError(f'{name!r}')\n")
+    assert raw_echoes(source, "cli.py") == [(2, "f"), (10, "inner"), (11, "_bind")]
+    assert raw_echoes(source, "_value.py") == [(2, "f"), (7, "__getattr__"), (10, "inner")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raised_messages_quote_no_value_whole(path):
+    assert raw_echoes(path.read_text(encoding="utf-8"), path.name) == []
 
 
 def value_classes_defining_init(source):
