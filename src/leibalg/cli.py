@@ -206,7 +206,9 @@ def _read_text(path):
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
+            from .fields import cut
+
+            raise DocumentError(f"{cut(path)} is not UTF-8 text: {exc}") from exc
 
 
 # -- payload builders -------------------------------------------------------

@@ -34,7 +34,7 @@ except ImportError:
 
 from .algebra import LeibnizAlgebra, violations
 from .errors import DocumentError, FieldError
-from .fields import Field, magnitude, quoted
+from .fields import Field, cut, magnitude, quoted
 from .linalg import Matrix
 
 SCHEMA_VERSION = "1"
@@ -153,7 +153,7 @@ def algebra_from_document(doc, check=True) -> LeibnizAlgebra:
 def read_json(text: str, source=None):
     """The value of a JSON text, the one way leibalg reads JSON.  A text that
     is not JSON raises DocumentError("invalid JSON[ in source]: ...")."""
-    where = f"invalid JSON in {source}" if source else "invalid JSON"
+    where = f"invalid JSON in {cut(source)}" if source else "invalid JSON"
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

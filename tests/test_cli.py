@@ -576,11 +576,13 @@ def test_a_long_max_gl_env_is_quoted_cut(capsys, monkeypatch):
 
 def dim_one_f3_document(coefficient):
     return json.dumps({"schema_version": "1", "field": {"p": 3}, "dim": 1,
-                       "brackets": [{"left": 0, "right": 0, "value": [coefficient]}]})
+                       "brackets": [{"left": 0, "right": 0, "value": [coefficient]}]}).encode()
 
 
-# Inputs that put a 5,000-character outside value where an error message
-# quotes it: name -> (files written to the working directory, argv, exit code)
+DEEP = "/".join(["d" * 100] * 30)  # a 3,029-character directory path
+
+# Inputs that put a long outside value where an error message quotes it:
+# name -> (files written under the working directory, argv, exit code)
 LONG_VALUES = {
     "unparsable scalar": ({"a.json": dim_one_f3_document("x" * 5000)},
                           ("validate", "a.json"), EXIT_DATA),
@@ -595,14 +597,19 @@ LONG_VALUES = {
     "integer flag": ({}, ("catalog", "list", "--max-gl", "a" * 5000), EXIT_USAGE),
     "unrecognized argument": ({}, ("catalog", "list", "u" * 5000), EXIT_USAGE),
     "io error": ({}, ("validate", "p" * 5000), EXIT_IO),
+    "non-UTF-8 file": ({f"{DEEP}/a.json": b"\xff"}, ("validate", f"{DEEP}/a.json"), EXIT_DATA),
+    "witness not JSON": ({f"{DEEP}/w.json": b"nope"},
+                         ("isoclinic", "catalog:paper_g1", "catalog:paper_g1", "--field", "3",
+                          "--witness", f"{DEEP}/w.json"), EXIT_DATA),
 }
 
 
 @pytest.mark.parametrize("name", LONG_VALUES)
 def test_a_long_outside_value_is_cut_to_one_short_line(name, capsys, tmp_path, monkeypatch):
     files, argv, code = LONG_VALUES[name]
-    for rel, text in files.items():
-        (tmp_path / rel).write_text(text, encoding="utf-8")
+    for rel, data in files.items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(data)
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (code, "")
