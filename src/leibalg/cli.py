@@ -26,6 +26,9 @@ witness_rejected 4.
 
 Each command imports only the layers it runs: `catalog list` loads none,
 and only the catalog commands and a catalog:<name> argument load catalog.
+Every search, `isoclinic`'s and `extension backward|pullback`'s too, is one
+isoclinism.classify of the pair, which builds no extension: `classify` and
+an `isoclinic` search that finds a witness load no leibalg.extensions.
 
 All reports are deterministic for fixed inputs: JSON is emitted with sorted
 keys and the text format renders the same payload line by line.
@@ -88,7 +91,19 @@ def int(text):
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)  # what error may echo
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        # argparse echoes an argument whole, or its text after "=" or after
+        # its first two characters (`ambiguous option: --f=...`, `ignored
+        # explicit argument '...'`): cut each as fields.quoted and cut do
+        from .fields import cut, quoted
+
+        for arg in self._args:
+            for text in (arg, arg.partition("=")[2], arg[2:]):
+                message = message.replace(repr(text), quoted(text)).replace(text, cut(text))
         raise UsageError(message)
 
     def _check_value(self, action, value):
@@ -179,18 +194,28 @@ def load_algebra(ref: str, field: Field | None, check=True) -> LeibnizAlgebra:
     return parse_algebra(_read_text(ref), field, check)
 
 
-def _load_pair(args):
-    """The canonical extensions of the first and second algebras, and their
-    inputs block."""
+def _load(args, *labels, check=True):
+    """The named arguments' algebras and their inputs block: a reference given
+    twice is loaded and hashed once, and a pair over two fields is refused."""
     from .documents import algebra_hash
-    from .extensions import canonical_extension
 
     field = _target_field(args)
-    # a reference given twice is loaded, hashed and extended once
-    algebras = [load_algebra(ref, field) for ref in dict.fromkeys((args.first, args.second))]
-    hashes = [algebra_hash(a) for a in algebras]
-    extensions = [canonical_extension(a) for a in algebras]
-    return extensions[0], extensions[-1], {"first": hashes[0], "second": hashes[-1]}
+    refs = [getattr(args, label) for label in labels]
+    loaded = {ref: load_algebra(ref, field, check) for ref in dict.fromkeys(refs)}
+    if len({alg.field for alg in loaded.values()}) > 1:
+        raise DocumentError("extensions live over different fields")
+    hashes = {ref: algebra_hash(alg) for ref, alg in loaded.items()}
+    return [loaded[ref] for ref in refs], {label: hashes[ref] for label, ref in zip(labels, refs)}
+
+
+def _search_pair(args):
+    """classify on the first and second algebras: the classification, the
+    first witness from the first to the second or None, and their inputs."""
+    from .isoclinism import classify
+
+    algebras, inputs = _load(args, "first", "second")
+    result = classify(algebras, max_gl=args.max_gl)
+    return result, result.classes[0].witnesses.get(1), inputs
 
 
 def parse_algebra(text: str, field: Field | None, check=True) -> LeibnizAlgebra:
@@ -324,35 +349,35 @@ def _flatten(prefix, value, out):
 
 def cmd_validate(args):
     from .algebra import validate
-    from .documents import algebra_hash
 
-    alg = load_algebra(args.algebra, _target_field(args), check=False)
+    (alg,), inputs = _load(args, "algebra", check=False)
     report = validate(alg)
     violations = [{"triple": list(v.triple),
                    "residual": [alg.field.scalar_to_json(c) for c in v.residual]}
                   for v in report.violations]
     payload = {"field": str(alg.field), "dim": alg.dim, "violations": violations}
     status = "ok" if report.ok else "invalid"
-    return emit(args, "validate", {"algebra": algebra_hash(alg)}, status, payload)
+    return emit(args, "validate", inputs, status, payload)
 
 
 def cmd_invariants(args):
-    from .documents import algebra_hash
     from .extensions import canonical_extension
 
-    alg = load_algebra(args.algebra, _target_field(args))
-    return emit(args, "invariants", {"algebra": algebra_hash(alg)}, "ok",
-                invariants_payload(canonical_extension(alg)))
+    (alg,), inputs = _load(args, "algebra")
+    return emit(args, "invariants", inputs, "ok", invariants_payload(canonical_extension(alg)))
 
 
 def cmd_isoclinic(args):
-    from .algebra import AlgebraMorphism, lie_commutator_of
-    from .documents import matrix_from_json, read_json
-    from .isoclinism import IsoclinismWitness, check_witness, search_isoclinism
-    from .linalg import LinearMap
-
-    e1, e2, inputs = _load_pair(args)
     if args.witness:
+        from .algebra import AlgebraMorphism, lie_commutator_of
+        from .documents import matrix_from_json, read_json
+        from .extensions import canonical_extension
+        from .isoclinism import IsoclinismWitness, check_witness
+        from .linalg import LinearMap
+
+        algebras, inputs = _load(args, "first", "second")
+        built = {alg: canonical_extension(alg) for alg in algebras}  # once per distinct algebra
+        e1, e2 = (built[alg] for alg in algebras)
         doc = read_json(_read_text(args.witness), args.witness)
         if not isinstance(doc, dict) or "eta" not in doc or "xi" not in doc:
             raise DocumentError("witness document needs 'eta' and 'xi' matrices")
@@ -374,8 +399,9 @@ def cmd_isoclinic(args):
                          "surjectivity_automatic": report.surjectivity_automatic})
         return emit(args, "isoclinic", inputs, "witness_rejected",
                     {"failures": list(report.failures)})
-    witness = search_isoclinism(e1, e2, max_gl=args.max_gl)
+    result, witness, inputs = _search_pair(args)
     if witness is None:
+        e1, e2 = result.extensions
         return emit(args, "isoclinic", inputs, "no_witness",
                     {"first": invariants_payload(e1), "second": invariants_payload(e2)})
     return emit(args, "isoclinic", inputs, "ok", {"witness": witness_payload(witness)})
@@ -426,24 +452,21 @@ def cmd_classify(args):
 
 
 def cmd_extension_canonical(args):
-    from .documents import algebra_hash
     from .extensions import canonical_extension
 
-    alg = load_algebra(args.algebra, _target_field(args))
+    (alg,), inputs = _load(args, "algebra")
     payload = extension_payload(canonical_extension(alg), "canonical")
-    return emit(args, "extension", {"algebra": algebra_hash(alg)},
-                "ok" if payload["valid"] else "invalid", payload)
+    return emit(args, "extension", inputs, "ok" if payload["valid"] else "invalid", payload)
 
 
 def cmd_extension_searched(args):
     """extension backward|pullback: the construction along a searched witness."""
     from .constructions import backward_extension, diagonal_pullback, is_isoclinic_homomorphism
-    from .isoclinism import search_isoclinism
 
-    e1, e2, inputs = _load_pair(args)
-    witness = search_isoclinism(e1, e2, max_gl=args.max_gl)
+    result, witness, inputs = _search_pair(args)
     if witness is None:
         return emit(args, "extension", inputs, "no_witness", {"construction": args.construction})
+    e1, e2 = result.extensions
     if args.construction == "backward":
         built = backward_extension(e2, witness.eta)
         triples = {"iso_triple_isoclinic": bool(is_isoclinic_homomorphism(built.iso))}
@@ -459,13 +482,13 @@ def cmd_extension_searched(args):
 
 def cmd_extension_product(args):
     from .algebra import LeibnizAlgebra
-    from .documents import algebra_hash, check_dim
+    from .documents import check_dim
     from .constructions import is_isoclinic_homomorphism, product_with_abelian
     from .extensions import canonical_extension
 
     if args.abelian_dim < 0:
         raise UsageError("--abelian-dim must be non-negative")
-    alg = load_algebra(args.algebra, _target_field(args))
+    (alg,), inputs = _load(args, "algebra")
     check_dim(alg.dim + args.abelian_dim)
     e = canonical_extension(alg)
     abelian = LeibnizAlgebra.abelian(alg.field, args.abelian_dim)
@@ -474,8 +497,7 @@ def cmd_extension_product(args):
     payload["abelian_dim"] = args.abelian_dim
     payload["triples_isoclinic"] = [bool(is_isoclinic_homomorphism(t))
                                     for t in (pr.onto_original, pr.from_original)]
-    return emit(args, "extension", {"algebra": algebra_hash(alg)},
-                "ok" if payload["valid"] else "invalid", payload)
+    return emit(args, "extension", inputs, "ok" if payload["valid"] else "invalid", payload)
 
 
 def cmd_catalog_list(args):

@@ -332,10 +332,10 @@ def _verify_group_axioms(e, witnesses):
 
 def algebras_isoclinic(a: LeibnizAlgebra, b: LeibnizAlgebra,
                        max_gl=None) -> IsoclinismWitness | None:
-    """Witness between the canonical central extensions of two algebras."""
-    from .isoclinism import search_isoclinism
+    """classify's witness from a's canonical central extension to b's, or None."""
+    from .isoclinism import classify
 
-    return search_isoclinism(canonical_extension(a), canonical_extension(b), max_gl)
+    return classify((a, b), max_gl).classes[0].witnesses.get(1)
 
 
 def compose_witnesses(w1: IsoclinismWitness, w2: IsoclinismWitness) -> IsoclinismWitness:

@@ -47,15 +47,16 @@ first, constructions.enumerate_autoclinisms all of them for one extension,
 and classify asks it once per pair of data it compares.
 
 Two algebras are isoclinic when their canonical extensions by the
-Lie-center are; classify() partitions a list of algebras by that relation.
-It builds data, not extensions: canonical_datum reads each distinct
+Lie-center are; classify() partitions a list of algebras by that relation,
+and decides it for the CLI's pairs and constructions.algebras_isoclinic
+too.  It builds data, not extensions: canonical_datum reads each distinct
 algebra's datum, and the quotient q its witnesses start or end at, straight
 off the algebra and the section of its quotient by the Lie-center, so no
 kernel subalgebra and no bracket-checked inclusion or projection is built.
 There is one search key per datum and one search per pair of data.
 leibalg.extensions is imported only where an extension is read
-(IsoclinismDatum.of, Classification.extensions), so classify loads none of
-it.
+(IsoclinismDatum.of, Classification.extensions), so classify, and an
+`isoclinic` search that finds a witness, loads none of it.
 
 Isoclinic homomorphisms of extensions and the witness algebra (composition,
 inverses, the autoclinism group) are in leibalg.constructions, which neither

@@ -175,6 +175,20 @@ def test_isoclinic_witness_bad_shape_is_data_error(capsys, tmp_path):
     assert rc == EXIT_DATA and "data error" in err
 
 
+def test_a_pair_over_two_fields_is_one_data_error_in_every_mode(capsys, tmp_path):
+    # a Q document and an F_5 one: refused when loaded, before the search or
+    # the witness check could word it its own way
+    rational = write_doc(tmp_path, "q.json", paper_g1(FQ))
+    prime = write_doc(tmp_path, "f5.json", paper_g1(Field.prime(5)))
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps({"eta": [[1, 0], [0, 1]], "xi": [[1]]}), encoding="utf-8")
+    for argv in (("isoclinic",), ("isoclinic", "--witness", str(witness)),
+                 ("extension", "backward"), ("extension", "pullback")):
+        for pair in ((rational, prime), (prime, rational)):
+            assert run(capsys, *argv, *pair) == (
+                EXIT_DATA, "", "data error: extensions live over different fields\n")
+
+
 def test_isoclinic_search_and_witness_are_exclusive(capsys, tmp_path):
     path = tmp_path / "w.json"
     path.write_text("{}", encoding="utf-8")
@@ -264,8 +278,10 @@ def test_classify_parses_each_distinct_text_once(capsys, monkeypatch):
 
 
 def test_a_repeated_reference_is_loaded_once(capsys, monkeypatch, tmp_path):
-    # one path given twice is parsed, hashed and extended once; a byte copy
-    # under another path is loaded twice and gives the same report
+    # one path given twice is parsed and hashed once; a byte copy under
+    # another path is loaded twice and gives the same report.  The search
+    # builds no canonical extension; backward and pullback build one per
+    # distinct algebra, which the byte copy shares
     import leibalg.extensions as extensions
 
     monkeypatch.delenv(MAX_GL_ENV, raising=False)
@@ -278,14 +294,15 @@ def test_a_repeated_reference_is_loaded_once(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(documents, "algebra_hash", counting(hashed, documents.algebra_hash))
     monkeypatch.setattr(extensions, "canonical_extension",
                         counting(extended, extensions.canonical_extension))
-    for command in (("isoclinic",), ("extension", "backward"), ("extension", "pullback")):
+    for command, extends in ((("isoclinic",), 0), (("extension", "backward"), 1),
+                             (("extension", "pullback"), 1)):
         for fmt in ((), ("--format", "json")):
             reports = []
             for second, loads in ((doc, 1), (copy, 2)):
                 for calls in (parsed, hashed, extended):
                     calls.clear()
                 reports.append(run(capsys, *command, str(doc), str(second), *fmt))
-                assert (len(parsed), len(hashed), len(extended)) == (loads,) * 3
+                assert (len(parsed), len(hashed), len(extended)) == (loads, loads, extends)
             assert reports[0] == reports[1]
             assert reports[0][0] == EXIT_OK
 
@@ -528,6 +545,13 @@ def test_no_arguments_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_long_options_may_be_abbreviated(capsys):
+    assert run(capsys, "catalog", "list", "--form", "json") == run(
+        capsys, "catalog", "list", "--format", "json")
+    assert run(capsys, "catalog", "list", "--f=abc") == (EXIT_USAGE, "", (
+        "usage error: ambiguous option: --f=abc could match --format, --field\n"))
+
+
 def test_invalid_construction_lists_the_choices_quoted(capsys):
     # quoted on every Python, also where argparse itself prints them bare;
     # the golden cases pin the same form for a bad command and a bad --format
@@ -596,6 +620,10 @@ LONG_VALUES = {
     "command word": ({}, ("c" * 5000,), EXIT_USAGE),
     "integer flag": ({}, ("catalog", "list", "--max-gl", "a" * 5000), EXIT_USAGE),
     "unrecognized argument": ({}, ("catalog", "list", "u" * 5000), EXIT_USAGE),
+    "ambiguous option": ({}, ("catalog", "list", "--f=" + "x" * 5000), EXIT_USAGE),
+    "ambiguous option with spaces": ({}, ("catalog", "list", "--f=" + "x " * 2500), EXIT_USAGE),
+    "ignored explicit argument": ({}, ("isoclinic", "catalog:paper_g1", "catalog:paper_g1",
+                                       "--search=" + "x" * 5000), EXIT_USAGE),
     "io error": ({}, ("validate", "p" * 5000), EXIT_IO),
     "non-UTF-8 file": ({f"{DEEP}/a.json": b"\xff"}, ("validate", f"{DEEP}/a.json"), EXIT_DATA),
     "witness not JSON": ({f"{DEEP}/w.json": b"nope"},

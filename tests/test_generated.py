@@ -5,8 +5,8 @@ conftest.generated_algebras builds g = q + F^k with
 steps, so that every algebra has dim 4-6 and canonical q-dim <= 3.  The laws:
 P.g keeps the invariants and the search key; g, P.g and g x F^k are
 isoclinic, by the witness that P or the embedding carries and, over F_p, by
-the searched one; and the constructions along each witness validate and
-have isoclinic triples.
+the searched one; the constructions along each witness validate and have
+isoclinic triples; and products of isoclinic pairs are isoclinic.
 """
 
 import random
@@ -29,7 +29,13 @@ from leibalg.constructions import (
     product_with_abelian,
 )
 from leibalg.extensions import canonical_extension, validate_extension
-from leibalg.isoclinism import IsoclinismDatum, IsoclinismWitness, check_witness, search_isoclinism
+from leibalg.isoclinism import (
+    IsoclinismDatum,
+    IsoclinismWitness,
+    check_witness,
+    classify,
+    search_isoclinism,
+)
 from leibalg.linalg import LinearMap, Matrix
 
 from conftest import (
@@ -182,3 +188,40 @@ def test_search_finds_a_witness_to_changed_bases_times_abelian_factors_at_q_dim_
             assert check_witness(e1, e2, found).ok, label
             m = embedding(F5, g.dim, k) @ p_mat
             assert check_witness(e1, e2, induced_witness(e1, e2, m)).ok, label
+
+
+# -- products of isoclinic pairs ------------------------------------------------
+
+
+def block_diagonal(m1, m2):
+    """[[m1, 0], [0, m2]]."""
+    f = m1.field
+    return m1.hstack(Matrix.zeros(f, m1.nrows, m2.ncols)).vstack(
+        Matrix.zeros(f, m2.nrows, m1.ncols).hstack(m2))
+
+
+def test_products_of_isoclinic_pairs_are_isoclinic_by_the_block_diagonal_witness():
+    # The Lie-centre and the Lie-commutator of a x b are those of a and b side
+    # by side, so witnesses a -> a' and b -> b' give one a x b -> a' x b' whose
+    # eta and xi are block diagonal.  The pairs are each class's first two
+    # members in classify of the generated F_3 batch; each pair is multiplied
+    # by itself and by the next, up to q-dim 6
+    batch = [g for seed in range(12) for g in generated_algebras(F3, seed)]
+    pairs = [(batch[c.representative], batch[m], c.witnesses[m])
+             for c in classify(batch).classes for m in c.members[1:2]]
+    assert len(pairs) == 12
+    searched = []
+    for i, (a, a2, wa) in enumerate(pairs):
+        for b, b2, wb in (pairs[i], pairs[(i + 1) % len(pairs)]):
+            e1 = canonical_extension(direct_product(a, b))
+            e2 = canonical_extension(direct_product(a2, b2))
+            w = IsoclinismWitness(
+                AlgebraMorphism(e1.q, e2.q, block_diagonal(wa.eta.matrix, wb.eta.matrix)),
+                LinearMap(lie_commutator_of(e1.g), lie_commutator_of(e2.g),
+                          block_diagonal(wa.xi.matrix, wb.xi.matrix)))
+            assert check_witness(e1, e2, w).ok
+            if e1.q.dim <= 4:
+                found = search_isoclinism(e1, e2)
+                assert found is not None and check_witness(e1, e2, found).ok
+                searched.append(e1.q.dim)
+    assert sorted(set(searched)) == [2, 3, 4]

@@ -85,10 +85,19 @@ def test_isoclinic_over_a_prime_field_loads_neither_homology_nor_fractions(tmp_p
     assert "leibalg.homology" not in modules and "fractions" not in modules
     # only a catalog: reference loads the catalog
     assert "leibalg.catalog" not in modules
-    # a pair without a witness reports both algebras' invariants
+    # the search runs through classify, which builds no extension
+    assert "leibalg.extensions" not in modules
+    # a pair without a witness reports both algebras' invariants, read off
+    # their canonical extensions
     rc, modules = modules_after("isoclinic", "catalog:paper_g1", "catalog:abelian_2",
                                 "--field", "5")
-    assert rc == cli.EXIT_NO_WITNESS and "leibalg.homology" in modules
+    assert rc == cli.EXIT_NO_WITNESS
+    assert {"leibalg.extensions", "leibalg.homology"} <= modules
+    # a witness is checked against the two canonical extensions
+    rc, modules = modules_after("isoclinic", "catalog:paper_g1", "catalog:paper_g2",
+                                "--field", "3", "--witness", "docs/witness_ok.json",
+                                cwd=GOLDEN)
+    assert rc == cli.EXIT_OK and "leibalg.extensions" in modules
 
 
 def test_classify_loads_no_homology(tmp_path):
